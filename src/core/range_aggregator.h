@@ -21,6 +21,11 @@ class RangeAggregator {
 
   explicit RangeAggregator(std::size_t window) : max_(window), min_(window) {}
 
+  /// Registers `ranges` with both component deques, so their answers take
+  /// the per-range cursor path.
+  RangeAggregator(std::size_t window, const std::vector<std::size_t>& ranges)
+      : max_(window, ranges), min_(window, ranges) {}
+
   void slide(double v) {
     max_.slide(v);
     min_.slide(v);

@@ -5,6 +5,7 @@
 #include <concepts>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -32,13 +33,33 @@ namespace slick::core {
 /// window followed by a large value, probability 1/n! under uniform input)
 /// costs n — see §4.1.
 ///
-/// Multi-query answers are produced by a single head-to-tail walk over the
-/// deque with ranges in descending order (query_multi), which is how the
-/// shared-plan engine drives it. Position bookkeeping (startPos and the
-/// window-boundary test) follows Algorithm 2; the in-range predicates fix
-/// the off-by-one in the paper's Answer Loop 1 listing, which as printed
-/// would include the already-expired position `currPos - range` (its own
-/// worked Example 3, Step 4 returns the value our predicate produces).
+/// Multi-query answers are produced by one walk over the deque with ranges
+/// in descending order (query_multi), which is how the shared-plan engine
+/// drives it. The paper starts that walk at the head; here every range
+/// registered through the (window, ranges) constructor keeps an *answer
+/// cursor* — a deque sequence number that is a lower bound on the seq of
+/// its range's answer node — and the walk jumps ahead to it:
+///  * an answer starts at max(cursor, previous answer node + 1) and advances
+///    while the node's age is >= the range, then stores the node's seq back
+///    into the cursor. Ages only grow and pop_front only raises front_seq,
+///    so a cursor stays a lower bound across slides without any upkeep;
+///  * pop_back reuses seqs, so every tail pop-run in slide()/BulkSlide()
+///    clamps the cursors to the post-pop end_seq() before the new node is
+///    pushed there (nodes older than that seq were not touched);
+///  * LoadState() resets every cursor to front_seq().
+/// A cursor advances over each node at most once per push, so a registered
+/// range costs amortized O(1) and zero ⊕ per answer instead of the head
+/// walk's O(nodes older than the range) (EXPERIMENTS.md, deviations). An
+/// unregistered range starts at the previous answer node + 1 — the paper's
+/// walk. Cursors are `mutable` scratch behind the const query surface, so
+/// query(range)/query_multi must not race each other on one instance;
+/// query() reads only the head and stays safe to call concurrently.
+///
+/// Position bookkeeping (startPos and the window-boundary test) follows
+/// Algorithm 2; the in-range predicates fix the off-by-one in the paper's
+/// Answer Loop 1 listing, which as printed would include the
+/// already-expired position `currPos - range` (its own worked Example 3,
+/// Step 4 returns the value our predicate produces).
 ///
 /// Note: combine(x, y) ∈ {x, y} (kSelective) is required, and value_type
 /// must be equality-comparable for the domination test on line 16 of
@@ -56,13 +77,25 @@ class SlickDequeNonInv {
     SLICK_CHECK(window >= 1, "window must hold at least one partial");
   }
 
+  /// Registers `ranges` (the Preparation phase's answers map keys, as for
+  /// SlickDeque (Inv)): each distinct range gets an answer cursor, so its
+  /// answers cost amortized O(1). Duplicates are collapsed.
+  SlickDequeNonInv(std::size_t window, std::vector<std::size_t> ranges)
+      : SlickDequeNonInv(window) {
+    std::sort(ranges.begin(), ranges.end(), std::greater<>());
+    ranges.erase(std::unique(ranges.begin(), ranges.end()), ranges.end());
+    cursors_.reserve(ranges.size());
+    for (std::size_t r : ranges) {
+      SLICK_CHECK(r >= 1 && r <= window, "registered range out of bounds");
+      cursors_.push_back(Cursor{r, 0});
+    }
+  }
+
   /// Admits the newest partial: expire the head, evict dominated tail
   /// nodes, append.
   SLICK_REALTIME void slide(value_type v) {
     if (!deque_.empty() && deque_.front().pos == pos_) deque_.pop_front();
-    while (!deque_.empty() && ops::Absorbs<Op>(v, deque_.back().val)) {
-      deque_.pop_back();
-    }
+    PruneTail(v);
     deque_.push_back(Node{pos_, std::move(v)});
     cur_ = pos_;
     pos_ = pos_ + 1 == window_ ? 0 : pos_ + 1;
@@ -84,6 +117,7 @@ class SlickDequeNonInv {
     if (n >= window_) {
       // Only the trailing window_ elements can survive: restart empty.
       while (!deque_.empty()) deque_.pop_back();
+      ClampCursors();
       AppendBatch(src + (n - window_), window_,
                   (pos_ + (n - window_)) % window_);
     } else {
@@ -107,24 +141,26 @@ class SlickDequeNonInv {
   }
 
   /// Aggregate of the newest `range` partials: first in-range node from the
-  /// head.
+  /// head, or from the range's cursor when it is registered.
   SLICK_REALTIME result_type query(std::size_t range) const {
-    uint64_t walk = deque_.front_seq();
-    return QueryFrom(&walk, range);
+    SLICK_CHECK(!deque_.empty(), "query before the first slide");
+    SLICK_CHECK(range >= 1 && range <= window_, "query range out of bounds");
+    Cursor* c = cursors_.data();
+    const uint64_t seq = Seek(CursorFor(c, range), deque_.front_seq(), range);
+    return Op::lower(deque_[seq].val);
   }
 
-  /// Answers several ranges with one head-to-tail walk. `ranges_desc` must
-  /// be sorted descending (larger ranges resolve nearer the head, as in the
-  /// paper's shared plan). Results are appended to `out`.
+  /// Answers several ranges with one walk towards the tail. `ranges_desc`
+  /// must be sorted descending (larger ranges resolve nearer the head, as
+  /// in the paper's shared plan). Results are appended to `out`.
   ///
   /// A node of age a (0 = newest partial) answers exactly the ranges r with
-  /// r > a down to the age of the next-older node, so the walk loads each
-  /// deque node once and every answer costs one comparison plus a copy.
-  /// SlideSide-style shared walk: at each node, the block of still-open
-  /// ranges the node answers is the leading run of `ranges_desc[i..)` with
-  /// r > age — found by the vectorized PrefixCountGreater kernel — and the
-  /// whole run is answered with one lower() and a fill. Each node is
-  /// loaded once and its age computed once, however many ranges it serves.
+  /// r > a down to the age of the next-older node. Each block of still-open
+  /// ranges starts at max(cursor of its first range, previous answer node
+  /// + 1) and seeks the first node that range covers; the leading run of
+  /// `ranges_desc[i..)` with r > age that this node answers is found by the
+  /// vectorized PrefixCountGreater kernel and answered with one lower() and
+  /// a fill, and the registered ranges of the run move their cursors there.
   SLICK_REALTIME_ALLOW(
       "out.resize appends into the caller's buffer — callers reuse one "
       "answer vector across slides, so growth amortizes to a steady-state "
@@ -144,22 +180,29 @@ class SlickDequeNonInv {
 #endif
     const std::size_t base = out.size();
     out.resize(base + n);
-    uint64_t walk = deque_.front_seq();
+    // Cursors are sorted descending like ranges_desc, so one forward
+    // pointer finds every range's cursor.
+    Cursor* c = cursors_.data();
+    uint64_t next = deque_.front_seq();
     std::size_t i = 0;
     for (;;) {
-      const Node& node = deque_[walk];
-      const std::size_t age = AgeOf(node.pos);
-      const std::size_t run =
-          ops::kernels::PrefixCountGreater(ranges_desc.data() + i, n - i, age);
-      if (run > 0) {
-        std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(base + i), run,
-                    Op::lower(node.val));
-        i += run;
-        // The newest node (age 0) answers every remaining range (r >= 1),
-        // so the walk always terminates here at the latest.
-        if (i == n) return;
+      const uint64_t seq =
+          Seek(CursorFor(c, ranges_desc[i]), next, ranges_desc[i]);
+      const Node& node = deque_[seq];
+      const std::size_t run = ops::kernels::PrefixCountGreater(
+          ranges_desc.data() + i, n - i, AgeOf(node.pos));
+      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(base + i), run,
+                  Op::lower(node.val));
+      // The run's first range already moved its cursor in Seek; the rest
+      // are answered by the same node.
+      for (std::size_t k = i + 1; k < i + run; ++k) {
+        if (Cursor* rc = CursorFor(c, ranges_desc[k])) rc->seq = seq;
       }
-      ++walk;
+      i += run;
+      // The newest node (age 0) answers every remaining range (r >= 1),
+      // so the walk always terminates there at the latest.
+      if (i == n) return;
+      next = seq + 1;
     }
   }
 
@@ -171,7 +214,8 @@ class SlickDequeNonInv {
   std::size_t memory_bytes() const {
     return sizeof(*this) + deque_.memory_bytes() +
            stair_.capacity() * sizeof(std::size_t) +
-           mask_.capacity() * sizeof(uint64_t);
+           mask_.capacity() * sizeof(uint64_t) +
+           cursors_.capacity() * sizeof(Cursor);
   }
 
   /// Checkpoints the deque (DSMS fault tolerance). Trivially copyable
@@ -214,10 +258,17 @@ class SlickDequeNonInv {
     window_ = static_cast<std::size_t>(window);
     pos_ = static_cast<std::size_t>(pos);
     cur_ = static_cast<std::size_t>(cur);
+    for (Cursor& c : cursors_) c.seq = deque_.front_seq();
     return true;
   }
 
  private:
+  /// A registered range and the lower bound on its answer node's seq.
+  struct Cursor {
+    std::size_t range;
+    uint64_t seq;
+  };
+
   struct Node {
     std::size_t pos;  // circular position in [0, window)
     value_type val;
@@ -296,10 +347,7 @@ class SlickDequeNonInv {
       // The newest element always survives; the kernel's strict test can
       // miss it only when src[m-1] equals ⊕'s identity, so force its bit.
       mask_[(m - 1) >> 6] |= uint64_t{1} << ((m - 1) & 63);
-      while (!deque_.empty() &&
-             ops::Absorbs<Op>(total, deque_.back().val)) {
-        deque_.pop_back();
-      }
+      PruneTail(total);
       for (std::size_t w = 0; w < mask_.size(); ++w) {
         uint64_t bits = mask_[w];
         while (bits != 0) {
@@ -324,10 +372,7 @@ class SlickDequeNonInv {
       // against it once — sequential processing pops exactly the tail
       // nodes some batch element absorbs, and ages keep the survivors'
       // relative order unchanged.
-      while (!deque_.empty() &&
-             ops::Absorbs<Op>(suffix, deque_.back().val)) {
-        deque_.pop_back();
-      }
+      PruneTail(suffix);
       for (std::size_t t = stair_.size(); t-- > 0;) {
         const std::size_t k = stair_[t];
         deque_.push_back(Node{(start_pos + k) % window_, src[k]});
@@ -335,30 +380,53 @@ class SlickDequeNonInv {
     } else {
       // Ad-hoc absorbs predicates get the exact per-element stack loop.
       for (std::size_t k = 0; k < m; ++k) {
-        while (!deque_.empty() &&
-               ops::Absorbs<Op>(src[k], deque_.back().val)) {
-          deque_.pop_back();
-        }
+        PruneTail(src[k]);
         deque_.push_back(Node{(start_pos + k) % window_, src[k]});
       }
     }
   }
 
-  /// Advances *walk (a deque sequence number) to the first node whose
-  /// position lies within the newest `range` positions, and returns its
-  /// value. The newest node (age 0) always qualifies, so the walk
+  /// Pops every tail node `v` absorbs. Popped seqs are reused by the next
+  /// push, so cursors past the new end are clamped back to it.
+  SLICK_REALTIME void PruneTail(const value_type& v) {
+    if (deque_.empty() || !ops::Absorbs<Op>(v, deque_.back().val)) return;
+    do {
+      deque_.pop_back();
+    } while (!deque_.empty() && ops::Absorbs<Op>(v, deque_.back().val));
+    ClampCursors();
+  }
+
+  SLICK_REALTIME void ClampCursors() {
+    const uint64_t end = deque_.end_seq();
+    for (Cursor& c : cursors_) c.seq = std::min(c.seq, end);
+  }
+
+  /// Advances `c` (a pointer into the descending cursors_) past every
+  /// larger range; returns `range`'s cursor, or nullptr if unregistered.
+  Cursor* CursorFor(Cursor*& c, std::size_t range) const {
+    Cursor* const end = cursors_.data() + cursors_.size();
+    while (c != end && c->range > range) ++c;
+    return c != end && c->range == range ? c : nullptr;
+  }
+
+  /// Seq of the first node at or after `from` (and the cursor, if any)
+  /// whose position lies within the newest `range` positions; moves the
+  /// cursor there. The newest node (age 0) always qualifies, so the walk
   /// terminates.
-  result_type QueryFrom(uint64_t* walk, std::size_t range) const {
-    SLICK_CHECK(!deque_.empty(), "query before the first slide");
-    SLICK_CHECK(range >= 1 && range <= window_, "query range out of bounds");
-    while (AgeOf(deque_[*walk].pos) >= range) ++*walk;
-    return Op::lower(deque_[*walk].val);
+  uint64_t Seek(Cursor* cursor, uint64_t from, std::size_t range) const {
+    uint64_t seq = cursor != nullptr ? std::max(from, cursor->seq) : from;
+    while (AgeOf(deque_[seq].pos) >= range) ++seq;
+    if (cursor != nullptr) cursor->seq = seq;
+    return seq;
   }
 
   std::size_t window_;
   window::ChunkedArrayQueue<Node> deque_;
   std::vector<std::size_t> stair_;  // BulkSlide scratch: surviving indices
   std::vector<uint64_t> mask_;      // BulkSlide scratch: survivor bitmask
+  // Registered ranges, descending, with their answer cursors; mutable so
+  // the const query surface can advance them.
+  mutable std::vector<Cursor> cursors_;
   std::size_t pos_ = 0;  // write position of the next partial
   std::size_t cur_ = 0;  // position of the newest partial
 };

@@ -8,6 +8,8 @@
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +160,65 @@ TEST(DifferentialFuzzTest, EnginesAgreeOnRandomQuerySets) {
       fit.Push(v, collect(c));
       ASSERT_EQ(a, b) << "trial " << trial << " tuple " << t;
       ASSERT_EQ(a, c) << "trial " << trial << " tuple " << t;
+    }
+  }
+}
+
+// The Max twin of the test above: SlickDeque (Non-Inv) answers through its
+// per-range cursors (AcqEngine registers every distinct range) against the
+// brute-force window. Long descending runs make deques deep and tail pops
+// cross the cursors; few distinct values make ties.
+TEST(DifferentialFuzzTest, MaxEnginesAgreeOnRandomQuerySets) {
+  using Slick = core::SlickDequeNonInv<ops::MaxInt>;
+  static_assert(std::is_constructible_v<Slick, std::size_t,
+                                        std::vector<std::size_t>>,
+                "AcqEngine registers ranges through this constructor");
+  util::SplitMix64 config_rng(0xCAFE);
+  const int trials = FuzzTrials(kConfigTrials);
+  for (int trial = 0; trial < trials; ++trial) {
+    // 1-6 random queries with slides 1..8, ranges 1..80.
+    const std::size_t q = 1 + config_rng.NextBounded(6);
+    std::vector<QuerySpec> queries;
+    for (std::size_t i = 0; i < q; ++i) {
+      queries.push_back({1 + config_rng.NextBounded(80),
+                         1 + config_rng.NextBounded(8)});
+    }
+    const Pat pat = config_rng.NextBounded(2) == 0 ? Pat::kPairs : Pat::kPanes;
+    const int shape = static_cast<int>(config_rng.NextBounded(3));
+    const uint64_t seed = config_rng.NextU64();
+
+    engine::AcqEngine<Slick> slick(queries, pat);
+    engine::AcqEngine<window::NaiveWindow<ops::MaxInt>> naive(queries, pat);
+
+    util::SplitMix64 rng(seed);
+    std::vector<std::pair<uint32_t, int64_t>> a, b;
+    auto collect = [](auto& out) {
+      return [&out](uint32_t qi, int64_t res) { out.emplace_back(qi, res); };
+    };
+    int64_t run_value = 0;
+    for (int t = 0; t < 600; ++t) {
+      int64_t v = 0;
+      switch (shape) {
+        case 0:  // uniform
+          v = static_cast<int64_t>(rng.NextBounded(1000));
+          break;
+        case 1:  // descending runs of up to 300, each restarting high
+          if (rng.NextBounded(300) == 0 || run_value <= 0) {
+            run_value = 1000 + static_cast<int64_t>(rng.NextBounded(1000));
+          }
+          v = run_value;
+          run_value -= static_cast<int64_t>(rng.NextBounded(3));
+          break;
+        default:  // heavy ties
+          v = static_cast<int64_t>(rng.NextBounded(3));
+          break;
+      }
+      a.clear();
+      b.clear();
+      slick.Push(v, collect(a));
+      naive.Push(v, collect(b));
+      ASSERT_EQ(a, b) << "trial " << trial << " shape " << shape << " tuple "
+                      << t;
     }
   }
 }

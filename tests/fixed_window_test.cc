@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <deque>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -285,6 +286,94 @@ TEST_P(WindowSweep, SlickDequeNonInvQueryMultiRandomSubsets) {
   }
 }
 
+// Registered ranges (answer cursors) against an unregistered twin fed the
+// same calls, whose answers come from the paper's head walk. Random
+// slide/BulkSlide interleavings (batches up to window+3, so the n >= window
+// restart runs too) and skipped query steps let cursors lag while tail pops
+// cross them; query sets mix registered, unregistered and duplicate
+// ranges. The checkpoint bytes must match (cursors are not state), and
+// midway both instances rewind to an earlier checkpoint, which leaves the
+// registered instance's cursors past the restored deque's end until
+// LoadState resets them.
+template <typename Op>
+void RunRegisteredTwin(std::size_t window, Shape shape) {
+  using Agg = SlickDequeNonInv<Op>;
+  using Value = typename Op::value_type;
+  util::SplitMix64 rng(0xc0c0 + window * 7919 + static_cast<uint64_t>(shape));
+  std::vector<std::size_t> registered{window};
+  for (std::size_t r = 1; r <= window; ++r) {
+    if (rng.NextBounded(3) == 0) registered.push_back(r);
+  }
+  registered.push_back(registered.back());  // duplicates collapse
+  Agg reg(window, registered);
+  Agg twin(window);
+  const auto bytes = [](const Agg& agg) {
+    std::ostringstream os;
+    agg.SaveState(os);
+    return os.str();
+  };
+  const std::size_t steps = 60;
+  std::string snapshot;
+  std::vector<Value> batch;
+  std::vector<std::size_t> ranges_desc;
+  std::vector<typename Op::result_type> out;
+  for (std::size_t step = 0; step < steps; ++step) {
+    batch.clear();
+    const bool single = rng.NextBounded(2) == 0;
+    const std::size_t b = single ? 1 : 1 + rng.NextBounded(window + 3);
+    for (std::size_t i = 0; i < b; ++i) {
+      batch.push_back(LiftInt<Op>(GenInt(shape, step * 131 + i, rng)));
+    }
+    if (single) {
+      reg.slide(batch[0]);
+      twin.slide(batch[0]);
+    } else {
+      reg.BulkSlide(batch.data(), b);
+      twin.BulkSlide(batch.data(), b);
+    }
+    ASSERT_EQ(bytes(reg), bytes(twin)) << "step=" << step;
+    if (step == steps / 3) snapshot = bytes(twin);
+    if (step == 2 * steps / 3) {
+      std::istringstream reg_is(snapshot), twin_is(snapshot);
+      ASSERT_TRUE(reg.LoadState(reg_is));
+      ASSERT_TRUE(twin.LoadState(twin_is));
+    }
+    if (rng.NextBounded(4) == 0) continue;  // let the cursors lag
+    ranges_desc.clear();
+    const std::size_t q = 1 + rng.NextBounded(6);
+    for (std::size_t i = 0; i < q; ++i) {
+      ranges_desc.push_back(rng.NextBounded(2) == 0
+                                ? registered[rng.NextBounded(registered.size())]
+                                : 1 + rng.NextBounded(window));
+    }
+    std::sort(ranges_desc.rbegin(), ranges_desc.rend());
+    out.clear();
+    reg.query_multi(ranges_desc, out);
+    ASSERT_EQ(out.size(), ranges_desc.size());
+    for (std::size_t i = 0; i < ranges_desc.size(); ++i) {
+      ASSERT_EQ(out[i], twin.query(ranges_desc[i]))
+          << "range=" << ranges_desc[i] << " step=" << step;
+    }
+    const std::size_t r = 1 + rng.NextBounded(window);
+    ASSERT_EQ(reg.query(r), twin.query(r)) << "range=" << r << " step=" << step;
+    ASSERT_EQ(reg.query(), twin.query()) << "step=" << step;
+  }
+}
+
+// One op per AppendBatch branch: the survivor-mask staircase (MaxInt), the
+// suffix-scan staircase (ArgMax: total order, no mask kernel) and the
+// per-element stack loop (CountingOp forwards no kAbsorbsTotal).
+TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredMask) {
+  RunRegisteredTwin<ops::MaxInt>(window(), shape());
+}
+TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredStaircase) {
+  RunRegisteredTwin<ops::ArgMax>(window(), shape());
+}
+TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredPerElement) {
+  static_assert(!ops::TotalOrderSelectiveOp<ops::CountingOp<ops::MaxInt>>);
+  RunRegisteredTwin<ops::CountingOp<ops::MaxInt>>(window(), shape());
+}
+
 // --------------------------- Windowed adapters ---------------------------
 
 TEST_P(WindowSweep, WindowedTwoStacksSum) {
@@ -341,6 +430,28 @@ TEST_P(WindowSweep, RangeAggregatorQueryMultiMatchesSingles) {
       ASSERT_EQ(out[i], agg.query(ranges_desc[i]))
           << "range=" << ranges_desc[i] << " step=" << step;
     }
+  }
+}
+
+TEST_P(WindowSweep, RangeAggregatorRegisteredMatchesUnregistered) {
+  std::vector<std::size_t> registered{window(), 1 + window() / 2, 1};
+  core::RangeAggregator reg(window(), registered);
+  core::RangeAggregator plain(window());
+  util::SplitMix64 rng(0x9999 + window());
+  std::vector<std::size_t> ranges_desc;
+  std::vector<double> out, expect;
+  for (std::size_t step = 0; step < 2 * window() + 20; ++step) {
+    const double v = static_cast<double>(GenInt(shape(), step, rng));
+    reg.slide(v);
+    plain.slide(v);
+    ranges_desc = registered;
+    ranges_desc.push_back(1 + rng.NextBounded(window()));
+    std::sort(ranges_desc.rbegin(), ranges_desc.rend());
+    out.clear();
+    expect.clear();
+    reg.query_multi(ranges_desc, out);
+    plain.query_multi(ranges_desc, expect);
+    ASSERT_EQ(out, expect) << "step=" << step;
   }
 }
 

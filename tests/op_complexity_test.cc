@@ -249,5 +249,34 @@ TEST_P(OpComplexitySweep, MultiSlickDequeNonInvAtMostTwoN) {
   EXPECT_LE(s.worst, 2 * n);
 }
 
+TEST_P(OpComplexitySweep, MultiSlickDequeNonInvRegisteredAnswersCostZero) {
+  // Registered ranges (answer cursors) only move where each answer's walk
+  // starts: answering still costs zero ⊕, and both Table 1 rows
+  // (bench/table1_opcounts) count exactly what the unregistered deque does.
+  const std::size_t n = GetParam();
+  if (n > 256) GTEST_SKIP() << "keep test time bounded";
+  using Agg = core::SlickDequeNonInv<CMax>;
+  std::vector<std::size_t> ranges_desc(n);
+  for (std::size_t r = 0; r < n; ++r) ranges_desc[r] = n - r;
+  const auto registered = [&](std::size_t w) { return Agg(w, ranges_desc); };
+  std::vector<int64_t> out;
+  uint64_t answer_ops = 0;
+  auto drain = [&](Agg& agg) {
+    out.clear();
+    const uint64_t before = OpCounter::Total();
+    agg.query_multi(ranges_desc, out);
+    answer_ops += OpCounter::Total() - before;
+  };
+  const OpStats multi = Measure<Agg>(n, registered, drain);
+  EXPECT_EQ(answer_ops, 0u);
+  const OpStats multi_plain = Measure<Agg>(n, MakeWindow<Agg>, drain);
+  EXPECT_DOUBLE_EQ(multi.amortized, multi_plain.amortized);
+  EXPECT_EQ(multi.worst, multi_plain.worst);
+  const OpStats single = Measure<Agg>(n, registered, kFullQuery);
+  const OpStats single_plain = Measure<Agg>(n, MakeWindow<Agg>, kFullQuery);
+  EXPECT_DOUBLE_EQ(single.amortized, single_plain.amortized);
+  EXPECT_EQ(single.worst, single_plain.worst);
+}
+
 }  // namespace
 }  // namespace slick
