@@ -20,7 +20,6 @@
 #include "core/slick_deque_inv.h"
 #include "engine/acq_engine.h"
 #include "ops/arith.h"
-#include "plan/optimizer.h"
 #include "plan/pat.h"
 #include "plan/shared_plan.h"
 
@@ -105,27 +104,6 @@ void EngineThroughput(uint64_t tuples, uint64_t seed, JsonReport& report) {
   }
 }
 
-void OptimizerTable() {
-  std::printf("\n== Cost-based sharing optimizer (§2.3: maximum sharing is "
-              "not always beneficial) ==\n");
-  std::printf("%-44s %10s %10s %10s %8s\n", "# workload", "no-share",
-              "max-share", "optimized", "groups");
-  const std::vector<std::pair<const char*, std::vector<QuerySpec>>> workloads =
-      {{"harmonics: (64,2) (64,4) (64,8)", {{64, 2}, {64, 4}, {64, 8}}},
-       {"coprime: (10,7) (10,11)", {{10, 7}, {10, 11}}},
-       {"mixed: (40,4) (80,8) (63,7) (21,7)",
-        {{40, 4}, {80, 8}, {63, 7}, {21, 7}}},
-       {"dashboards+auditor: 3x(.,100/200) (700,7)",
-        {{600, 100}, {1200, 100}, {3000, 200}, {700, 7}}}};
-  for (const auto& [name, queries] : workloads) {
-    const plan::Grouping g = plan::OptimizeGrouping(queries, Pat::kPairs);
-    std::printf("%-44s %10.2f %10.2f %10.2f %8zu\n", name,
-                plan::NoSharingCost(queries, Pat::kPairs),
-                plan::MaxSharingCost(queries, Pat::kPairs), g.cost_per_tuple,
-                g.groups.size());
-  }
-}
-
 }  // namespace
 }  // namespace slick::bench
 
@@ -139,7 +117,6 @@ int main(int argc, char** argv) {
   JsonReport report(flags, "ablation_pat");
   PartialCountTable();
   SharingTable();
-  OptimizerTable();
   EngineThroughput(tuples, seed, report);
   report.Write();
   return 0;

@@ -103,8 +103,8 @@ using ArrivalAggregatorFor = typename internal::ArrivalPicker<Op, A>::type;
 
 // Batch entry points (DESIGN.md §11). These are the window:: dispatchers:
 // aggregators with native Bulk* members take their algorithm-specific fast
-// path, everything else (including type-erased AnyAggregator wrappers)
-// falls back to the per-tuple loop — callers never need to know which.
+// path, everything else falls back to the per-tuple loop — callers never
+// need to know which.
 using window::BulkEvict;
 using window::BulkInsert;
 using window::BulkSlide;

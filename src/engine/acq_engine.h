@@ -38,12 +38,10 @@ class AcqEngine {
   using value_type = typename op_type::value_type;
   using result_type = typename op_type::result_type;
 
-  /// `stream_offset` positions the engine mid-stream: report phases behave
-  /// as if `stream_offset` tuples had already passed (all contributing ⊕'s
-  /// identity). Used by DynamicAcqEngine to rebuild plans on the fly while
-  /// keeping every query's slide phase aligned with the global stream.
-  AcqEngine(std::vector<plan::QuerySpec> queries, plan::Pat pat,
-            uint64_t stream_offset = 0)
+  /// Builds the shared plan for `queries` under `pat`. The engine starts
+  /// at a composite-slide boundary: the first pushed tuple opens the plan's
+  /// first partial, so every query's slide phase is aligned with it.
+  AcqEngine(std::vector<plan::QuerySpec> queries, plan::Pat pat)
       : plan_(plan::SharedPlan::Build(queries, pat)),
         agg_(MakeAggregator(plan_)) {
     // Pre-compute each step's ranges in descending order for aggregators
@@ -57,13 +55,6 @@ class AcqEngine {
       }
       step_ranges_.push_back(std::move(ranges));
     }
-    // Seek to the offset's position within the composite cycle.
-    uint64_t off = stream_offset % plan_.composite_slide();
-    while (off >= plan_.steps()[step_idx_].partial_len) {
-      off -= plan_.steps()[step_idx_].partial_len;
-      ++step_idx_;
-    }
-    in_partial_ = off;  // mid-partial: the missing prefix acts as identity
   }
 
   /// Feeds one raw stream element. For every answer that becomes due,

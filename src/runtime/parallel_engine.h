@@ -55,11 +55,13 @@ inline const char* BackpressureName(Backpressure b) {
 /// round-robin across N shard rings; each shard is a ShardWorker thread
 /// driving its own FixedWindowAggregator over a window of W/N partials.
 ///
-/// Exactness — same argument as engine::RoundRobinSharded: with a global
-/// window of W = k·N tuples, the last W admitted tuples are exactly the
-/// last k tuples of every shard whenever the total admitted count is a
-/// multiple of N (a *slide barrier*), so for a commutative ⊕ the N-way
-/// combine of local answers equals the single-node answer. Per-shard order
+/// Exactness: with a global window of W = k·N tuples, round-robin routing
+/// sends tuple t to shard t mod N, so whenever the total admitted count is
+/// a multiple of N (a *slide barrier*) the last W admitted tuples are
+/// exactly the last k tuples of every shard. Every shard's window then
+/// covers the same global span, and for a commutative ⊕ the N-way combine
+/// of local answers equals the single-node answer (tests check it against
+/// one NaiveWindow over W at every slide barrier). Per-shard order
 /// is preserved end-to-end (SPSC rings are FIFO), which is all the combine
 /// needs. Non-commutative ops (ArgMax's earlier-tie rule, Concat) are
 /// admitted at shards == 1 only, where no combine reorders anything — the
@@ -89,9 +91,10 @@ inline const char* BackpressureName(Backpressure b) {
 /// safely restarted (the thread still owns the aggregator), so they are
 /// detected and counted, never killed.
 ///
-/// Warm-up — identical semantics to RoundRobinSharded: query() requires
-/// ready(), i.e. every shard's window is full. Folding before warm-up would
-/// combine ⊕-identity sentinels (±inf, NaN) into selective-op answers, and
+/// Warm-up: query() requires ready(), i.e. every shard has received its
+/// full window of W/N tuples, so each local answer covers real data rather
+/// than ⊕-identity padding. Folding before warm-up would combine
+/// ⊕-identity sentinels (±inf, NaN) into selective-op answers, and
 /// SlickDeque (Non-Inv) shards would assert on an empty deque.
 ///
 /// Shutdown — the destructor (or stop()) closes every ring; workers drain
@@ -238,10 +241,11 @@ class ParallelShardedEngine {
   ParallelShardedEngine(const ParallelShardedEngine&) = delete;
   ParallelShardedEngine& operator=(const ParallelShardedEngine&) = delete;
 
-  /// Routes the newest element to its shard (round-robin, matching
-  /// RoundRobinSharded::slide). Elements are staged per shard and handed to
-  /// the ring a batch at a time; call flush() (or query()) to force out a
-  /// partial batch. Single-threaded producer: call from one thread only.
+  /// Routes the newest element to its shard: tuple t goes to shard t mod N
+  /// (the round-robin order the exactness argument above relies on).
+  /// Elements are staged per shard and handed to the ring a batch at a
+  /// time; call flush() (or query()) to force out a partial batch.
+  /// Single-threaded producer: call from one thread only.
   void push(value_type v)
     requires(!kEventTime)
   {

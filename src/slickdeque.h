@@ -8,7 +8,6 @@
 // Finer-grained headers (listed below) keep compile times down when you
 // only need a slice of the library.
 
-#include "core/any_aggregator.h"       // IWYU pragma: export
 #include "core/monotonic_deque.h"      // IWYU pragma: export
 #include "core/per_query_adapter.h"    // IWYU pragma: export
 #include "core/range_aggregator.h"     // IWYU pragma: export
@@ -19,15 +18,11 @@
 #include "core/time_window.h"          // IWYU pragma: export
 #include "core/windowed.h"             // IWYU pragma: export
 #include "engine/acq_engine.h"         // IWYU pragma: export
-#include "engine/dynamic_engine.h"     // IWYU pragma: export
-#include "engine/keyed_engine.h"       // IWYU pragma: export
 #include "engine/shared_family.h"      // IWYU pragma: export
-#include "engine/sharded.h"            // IWYU pragma: export
 #include "engine/time_acq_engine.h"    // IWYU pragma: export
 #include "ops/ops.h"                   // IWYU pragma: export
 #include "ops/maxcount.h"              // IWYU pragma: export
 #include "ops/sketch.h"                // IWYU pragma: export
-#include "plan/optimizer.h"            // IWYU pragma: export
 #include "runtime/parallel_engine.h"   // IWYU pragma: export
 #include "runtime/shard_worker.h"      // IWYU pragma: export
 #include "runtime/spsc_ring.h"         // IWYU pragma: export
@@ -46,7 +41,6 @@
 #include "window/daba.h"               // IWYU pragma: export
 #include "window/flat_fat.h"           // IWYU pragma: export
 #include "window/flat_fit.h"           // IWYU pragma: export
-#include "window/history_tree.h"       // IWYU pragma: export
 #include "window/naive.h"              // IWYU pragma: export
 #include "window/reference.h"          // IWYU pragma: export
 #include "window/two_stacks.h"         // IWYU pragma: export

@@ -93,7 +93,6 @@ struct EngineCounters {
   uint64_t tuples_in = 0;   ///< raw stream elements pushed
   uint64_t partials = 0;    ///< completed partials slid into the window
   uint64_t answers = 0;     ///< query answers emitted
-  uint64_t queries = 0;     ///< explicit query() calls (sharded engines)
   uint64_t panes_closed = 0;    ///< time engine: panes fed downstream
   uint64_t panes_empty = 0;     ///< time engine: identity (gap) panes
   uint64_t watermark = 0;       ///< time engine: latest closed-pane end ts

@@ -7,7 +7,7 @@
 
 namespace slick::telemetry {
 
-// The single-thread engines (AcqEngine, TimeAcqEngine, RoundRobinSharded)
+// The single-thread engines (AcqEngine, TimeAcqEngine, EventTimeAcqEngine)
 // are instrumented through a SINK TYPE chosen at compile time, so the
 // disabled configuration costs literally nothing: NullEngineSink's methods
 // are empty inline functions on an empty [[no_unique_address]] member, and
@@ -32,7 +32,6 @@ struct NullEngineSink {
   void OnTuple() {}
   void OnPartial() {}
   void OnAnswer(uint64_t /*n*/ = 1) {}
-  void OnQuery() {}
   void OnPaneClose(bool /*empty*/, uint64_t /*watermark*/) {}
   void OnLatency(uint64_t /*ns*/) {}
 };
@@ -48,7 +47,6 @@ struct CountingEngineSink {
   void OnTuple() { ++counters.tuples_in; }
   void OnPartial() { ++counters.partials; }
   void OnAnswer(uint64_t n = 1) { counters.answers += n; }
-  void OnQuery() { ++counters.queries; }
   void OnPaneClose(bool empty, uint64_t watermark) {
     ++counters.panes_closed;
     if (empty) ++counters.panes_empty;
@@ -70,7 +68,6 @@ struct HistogramEngineSink {
   void OnTuple() { ++counters.tuples_in; }
   void OnPartial() { ++counters.partials; }
   void OnAnswer(uint64_t n = 1) { counters.answers += n; }
-  void OnQuery() { ++counters.queries; }
   void OnPaneClose(bool empty, uint64_t watermark) {
     ++counters.panes_closed;
     if (empty) ++counters.panes_empty;

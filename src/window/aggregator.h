@@ -56,7 +56,7 @@ concept FixedWindowAggregator =
 // supported query exactly as the equivalent per-tuple sequence would. The
 // free functions below dispatch to the member when present and otherwise
 // run the per-tuple loop, so every aggregator — including user-supplied
-// implementations behind the type-erased facades — accepts batches.
+// implementations — accepts batches.
 
 // * OutOfOrderAggregator — the third shape (DESIGN.md §13): a TIMESTAMPED
 //   window for event-time streams. Insert(t, v) lands at any position,

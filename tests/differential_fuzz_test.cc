@@ -20,7 +20,6 @@
 #include "core/subtract_on_evict.h"
 #include "core/windowed.h"
 #include "engine/acq_engine.h"
-#include "engine/sharded.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
 #include "ops/string_ops.h"
@@ -423,8 +422,8 @@ TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleDabaConcat) {
 
 // Randomized configurations for the multi-threaded runtime: shard counts,
 // ring capacities, batch sizes and both backpressure modes, checked for
-// (a) answer agreement with the single-threaded RoundRobinSharded reference
-// at slide barriers (lossless mode) and (b) the telemetry conservation
+// (a) answer agreement with a single NaiveWindow over the whole window at
+// slide barriers (lossless mode) and (b) the telemetry conservation
 // identities at every epoch snapshot:
 //   live (router thread):   fed == admitted + dropped + staged,
 //                           tuples_out <= tuples_in        (per shard)
@@ -452,7 +451,7 @@ TEST(DifferentialFuzzTest, ParallelEngineTelemetryConservationOnRandomConfigs) {
         shards * (shard_window + 1 + config_rng.NextBounded(200));
 
     runtime::ParallelShardedEngine<Agg> par(window, shards, opt);
-    engine::RoundRobinSharded<Agg> ref(window, shards);
+    window::NaiveWindow<ops::SumInt> ref(window);
 
     util::SplitMix64 rng(seed);
     uint64_t fed = 0;
@@ -520,8 +519,8 @@ TEST(DifferentialFuzzTest, ParallelEngineTelemetryConservationOnRandomConfigs) {
       ASSERT_EQ(quiet.batch_latency_ns.total(), batches)
           << "trial " << trial << " epoch " << e;
 
-      // Answer agreement with the single-threaded reference (lossless mode
-      // only — shedding legitimately changes per-shard suffixes).
+      // Answer agreement with the single-window oracle (lossless mode only
+      // — shedding legitimately changes per-shard suffixes).
       if (!drop) {
         ASSERT_EQ(got, ref.query()) << "trial " << trial << " epoch " << e
                                     << " shards=" << shards

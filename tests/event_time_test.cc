@@ -1,14 +1,13 @@
 // Event-time aggregation tests (DESIGN.md §13): the EventTimeAcqEngine
 // checked differentially against the pane-based TimeAcqEngine (identical
 // answers on in-order streams with zero lateness, and convergence to the
-// in-order answers under bounded shuffles), KeyedEventWindows against a
-// per-key oracle, the parallel runtime's event-time mode against a
-// sequential oracle with watermark telemetry, and supervised recovery of
-// an event-time query producing bit-identical shard state.
+// in-order answers under bounded shuffles), the parallel runtime's
+// event-time mode against a sequential oracle with watermark telemetry,
+// and supervised recovery of an event-time query producing bit-identical
+// shard state.
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -21,7 +20,6 @@
 #include "core/sliding_aggregator.h"
 #include "core/subtract_on_evict.h"
 #include "engine/event_time_engine.h"
-#include "engine/keyed_engine.h"
 #include "engine/time_acq_engine.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
@@ -285,95 +283,6 @@ TEST(EventTimeEngineTest, FramedCheckpointRoundTripResumesIdentically) {
   EventEngineFor<ops::SumInt> c(queries, /*lateness=*/16);
   std::istringstream bad_in(bad);
   EXPECT_NE(util::LoadStateFramed(&c, bad_in), util::FrameError::kOk);
-}
-
-// ---------------------------------------------------------------------
-// KeyedEventWindows vs a per-key oracle that replicates the admission and
-// watermark rules from scratch.
-// ---------------------------------------------------------------------
-TEST(KeyedEventWindowsTest, MatchesPerKeyOracle) {
-  constexpr uint64_t kRange = 50;
-  constexpr uint64_t kLateness = 30;
-  constexpr uint64_t kKeys = 6;
-  engine::KeyedEventWindows<ops::SumInt> keyed(kRange, kLateness);
-
-  std::map<uint64_t, std::multimap<uint64_t, int64_t>> oracle;
-  uint64_t max_ts = 0;
-  const auto wm = [&] { return max_ts > kLateness ? max_ts - kLateness : 0; };
-  const auto low = [&] {
-    return wm() >= kRange ? wm() - kRange + 1 : uint64_t{0};
-  };
-
-  util::SplitMix64 rng(2024);
-  uint64_t base = 1;
-  uint64_t expected_drops = 0;
-  for (int step = 0; step < 800; ++step) {
-    base += rng.NextBounded(4);
-    // Jitter must sometimes exceed range + lateness - 1 (= 79, the full
-    // admission slack behind max_ts) so that real drops are exercised.
-    const uint64_t jitter = rng.NextBounded(kRange + kLateness + 40);
-    const uint64_t ts = base > jitter ? base - jitter : base;
-    const uint64_t key = rng.NextBounded(kKeys);
-    const int64_t v = RandomValue<ops::SumInt>(rng);
-
-    const bool admit = ts >= low();
-    ASSERT_EQ(keyed.Push(key, ts, v), admit) << "step " << step;
-    if (admit) {
-      oracle[key].emplace(ts, v);
-      max_ts = std::max(max_ts, ts);
-    } else {
-      ++expected_drops;
-    }
-    ASSERT_EQ(keyed.watermark(), wm());
-
-    if (step % 50 == 49) {
-      // Periodic maintenance, mirrored on the oracle.
-      keyed.EvictExpired();
-      for (auto& [k, entries] : oracle) {
-        entries.erase(entries.begin(), entries.lower_bound(low()));
-      }
-      std::erase_if(oracle, [](const auto& kv) { return kv.second.empty(); });
-      ASSERT_EQ(keyed.key_count(), oracle.size());
-    }
-    if (step % 25 == 0) {
-      for (const auto& [k, entries] : oracle) {
-        int64_t sum = 0;
-        for (const auto& [t, val] : entries) {
-          if (t >= low() && t <= wm()) sum += val;
-        }
-        ASSERT_TRUE(keyed.HasKey(k));
-        ASSERT_EQ(keyed.Query(k), sum) << "key " << k << " step " << step;
-      }
-    }
-  }
-  EXPECT_EQ(keyed.late_dropped(), expected_drops);
-  EXPECT_GT(expected_drops, 0u) << "the jitter should exceed lateness "
-                                   "sometimes, or the test is too easy";
-
-  // ForEach visits every key with the same windowed answers.
-  std::size_t visited = 0;
-  keyed.ForEach([&](uint64_t k, int64_t answer) {
-    ++visited;
-    int64_t sum = 0;
-    for (const auto& [t, val] : oracle[k]) {
-      if (t >= low() && t <= wm()) sum += val;
-    }
-    EXPECT_EQ(answer, sum) << "key " << k;
-  });
-  EXPECT_EQ(visited, keyed.key_count());
-}
-
-TEST(KeyedEventWindowsTest, ReclaimsKeysWhoseWindowsEmptied) {
-  engine::KeyedEventWindows<ops::SumInt> keyed(/*range=*/10, /*lateness=*/0);
-  EXPECT_TRUE(keyed.Push(1, 5, 100));
-  EXPECT_TRUE(keyed.Push(2, 1000, 7));  // advances the shared watermark
-  EXPECT_EQ(keyed.EvictExpired(), 1u) << "key 1's lone entry expired";
-  EXPECT_FALSE(keyed.HasKey(1));
-  EXPECT_TRUE(keyed.HasKey(2));
-  EXPECT_EQ(keyed.Query(2), 7);
-  // Key 1 can return later — at a timestamp inside the current window.
-  EXPECT_TRUE(keyed.Push(1, 995, 3));
-  EXPECT_EQ(keyed.Query(1), 3);
 }
 
 // ---------------------------------------------------------------------

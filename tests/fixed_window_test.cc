@@ -2,7 +2,9 @@
 // Naive, FlatFAT, B-Int, FlatFIT, SlickDeque (Inv), SlickDeque (Non-Inv) and
 // the Windowed<> adapter over TwoStacks/DABA. Each parameterized sweep runs
 // a window size × input-shape grid and compares every answer — full window
-// and, where supported, every sub-range — against a brute-force model.
+// and, where supported, every sub-range — against a brute-force model. The
+// per-query adapter must answer multi-range queries like the natively
+// multi-query algorithms.
 
 #include <algorithm>
 #include <cstdint>
@@ -15,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/per_query_adapter.h"
 #include "core/range_aggregator.h"
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
@@ -31,6 +34,7 @@
 namespace slick {
 namespace {
 
+using ::slick::core::PerQueryAdapter;
 using ::slick::core::SlickDequeInv;
 using ::slick::core::SlickDequeNonInv;
 using ::slick::core::Windowed;
@@ -515,6 +519,40 @@ TEST(FixedWindowEdgeTest, SlickDequeNonInvDequeFillsOnDescending) {
     agg.slide(1000000 - v);
   }
   EXPECT_EQ(agg.node_count(), w);
+}
+
+// --------------------------- PerQueryAdapter ------------------------------
+
+TEST(PerQueryAdapterTest, MatchesNativeMultiQuery) {
+  const std::size_t window = 48;
+  std::vector<std::size_t> ranges = {1, 7, 16, 48};
+  PerQueryAdapter<window::TwoStacks<ops::MaxInt>> two_stacks(window, ranges);
+  PerQueryAdapter<window::Daba<ops::MaxInt>> daba(window, ranges);
+  SlickDequeNonInv<ops::MaxInt> native(window);
+
+  util::SplitMix64 rng(5);
+  for (int i = 0; i < 300; ++i) {
+    const int64_t v = static_cast<int64_t>(rng.NextBounded(10000));
+    two_stacks.slide(v);
+    daba.slide(v);
+    native.slide(v);
+    for (std::size_t r : ranges) {
+      ASSERT_EQ(two_stacks.query(r), native.query(r)) << "r=" << r;
+      ASSERT_EQ(daba.query(r), native.query(r)) << "r=" << r;
+    }
+  }
+}
+
+TEST(PerQueryAdapterTest, MemoryScalesWithSumOfRanges) {
+  PerQueryAdapter<window::Daba<ops::Sum>> small(1024, {8});
+  PerQueryAdapter<window::Daba<ops::Sum>> large(1024, {8, 512, 1024});
+  EXPECT_GT(large.memory_bytes(), small.memory_bytes() + 1024 * sizeof(double));
+}
+
+TEST(PerQueryAdapterTest, RejectsUnregisteredRange) {
+  PerQueryAdapter<window::Daba<ops::Sum>> adapter(64, {64, 8});
+  adapter.slide(1.0);
+  EXPECT_DEATH(adapter.query(32), "not registered");
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "core/slick_deque_inv.h"
 #include "core/time_window.h"
 #include "engine/acq_engine.h"
-#include "engine/keyed_engine.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
 #include "stream/reorder.h"
@@ -95,10 +94,9 @@ TEST(IntegrationTest, EngineSurvivesCheckpointRestoreMidStream) {
   std::stringstream checkpoint;
   original.aggregator().SaveState(checkpoint);
 
-  // Crash. Recover: fresh engine positioned at the same stream offset with
-  // the aggregator state restored.
-  engine::AcqEngine<Agg> recovered(queries, plan::Pat::kPairs,
-                                   /*stream_offset=*/400);
+  // Crash. Recover: a fresh engine starts at a composite boundary, which
+  // tuple 400 is, so restoring the aggregator state resumes it exactly.
+  engine::AcqEngine<Agg> recovered(queries, plan::Pat::kPairs);
   ASSERT_TRUE(recovered.mutable_aggregator().LoadState(checkpoint));
 
   std::vector<std::pair<uint32_t, int64_t>> tail_recovered;

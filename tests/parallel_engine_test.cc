@@ -1,8 +1,7 @@
 // Differential concurrency tests for the parallel sharded runtime: the
 // same synthetic streams (stream/synthetic.h) are fed through
-// ParallelShardedEngine, the single-threaded RoundRobinSharded simulation,
-// and a single-window NaiveWindow oracle, and the answers must agree at
-// every epoch (slide barrier). The CI ThreadSanitizer job runs this file to
+// ParallelShardedEngine and a single-window NaiveWindow oracle, and the
+// answers must agree at every epoch (slide barrier). The CI ThreadSanitizer job runs this file to
 // machine-check the runtime's ring protocol and epoch-snapshot handshake.
 
 #include <cstdint>
@@ -14,7 +13,6 @@
 
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
-#include "engine/sharded.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
 #include "runtime/parallel_engine.h"
@@ -24,7 +22,7 @@
 namespace slick {
 namespace {
 
-/// The synthetic energy stream quantized to exact integers so the three
+/// The synthetic energy stream quantized to exact integers so the two
 /// implementations can be compared with == (no float fold-order slack).
 std::vector<int64_t> IntStream(std::size_t count, uint64_t seed) {
   stream::SyntheticSensorSource src(seed);
@@ -35,7 +33,7 @@ std::vector<int64_t> IntStream(std::size_t count, uint64_t seed) {
   return out;
 }
 
-/// Feeds the stream tuple-by-tuple into all three implementations and
+/// Feeds the stream tuple-by-tuple into both implementations and
 /// asserts identical answers at every slide barrier past warm-up. Small
 /// ring/batch options force the runtime through its staging, backpressure
 /// and parking paths rather than the fast path only.
@@ -46,22 +44,16 @@ void RunDifferential(std::size_t window, std::size_t shards, uint64_t seed) {
       window, shards,
       {.ring_capacity = 16, .batch = 3,
        .backpressure = runtime::Backpressure::kBlock});
-  engine::RoundRobinSharded<Agg> sharded(window, shards);
   window::NaiveWindow<Op> oracle(window);
 
   const std::vector<int64_t> stream = IntStream(4 * window + 7 * shards, seed);
   for (std::size_t i = 0; i < stream.size(); ++i) {
     const auto v = Op::lift(stream[i]);
     parallel.push(v);
-    sharded.slide(v);
     oracle.slide(v);
     if ((i + 1) % shards == 0 && i + 1 >= window) {
-      const auto expected = oracle.query();
-      ASSERT_EQ(sharded.query(), expected)
-          << "sharded: window=" << window << " shards=" << shards << " i=" << i;
-      ASSERT_EQ(parallel.query(), expected)
-          << "parallel: window=" << window << " shards=" << shards
-          << " i=" << i;
+      ASSERT_EQ(parallel.query(), oracle.query())
+          << "window=" << window << " shards=" << shards << " i=" << i;
     }
   }
   parallel.stop();
@@ -95,9 +87,8 @@ TEST_P(ParallelSweep, MaxMatchesShardedAndOracle) {
   RunDifferential<core::SlickDequeNonInv<ops::MaxInt>>(w, s, 12);
 }
 
-// Warm-up semantics mirror RoundRobinSharded: ready() flips exactly when
-// every shard's window is full (staged elements count — they are admitted,
-// just not yet flushed to the rings).
+// Warm-up: ready() flips exactly when every shard's window is full (staged
+// elements count — they are admitted, just not yet flushed to the rings).
 TEST(ParallelEngineTest, ReadyFlipsAfterGlobalWindow) {
   runtime::ParallelShardedEngine<core::SlickDequeNonInv<ops::MaxInt>> eng(
       8, 4, {.ring_capacity = 16, .batch = 4});

@@ -1,18 +1,14 @@
-// Tests for the multi-node simulation (RoundRobinSharded) and the
-// single-buffer TwoStacksRing.
+// Tests for the single-buffer TwoStacksRing: per-tuple and bulk paths
+// against the exact reference, plus its memory and capacity contract.
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/slick_deque_inv.h"
-#include "core/slick_deque_noninv.h"
 #include "core/windowed.h"
-#include "engine/sharded.h"
 #include "ops/arith.h"
 #include "ops/kernels.h"
 #include "ops/minmax.h"
@@ -24,97 +20,6 @@
 
 namespace slick {
 namespace {
-
-// --------------------------- RoundRobinSharded ---------------------------
-
-template <typename Agg>
-void RunShardedOracle(std::size_t window, std::size_t shards, uint64_t seed) {
-  using Op = typename Agg::op_type;
-  engine::RoundRobinSharded<Agg> sharded(window, shards);
-  window::NaiveWindow<Op> single(window);
-  util::SplitMix64 rng(seed);
-  for (std::size_t i = 0; i < 4 * window + 17; ++i) {
-    const auto v = Op::lift(static_cast<typename Op::input_type>(
-        static_cast<int64_t>(rng.NextBounded(100000))));
-    sharded.slide(v);
-    single.slide(v);
-    // Exactness holds whenever the total tuple count is a multiple of the
-    // shard count (every shard's window covers the same global span).
-    if ((i + 1) % shards == 0 && i + 1 >= window) {
-      ASSERT_EQ(sharded.query(), single.query())
-          << "window=" << window << " shards=" << shards << " i=" << i;
-    }
-  }
-}
-
-class ShardSweep
-    : public ::testing::TestWithParam<std::tuple<std::size_t, std::size_t>> {};
-INSTANTIATE_TEST_SUITE_P(
-    Grid, ShardSweep,
-    ::testing::Values(std::tuple{8, 2}, std::tuple{8, 4}, std::tuple{8, 8},
-                      std::tuple{64, 4}, std::tuple{128, 8},
-                      std::tuple{96, 3}, std::tuple{100, 5}),
-    [](const auto& tpi) {
-      std::string name("w");
-      name += std::to_string(std::get<0>(tpi.param));
-      name += 's';
-      name += std::to_string(std::get<1>(tpi.param));
-      return name;
-    });
-
-TEST_P(ShardSweep, SumMatchesSingleNode) {
-  const auto [w, s] = GetParam();
-  RunShardedOracle<core::SlickDequeInv<ops::SumInt>>(w, s, 1);
-}
-TEST_P(ShardSweep, MaxMatchesSingleNode) {
-  const auto [w, s] = GetParam();
-  RunShardedOracle<core::SlickDequeNonInv<ops::MaxInt>>(w, s, 2);
-}
-
-TEST(ShardedTest, ShardStateScalesDown) {
-  engine::RoundRobinSharded<core::SlickDequeInv<ops::Sum>> sharded(1024, 8);
-  EXPECT_EQ(sharded.shard_count(), 8u);
-  EXPECT_EQ(sharded.shard(0).window_size(), 128u);
-  core::SlickDequeInv<ops::Sum> single(1024);
-  // Per-shard footprint is ~1/8 of the single-node structure.
-  EXPECT_LT(sharded.shard(0).memory_bytes(), single.memory_bytes() / 4);
-}
-
-TEST(ShardedTest, InvalidConfigsDie) {
-  using Sharded = engine::RoundRobinSharded<core::SlickDequeInv<ops::Sum>>;
-  EXPECT_DEATH(Sharded(10, 3), "multiple of the shard count");
-  EXPECT_DEATH(Sharded(8, 0), "at least one shard");
-}
-
-// Regression for the warm-up bug: query() used to fold shard answers from
-// op identity, so a query before every shard had received a tuple either
-// combined the selective-op sentinel (-inf for Max) into the answer or
-// asserted inside an empty SlickDeque (Non-Inv) shard. The warm-up gate now
-// makes that state unreachable, and ready() exposes it.
-TEST(ShardedTest, QueryBeforeWarmupDies) {
-  engine::RoundRobinSharded<core::SlickDequeNonInv<ops::MaxInt>> sharded(8, 4);
-  EXPECT_FALSE(sharded.ready());
-  for (int64_t i = 0; i < 3; ++i) sharded.slide(i);  // one shard still empty
-  EXPECT_FALSE(sharded.ready());
-  EXPECT_DEATH(sharded.query(), "warm");
-}
-
-TEST(ShardedTest, ReadyFlipsExactlyAtWindowAndQueryIsConst) {
-  engine::RoundRobinSharded<core::SlickDequeNonInv<ops::MaxInt>> sharded(8, 4);
-  // All-negative input: a pre-fix identity fold would have seeded the
-  // combine with int64 min even when warm.
-  for (int64_t i = 0; i < 7; ++i) {
-    sharded.slide(-100 - i);
-    EXPECT_FALSE(sharded.ready());
-  }
-  sharded.slide(-50);
-  EXPECT_TRUE(sharded.ready());
-  const auto& csharded = sharded;  // query() is const-correct now
-  EXPECT_EQ(csharded.query(), -50);
-  EXPECT_EQ(csharded.shard(0).window_size(), 2u);
-}
-
-// --------------------------- TwoStacksRing --------------------------------
 
 template <typename Op>
 void RunRingOracle(std::size_t window, uint64_t seed) {

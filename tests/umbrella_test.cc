@@ -12,27 +12,22 @@ TEST(UmbrellaHeaderTest, ExposesTheApi) {
   slick::core::WindowAggregatorFor<slick::ops::Max> max(8);
   slick::engine::TimeEngineFor<slick::ops::Sum> timed({{20, 10}},
                                                       slick::plan::Pat::kPairs);
-  slick::window::HistoryTree<slick::ops::SumInt> history;
-  slick::engine::RoundRobinSharded<slick::core::SlickDequeInv<slick::ops::Sum>>
-      sharded(8, 2);
+  slick::core::PerQueryAdapter<slick::window::TwoStacks<slick::ops::Max>>
+      ranged(8, {4, 8});
+  slick::window::TwoStacksRing<slick::ops::SumInt> ring(8);
 
   for (int i = 1; i <= 8; ++i) {
     sum.slide(static_cast<double>(i));
     max.slide(static_cast<double>(i));
-    history.Append(i);
-    sharded.slide(static_cast<double>(i));
+    ranged.slide(static_cast<double>(9 - i));
+    ring.insert(i);
   }
   EXPECT_DOUBLE_EQ(sum.query(), 36.0);
   EXPECT_DOUBLE_EQ(max.query(), 8.0);
-  EXPECT_EQ(history.QuerySuffix(8), 36);
-  EXPECT_DOUBLE_EQ(sharded.query(), 36.0);
+  EXPECT_DOUBLE_EQ(ranged.query(4), 4.0);
+  EXPECT_DOUBLE_EQ(ranged.query(8), 8.0);
+  EXPECT_EQ(ring.query(), 36);
   timed.Observe(5, 1.0, [](uint32_t, double) {});
-
-  slick::core::AnyWindowAggregator any =
-      slick::core::AnyWindowAggregator::Make(slick::core::OpKind::kRange, 4);
-  any.slide(1.0);
-  any.slide(5.0);
-  EXPECT_DOUBLE_EQ(any.query(), 4.0);
 }
 
 }  // namespace

@@ -1052,9 +1052,9 @@ def resolve_call(model, caller, call):
     """C++-flavoured lookup for the token frontend.  An explicit X::f()
     qualifier narrows to class X; an unqualified non-member call prefers
     same-class definitions (the repo's own helper shadows any same-named
-    function elsewhere, e.g. TwoStacksRing::Wrap vs AnyWindowAggregator::
-    Wrap).  Member calls (x.f()/p->f()) keep the conservative global
-    fan-out — the receiver's type is unknown at token level."""
+    function elsewhere, e.g. TwoStacksRing::Flip vs Daba::Flip).  Member
+    calls (x.f()/p->f()) keep the conservative global fan-out — the
+    receiver's type is unknown at token level."""
     callees = model.by_name.get(call.name, ())
     if call.qual:
         narrowed = [c for c in callees if c.cls == call.qual]
