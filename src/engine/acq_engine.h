@@ -100,8 +100,8 @@ class AcqEngine {
     const auto window = static_cast<std::size_t>(plan.window_partials());
     if constexpr (std::is_constructible_v<Agg, std::size_t,
                                           std::vector<std::size_t>>) {
-      // SlickDeque (Inv): register every distinct range up front (the
-      // Preparation phase's answers map).
+      // SlickDeque (Inv and Non-Inv): register every distinct range up
+      // front (the Preparation phase's answers map).
       std::vector<std::size_t> ranges;
       ranges.reserve(plan.distinct_ranges().size());
       for (uint64_t r : plan.distinct_ranges()) {

@@ -26,8 +26,8 @@ namespace slick::net {
 /// MpmcRing-backed engine, each loop wraps its own engine Producer handle,
 /// so N loops feed shard rings concurrently with no router hop.
 ///
-/// Backpressure (the same five policies as the engine router, applied at
-/// the connection edge when the sink accepts only part of a batch):
+/// Backpressure (the same five policies as the engine's admission, applied
+/// at the connection edge when the sink accepts only part of a batch):
 ///  - kBlock: the remainder parks in a per-connection pending buffer and
 ///    the connection's fd stops being read (TCP flow control pushes back on
 ///    the client) until the sink drains it. Lossless.

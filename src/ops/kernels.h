@@ -394,55 +394,36 @@ SLICK_REALTIME inline int64_t FoldMinNeon(const int64_t* SLICK_RESTRICT v,
 // amortize the reduction; scalar otherwise.
 // ------------------------------------------------------------------
 
-#if defined(SLICK_SIMD_X86)
-#define SLICK_FOLD_DISPATCH_BODY(NAME, ARGS)                                \
-  if (n >= kSimdThreshold) {                                                \
-    const SimdLevel level = ActiveSimdLevel();                              \
-    if (level >= SimdLevel::kAvx512) return NAME##Avx512 ARGS;              \
-    if (level >= SimdLevel::kAvx2) return NAME##Avx2 ARGS;                  \
-  }                                                                         \
-  return NAME##Scalar ARGS;
-#elif defined(SLICK_SIMD_NEON)
-#define SLICK_FOLD_DISPATCH_BODY(NAME, ARGS)                                \
-  if (n >= kSimdThreshold && ActiveSimdLevel() >= SimdLevel::kNeon) {       \
-    return NAME##Neon ARGS;                                                 \
-  }                                                                         \
-  return NAME##Scalar ARGS;
-#else
-#define SLICK_FOLD_DISPATCH_BODY(NAME, ARGS) return NAME##Scalar ARGS;
-#endif
-
 SLICK_REALTIME inline double FoldAdd(const double* SLICK_RESTRICT v,
                                      std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldAdd, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldAdd, (v, n))
 }
 
 SLICK_REALTIME inline int64_t FoldAdd(const int64_t* SLICK_RESTRICT v,
                                       std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldAdd, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldAdd, (v, n))
 }
 
 SLICK_REALTIME inline double FoldMax(const double* SLICK_RESTRICT v,
                                      std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldMax, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldMax, (v, n))
 }
 
 SLICK_REALTIME inline int64_t FoldMax(const int64_t* SLICK_RESTRICT v,
                                       std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldMax, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldMax, (v, n))
 }
 
 SLICK_REALTIME inline double FoldMin(const double* SLICK_RESTRICT v,
                                      std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldMin, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldMin, (v, n))
 }
 
 SLICK_REALTIME inline int64_t FoldMin(const int64_t* SLICK_RESTRICT v,
                                       std::size_t n) {
-  SLICK_FOLD_DISPATCH_BODY(FoldMin, (v, n))
+  SLICK_SIMD_DISPATCH_BODY(FoldMin, (v, n))
 }
 
-#undef SLICK_FOLD_DISPATCH_BODY
 
 }  // namespace kernels
 

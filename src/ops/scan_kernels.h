@@ -1061,26 +1061,8 @@ SLICK_REALTIME inline void SubtractArraysNeon(const double* SLICK_RESTRICT a,
 #define SLICK_SCAN_DISPATCH(NAME, TYPE)                                     \
   SLICK_REALTIME inline void NAME(const TYPE* v, TYPE* out, std::size_t n,  \
                                   TYPE carry) {                             \
-    SLICK_SCAN_DISPATCH_BODY(NAME, (v, out, n, carry))                      \
+    SLICK_SIMD_DISPATCH_BODY(NAME, (v, out, n, carry))                      \
   }
-
-#if defined(SLICK_SIMD_X86)
-#define SLICK_SCAN_DISPATCH_BODY(NAME, ARGS)                                \
-  if (n >= kSimdThreshold) {                                                \
-    const SimdLevel level = ActiveSimdLevel();                              \
-    if (level >= SimdLevel::kAvx512) return NAME##Avx512 ARGS;              \
-    if (level >= SimdLevel::kAvx2) return NAME##Avx2 ARGS;                  \
-  }                                                                         \
-  return NAME##Scalar ARGS;
-#elif defined(SLICK_SIMD_NEON)
-#define SLICK_SCAN_DISPATCH_BODY(NAME, ARGS)                                \
-  if (n >= kSimdThreshold && ActiveSimdLevel() >= SimdLevel::kNeon) {       \
-    return NAME##Neon ARGS;                                                 \
-  }                                                                         \
-  return NAME##Scalar ARGS;
-#else
-#define SLICK_SCAN_DISPATCH_BODY(NAME, ARGS) return NAME##Scalar ARGS;
-#endif
 
 SLICK_SCAN_DISPATCH(SuffixAdd, double)
 SLICK_SCAN_DISPATCH(SuffixAdd, int64_t)
@@ -1098,7 +1080,7 @@ SLICK_SCAN_DISPATCH(PrefixMin, int64_t)
 #define SLICK_SURVIVOR_DISPATCH(NAME, TYPE)                                 \
   SLICK_REALTIME inline TYPE NAME(const TYPE* v, std::size_t n,             \
                                   uint64_t* mask) {                         \
-    SLICK_SCAN_DISPATCH_BODY(NAME, (v, n, mask))                            \
+    SLICK_SIMD_DISPATCH_BODY(NAME, (v, n, mask))                            \
   }
 
 SLICK_SURVIVOR_DISPATCH(MaxSurvivors, double)
@@ -1109,18 +1091,17 @@ SLICK_SURVIVOR_DISPATCH(MinSurvivors, int64_t)
 SLICK_REALTIME inline std::size_t PrefixCountGreater(const std::size_t* v,
                                                      std::size_t n,
                                                      std::size_t bound) {
-  SLICK_SCAN_DISPATCH_BODY(PrefixCountGreater, (v, n, bound))
+  SLICK_SIMD_DISPATCH_BODY(PrefixCountGreater, (v, n, bound))
 }
 
 SLICK_REALTIME inline void SubtractArrays(const double* SLICK_RESTRICT a,
                                           const double* SLICK_RESTRICT b,
                                           double* SLICK_RESTRICT out,
                                           std::size_t n) {
-  SLICK_SCAN_DISPATCH_BODY(SubtractArrays, (a, b, out, n))
+  SLICK_SIMD_DISPATCH_BODY(SubtractArrays, (a, b, out, n))
 }
 
 #undef SLICK_SCAN_DISPATCH
-#undef SLICK_SCAN_DISPATCH_BODY
 #undef SLICK_SURVIVOR_DISPATCH
 #if defined(SLICK_SIMD_X86)
 #undef SLICK_AVX2_SUFFIX_SCAN

@@ -114,3 +114,26 @@ inline SimdLevel SetSimdLevel(SimdLevel level) {
 inline constexpr std::size_t kSimdThreshold = 16;
 
 }  // namespace slick::ops::kernels
+
+/// Body of every dispatching kernel NAME in ops/kernels.h and
+/// ops/scan_kernels.h: the widest compiled NAME##Avx512 / NAME##Avx2 /
+/// NAME##Neon variant the active level allows once the input length `n`
+/// reaches kSimdThreshold, NAME##Scalar otherwise. ARGS is the
+/// parenthesized argument list forwarded to the chosen variant.
+#if defined(SLICK_SIMD_X86)
+#define SLICK_SIMD_DISPATCH_BODY(NAME, ARGS)                                \
+  if (n >= kSimdThreshold) {                                                \
+    const SimdLevel level = ActiveSimdLevel();                              \
+    if (level >= SimdLevel::kAvx512) return NAME##Avx512 ARGS;              \
+    if (level >= SimdLevel::kAvx2) return NAME##Avx2 ARGS;                  \
+  }                                                                         \
+  return NAME##Scalar ARGS;
+#elif defined(SLICK_SIMD_NEON)
+#define SLICK_SIMD_DISPATCH_BODY(NAME, ARGS)                                \
+  if (n >= kSimdThreshold && ActiveSimdLevel() >= SimdLevel::kNeon) {       \
+    return NAME##Neon ARGS;                                                 \
+  }                                                                         \
+  return NAME##Scalar ARGS;
+#else
+#define SLICK_SIMD_DISPATCH_BODY(NAME, ARGS) return NAME##Scalar ARGS;
+#endif

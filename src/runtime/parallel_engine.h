@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -81,15 +82,15 @@ inline const char* BackpressureName(Backpressure b) {
 /// engine is *supervised*: workers checkpoint their aggregators into
 /// CRC32-framed buffers every `checkpoint_interval` processed tuples and
 /// defer ring releases until a checkpoint validates, so the unreleased ring
-/// span is always a complete replay log. The router doubles as supervisor:
-/// wherever it would otherwise park (flush on a full ring, AwaitEpoch) it
-/// polls Supervise(), which detects fail-stopped workers (state() ==
-/// kKilled), restores them from their last checkpoint, rewinds the ring's
-/// claim cursor, and respawns the thread — the replay makes recovered
-/// answers bit-identical to a no-fault run. Stalled-but-live workers (a
-/// heartbeat older than Options::stall_ns with backlog waiting) cannot be
-/// safely restarted (the thread still owns the aggregator), so they are
-/// detected and counted, never killed.
+/// span is always a complete replay log. The coordinating thread (the one
+/// calling push()/query()) is the supervisor: wherever it would otherwise
+/// park (admission to a full ring, AwaitEpoch) it polls Supervise(), which
+/// detects fail-stopped workers (state() == kKilled), restores them from
+/// their last checkpoint, rewinds the ring's claim cursor, and respawns the
+/// thread — the replay makes recovered answers bit-identical to a no-fault
+/// run. Stalled-but-live workers (a heartbeat older than kStallNs with
+/// backlog waiting) cannot be safely restarted (the thread still owns the
+/// aggregator), so they are detected and counted, never killed.
 ///
 /// Warm-up: query() requires ready(), i.e. every shard has received its
 /// full window of W/N tuples, so each local answer covers real data rather
@@ -116,20 +117,9 @@ inline const char* BackpressureName(Backpressure b) {
 /// through the same framed serde, and a recovered shard's watermark is
 /// rewound to its restored tree and re-raised by the replay.
 ///
-/// MPMC ingress extension (DESIGN.md §14): instantiating the engine with
-/// Ring = MpmcRing turns each shard ring multi-producer. The routing
-/// thread's API is unchanged, but MakeProducer() additionally hands out
-/// Producer handles — each with its own staging buffers and round-robin
-/// cursor — that N threads (or the ingest server's event loops) drive
-/// concurrently, feeding shard rings directly with no router hop. Admission
-/// accounting (pushed_/dropped_) is per-shard relaxed atomics so producer
-/// handles and the router compose. The quiescence contract extends
-/// naturally: flush/destroy every Producer (and join its thread) BEFORE
-/// query()/stop() — the epoch snapshot still reads "everything admitted so
-/// far", it just requires the admission edge to be quiesced by the caller.
-/// Under supervision, blocking producers park on ring eventcounts, so some
-/// thread must keep polling SupervisePoll() (query()/AwaitEpoch do) to
-/// recover a dead worker they are parked on.
+/// Admission (DESIGN.md §12.4, §14): push()/flush() forward to a Producer
+/// the engine owns (the router), and MPMC engines hand out more Producer
+/// handles via MakeProducer(); every batch enters a ring through Admit().
 template <typename Agg, template <typename> class Ring = SpscRing>
   requires window::FixedWindowAggregator<Agg> ||
            window::OutOfOrderAggregator<Agg>
@@ -146,6 +136,10 @@ class ParallelShardedEngine {
   /// True when shard rings admit concurrent producers (Producer handles).
   static constexpr bool kMultiProducer = Ring<int>::kMultiProducer;
 
+  /// Supervisor stall detector: a live worker whose heartbeat is older than
+  /// this while backlog waits is counted as stalled.
+  static constexpr uint64_t kStallNs = 500'000'000;
+
   /// What one ring/staging slot carries (Timed pairs in event-time mode).
   using slot_type = typename Worker::slot_type;
 
@@ -158,9 +152,6 @@ class ParallelShardedEngine {
     std::size_t checkpoint_interval = 0;
     /// kBlockWithDeadline: how long a flush may wait on a full ring.
     uint64_t deadline_ns = 5'000'000;
-    /// Supervisor stall detector: a live worker whose heartbeat is older
-    /// than this while backlog waits is counted as stalled.
-    uint64_t stall_ns = 500'000'000;
     /// Shm producer lease TTL (DESIGN.md §17): a lease whose holder pid is
     /// gone, or whose heartbeat is older than this, is fenced and its
     /// abandoned claim repaired by the supervisor-polled reaper. 0
@@ -198,19 +189,17 @@ class ParallelShardedEngine {
     SLICK_CHECK(options_.checkpoint_interval == 0 || Worker::kCheckpointable,
                 "supervision (checkpoint_interval > 0) needs an aggregator "
                 "with SaveState/LoadState");
-    const std::size_t batch = options_.batch < 1 ? 1 : options_.batch;
     workers_.reserve(shards);
-    staging_.resize(shards);
     admit_ = std::make_unique<AdmitCounters[]>(shards);
     stall_latched_.assign(shards, 0);
     const std::size_t shard_window =
         kEventTime ? global_window : global_window / shards;
     for (std::size_t i = 0; i < shards; ++i) {
       workers_.push_back(std::make_unique<Worker>(
-          shard_window, options_.ring_capacity, batch,
+          shard_window, options_.ring_capacity, BatchSize(),
           options_.checkpoint_interval, i));
-      staging_[i].reserve(batch);
     }
+    router_.emplace(Producer(this, /*coordinator=*/true));
     if constexpr (kEventTime) {
       // Worker-side lazy eviction (DESIGN.md §13): each worker polls this
       // probe once per drained batch and BulkEvicts its own tree below the
@@ -250,10 +239,7 @@ class ParallelShardedEngine {
     requires(!kEventTime)
   {
     SLICK_CHECK(!stopped_, "push after stop()");
-    std::vector<slot_type>& stage = staging_[next_];
-    stage.push_back(std::move(v));
-    if (stage.size() >= BatchSize()) FlushShard(next_);
-    next_ = next_ + 1 == workers_.size() ? 0 : next_ + 1;
+    router_->push(std::move(v));
   }
 
   /// Event-time mode: routes one tuple observed at event time `ts` — in
@@ -262,11 +248,7 @@ class ParallelShardedEngine {
     requires kEventTime
   {
     SLICK_CHECK(!stopped_, "push after stop()");
-    RouteMaxTs(ts);
-    std::vector<slot_type>& stage = staging_[next_];
-    stage.push_back(slot_type{ts, std::move(v)});
-    if (stage.size() >= BatchSize()) FlushShard(next_);
-    next_ = next_ + 1 == workers_.size() ? 0 : next_ + 1;
+    router_->push(ts, std::move(v));
   }
 
   /// Routes a contiguous batch.
@@ -285,16 +267,14 @@ class ParallelShardedEngine {
 
   /// Forces every staged element into its shard ring (blocking or shedding
   /// per the backpressure policy).
-  void flush() {
-    for (std::size_t i = 0; i < workers_.size(); ++i) FlushShard(i);
-  }
+  void flush() { router_->flush(); }
 
-  /// Concurrent producer handle (MPMC rings only). Each Producer owns its
-  /// own per-shard staging buffers and round-robin cursor, so N handles on
-  /// N threads feed the shard rings directly — no router hop, no shared
-  /// mutable router state. Admission runs the same backpressure policies as
-  /// the router (DirectFlushShard); tallies land in the per-shard atomic
-  /// AdmitCounters, so producer pushes and router pushes compose.
+  /// Producer handle: per-shard staging buffers and a round-robin cursor
+  /// feeding the shard rings through Admit(), the engine's one admission
+  /// function; tallies land in the per-shard atomic AdmitCounters, so
+  /// handles compose. The engine's own push()/flush() run on one (the
+  /// router); MakeProducer() hands out more on MPMC rings, so N handles on
+  /// N threads feed the shard rings directly with no shared mutable state.
   ///
   /// Contract: a Producer must be flushed (flush(), or just destroyed) and
   /// its thread joined BEFORE the engine's query()/stop() — the epoch
@@ -307,7 +287,10 @@ class ParallelShardedEngine {
     Producer(Producer&& other) noexcept
         : engine_(std::exchange(other.engine_, nullptr)),
           staging_(std::move(other.staging_)),
-          next_(other.next_) {}
+          next_(other.next_),
+          shards_(other.shards_),
+          batch_(other.batch_),
+          coordinator_(other.coordinator_) {}
     Producer(const Producer&) = delete;
     Producer& operator=(const Producer&) = delete;
     Producer& operator=(Producer&&) = delete;
@@ -321,7 +304,7 @@ class ParallelShardedEngine {
     {
       std::vector<slot_type>& stage = staging_[next_];
       stage.push_back(std::move(v));
-      if (stage.size() >= engine_->BatchSize()) FlushShard(next_);
+      if (stage.size() >= batch_) FlushShard(next_);
       Advance();
     }
 
@@ -332,7 +315,7 @@ class ParallelShardedEngine {
       engine_->RouteMaxTs(ts);
       std::vector<slot_type>& stage = staging_[next_];
       stage.push_back(slot_type{ts, std::move(v)});
-      if (stage.size() >= engine_->BatchSize()) FlushShard(next_);
+      if (stage.size() >= batch_) FlushShard(next_);
       Advance();
     }
 
@@ -344,35 +327,44 @@ class ParallelShardedEngine {
    private:
     friend class ParallelShardedEngine;
 
-    explicit Producer(ParallelShardedEngine* e) : engine_(e) {
-      staging_.resize(e->workers_.size());
-      for (auto& s : staging_) s.reserve(e->BatchSize());
+    Producer(ParallelShardedEngine* e, bool coordinator)
+        : engine_(e),
+          shards_(e->workers_.size()),
+          batch_(e->BatchSize()),
+          coordinator_(coordinator) {
+      staging_.resize(shards_);
+      for (auto& s : staging_) s.reserve(batch_);
     }
 
     void Advance() {
-      next_ = next_ + 1 == staging_.size() ? 0 : next_ + 1;
+      next_ = next_ + 1 == shards_ ? 0 : next_ + 1;
     }
 
     void FlushShard(std::size_t i) {
       std::vector<slot_type>& stage = staging_[i];
       if (stage.empty()) return;
-      engine_->DirectFlushShard(i, stage.data(), stage.size());
+      engine_->Admit(i, stage.data(), stage.size(), coordinator_);
       stage.clear();
     }
 
     ParallelShardedEngine* engine_;
     std::vector<std::vector<slot_type>> staging_;
     std::size_t next_ = 0;
+    // Cached so staging a tuple reads no engine state: the extra loads
+    // measurably cost pipe-inproc throughput.
+    std::size_t shards_;
+    std::size_t batch_;
+    bool coordinator_;  // the engine's router: supervises between retries
   };
 
   /// Hands out a concurrent producer handle; see Producer. Requires MPMC
   /// shard rings — an SPSC-ring engine admits exactly one pushing thread,
-  /// which the plain push()/flush() API already is.
+  /// the engine's own Producer behind push()/flush().
   Producer MakeProducer()
     requires kMultiProducer
   {
     SLICK_CHECK(!stopped_, "MakeProducer after stop()");
-    return Producer(this);
+    return Producer(this, /*coordinator=*/false);
   }
 
   /// One supervisor poll from the coordinating thread: recovers
@@ -389,7 +381,9 @@ class ParallelShardedEngine {
     if constexpr (kEventTime) return true;
     const uint64_t shard_window = global_window_ / workers_.size();
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      if (Pushed(i) + StagedCount(i) < shard_window) return false;
+      if (Pushed(i) + router_->staging_[i].size() < shard_window) {
+        return false;
+      }
     }
     return true;
   }
@@ -522,7 +516,7 @@ class ParallelShardedEngine {
       s.idle_polls = c.idle_polls.Get();
       s.in_flight = workers_[i]->ring().unconsumed();
       s.unreleased = workers_[i]->ring().unreleased();
-      s.staged = staging_[i].size();
+      s.staged = router_->staging_[i].size();
       s.ring_highwater = workers_[i]->ring().occupancy_highwater();
       // Saturating: out can transiently lead in between the worker's batch
       // publish and the router's counter bump.
@@ -564,7 +558,9 @@ class ParallelShardedEngine {
       bytes += sizeof(*w) + w->aggregator().memory_bytes() +
                w->ring().capacity() * sizeof(slot_type);
     }
-    for (const auto& s : staging_) bytes += s.capacity() * sizeof(slot_type);
+    for (const auto& s : router_->staging_) {
+      bytes += s.capacity() * sizeof(slot_type);
+    }
     return bytes;
   }
 
@@ -616,8 +612,6 @@ class ParallelShardedEngine {
     return options_.batch < 1 ? 1 : options_.batch;
   }
 
-  std::size_t StagedCount(std::size_t i) const { return staging_[i].size(); }
-
   /// Reaps dead/expired producer leases on every shard ring. Compiles to
   /// nothing for in-process ring types (no ReapExpiredLeases); for shm
   /// rings it is throttled to lease_ns/4 so the per-lease pid probes stay
@@ -659,7 +653,7 @@ class ParallelShardedEngine {
       const uint64_t beat = w.heartbeat_ns();
       const bool stalled = w.state() == WorkerState::kRunning && beat != 0 &&
                            w.ring().unconsumed() > 0 && now > beat &&
-                           now - beat > options_.stall_ns;
+                           now - beat > kStallNs;
       if (stalled && stall_latched_[i] == 0) {
         w.counters().stall_detections.Add(1);
         stall_latched_[i] = 1;
@@ -669,53 +663,49 @@ class ParallelShardedEngine {
     }
   }
 
-  /// Admits stage[from..) into the ring without ever parking: polls
-  /// try_push_n, supervising between attempts, until done or (deadline_ns
-  /// != 0) the deadline passes. Returns the count admitted.
-  SLICK_NODISCARD std::size_t PollPush(Ring<slot_type>& ring,
-                                       const slot_type* src,
-                                       std::size_t n,
-                                       uint64_t deadline_ns) {
-    const uint64_t t0 = deadline_ns != 0 ? util::MonotonicNanos() : 0;
-    std::size_t done = 0;
-    while (done < n) {
-      done += ring.try_push_n(src + done, n - done);
-      if (done == n) break;
-      Supervise();
-      if (deadline_ns != 0 && util::MonotonicNanos() - t0 >= deadline_ns) {
-        break;
-      }
-      std::this_thread::yield();
-    }
-    return done;
-  }
-
-  void FlushShard(std::size_t i) {
-    std::vector<slot_type>& stage = staging_[i];
-    if (stage.empty()) return;
+  /// Admits `n` staged elements into shard `i`'s ring under the
+  /// backpressure policy — the one admission function behind the router
+  /// and every Producer handle. Only the coordinator (the engine's router)
+  /// supervises between full-ring retries, and under kBlock on a supervised
+  /// engine it polls instead of parking, since a parked router could never
+  /// restart the dead worker it waits on (DESIGN.md §12.4). A handle parked
+  /// on a dead worker's ring waits for the coordinator's next poll. Counter
+  /// updates are relaxed atomics, so any number of handles compose.
+  void Admit(std::size_t i, const slot_type* data, std::size_t n,
+             bool coordinator) {
     Ring<slot_type>& ring = workers_[i]->ring();
-    telemetry::ShardCounters& tel = workers_[i]->counters();
+    const auto backoff = [&] {
+      if (coordinator) Supervise();
+      std::this_thread::yield();
+    };
     std::size_t accepted = 0;
     switch (options_.backpressure) {
       case Backpressure::kBlock:
-        if (!Supervised()) {
-          // Fast path (PR 4 object code): futex-parked blocking push.
-          accepted = ring.push_n(stage.data(), stage.size());
-          SLICK_CHECK(accepted == stage.size(), "ring closed during push");
+        if (coordinator && Supervised()) {
+          for (;;) {
+            accepted += ring.try_push_n(data + accepted, n - accepted);
+            if (accepted == n) break;
+            backoff();
+          }
         } else {
-          // Supervised engines must keep polling: a parked router could
-          // never restart the dead worker it is waiting on.
-          accepted = PollPush(ring, stage.data(), stage.size(), 0);
-          SLICK_CHECK(accepted == stage.size(), "ring closed during push");
+          accepted = ring.push_n(data, n);  // futex-parked blocking push
         }
+        SLICK_CHECK(accepted == n, "ring closed during push");
         break;
       case Backpressure::kDropNewest:
-        accepted = ring.try_push_n(stage.data(), stage.size());
+        accepted = ring.try_push_n(data, n);
         break;
       case Backpressure::kBlockWithDeadline: {
-        accepted =
-            PollPush(ring, stage.data(), stage.size(), options_.deadline_ns);
-        if (accepted < stage.size()) tel.deadline_expiries.Add(1);
+        const uint64_t t0 = util::MonotonicNanos();
+        for (;;) {
+          accepted += ring.try_push_n(data + accepted, n - accepted);
+          if (accepted == n ||
+              util::MonotonicNanos() - t0 >= options_.deadline_ns) {
+            break;
+          }
+          backoff();
+        }
+        if (accepted < n) workers_[i]->counters().deadline_expiries.Add(1);
         break;
       }
       case Backpressure::kShedOldest: {
@@ -724,70 +714,13 @@ class ParallelShardedEngine {
         // freshest suffix. (The ring itself cannot evict — exactly-once
         // spans — so shedding happens at the admission edge.)
         std::size_t from = 0;
-        while (from + accepted < stage.size()) {
-          const std::size_t got = ring.try_push_n(
-              stage.data() + from + accepted, stage.size() - from - accepted);
-          accepted += got;
-          if (from + accepted == stage.size()) break;
-          if (got == 0) {
-            ++from;  // shed stage[from-1], the oldest unadmitted element
-            Supervise();
-          }
-        }
-        break;
-      }
-      case Backpressure::kError:
-        accepted = ring.try_push_n(stage.data(), stage.size());
-        SLICK_CHECK(accepted == stage.size(),
-                    "shard ring full under Backpressure::kError "
-                    "(size the ring for the peak burst, or pick a "
-                    "shedding/blocking policy)");
-        break;
-    }
-    AccountAdmission(i, accepted, stage.size() - accepted);
-    stage.clear();
-  }
-
-  /// Thread-safe admission of a producer batch into shard `i`'s ring —
-  /// the Producer-handle analogue of FlushShard. Runs the same five
-  /// backpressure policies but never supervises: recovery stays owned by
-  /// the coordinating thread (SupervisePoll), so a producer parked on a
-  /// dead worker's ring waits until that thread's next poll revives it.
-  /// All counter updates are relaxed atomics; any number of producers (and
-  /// the router) compose.
-  void DirectFlushShard(std::size_t i, const slot_type* data, std::size_t n) {
-    Ring<slot_type>& ring = workers_[i]->ring();
-    telemetry::ShardCounters& tel = workers_[i]->counters();
-    std::size_t accepted = 0;
-    switch (options_.backpressure) {
-      case Backpressure::kBlock:
-        accepted = ring.push_n(data, n);
-        SLICK_CHECK(accepted == n, "ring closed during producer push");
-        break;
-      case Backpressure::kDropNewest:
-        accepted = ring.try_push_n(data, n);
-        break;
-      case Backpressure::kBlockWithDeadline: {
-        const uint64_t t0 = util::MonotonicNanos();
-        while (accepted < n) {
-          accepted += ring.try_push_n(data + accepted, n - accepted);
-          if (accepted == n) break;
-          if (util::MonotonicNanos() - t0 >= options_.deadline_ns) break;
-          std::this_thread::yield();
-        }
-        if (accepted < n) tel.deadline_expiries.Add(1);
-        break;
-      }
-      case Backpressure::kShedOldest: {
-        std::size_t from = 0;
         while (from + accepted < n) {
           const std::size_t got =
               ring.try_push_n(data + from + accepted, n - from - accepted);
           accepted += got;
-          if (from + accepted == n) break;
           if (got == 0) {
-            ++from;  // shed the oldest unadmitted element, keep the freshest
-            std::this_thread::yield();
+            ++from;  // shed data[from-1], the oldest unadmitted element
+            backoff();
           }
         }
         break;
@@ -866,11 +799,10 @@ class ParallelShardedEngine {
   const std::size_t global_window_;
   const Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::vector<std::vector<slot_type>> staging_;  // router-side batches
+  std::optional<Producer> router_;  // push()/flush(); built after workers_
   std::unique_ptr<AdmitCounters[]> admit_;  // per-shard admit/drop tallies
   std::vector<uint8_t> stall_latched_;  // per-shard stall episode latch
   uint64_t last_reap_ns_ = 0;  // router-owned lease-reap throttle clock
-  std::size_t next_ = 0;           // round-robin cursor
   // Event mode: newest admitted event ts (CAS-max; router + producers).
   alignas(64) std::atomic<uint64_t> max_ts_routed_{0};
   bool stopped_ = false;

@@ -3,16 +3,22 @@
 // checkpoint restore + ring replay — must produce answers *bit-identical*
 // to the fault-free run, with the telemetry conservation identity intact
 // (tuples_in == tuples_out + in_flight, admitted + dropped == pushed).
-// Also covers the backpressure policy matrix and, under a
-// -DSLICK_FAULT_INJECTION=ON build (the CI chaos job), the seeded
-// fault-schedule points in the ring and checkpoint paths. Suite names
-// contain "Recovery" so the TSan CI leg's -R filter picks them up, and the
-// randomized trials live in a "DifferentialFuzz" suite so the nightly and
-// chaos fuzz legs scale them via SLICK_FUZZ_TRIALS.
+// Also covers the stall detector, the backpressure policy matrix through
+// both admission edges and, under a -DSLICK_FAULT_INJECTION=ON build (the
+// CI chaos job), the seeded fault-schedule points in the ring and
+// checkpoint paths. Suite names contain "Recovery" or "Backpressure" so
+// the TSan and chaos CI legs' -R filters pick them up, and the randomized
+// trials live in a "DifferentialFuzz" suite so the nightly and chaos fuzz
+// legs scale them via SLICK_FUZZ_TRIALS.
 
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <istream>
+#include <ostream>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -27,6 +33,7 @@
 #include "runtime/parallel_engine.h"
 #include "runtime/shm/shm_ring.h"
 #include "stream/synthetic.h"
+#include "util/clock.h"
 #include "util/rng.h"
 #include "window/naive.h"
 
@@ -270,6 +277,85 @@ TEST(RecoveryTest, RepeatedKillsOnOneShardCompose) {
   ExpectConservation(chaos);
 }
 
+// Stall detector (DESIGN.md §12.3): a live worker wedged inside slide()
+// with backlog queued is counted once per episode, never restarted.
+
+/// While false, GatedSum::slide() waits: a live worker wedged mid-batch.
+std::atomic<bool> g_slide_gate_open{true};
+
+/// Checkpointable SumInt window whose slide() waits on g_slide_gate_open.
+class GatedSum {
+ public:
+  using op_type = ops::SumInt;
+  using value_type = op_type::value_type;
+  using result_type = op_type::result_type;
+
+  explicit GatedSum(std::size_t window) : inner_(window) {}
+
+  void slide(value_type v) {
+    // acquire: pairs with the test's release store that opens the gate.
+    while (!g_slide_gate_open.load(std::memory_order_acquire)) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    inner_.slide(v);
+  }
+  result_type query() const { return inner_.query(); }
+  result_type query(std::size_t range) const { return inner_.query(range); }
+  std::size_t window_size() const { return inner_.window_size(); }
+  std::size_t memory_bytes() const { return inner_.memory_bytes(); }
+  void SaveState(std::ostream& os) const { inner_.SaveState(os); }
+  bool LoadState(std::istream& is) { return inner_.LoadState(is); }
+
+ private:
+  core::SlickDequeInv<ops::SumInt> inner_;
+};
+
+TEST(RecoveryTest, StallDetectorLatchesOncePerEpisode) {
+  using Engine = ParallelShardedEngine<GatedSum>;
+  const uint64_t t_start = util::MonotonicNanos();
+  Engine eng(4, 1,
+             {.ring_capacity = 16, .batch = 1, .checkpoint_interval = 4});
+  // Declared after the engine, so a failing assertion still opens the gate
+  // before the engine's destructor drains the ring.
+  struct GateGuard {
+    GateGuard() { g_slide_gate_open.store(false, std::memory_order_release); }
+    ~GateGuard() { g_slide_gate_open.store(true, std::memory_order_release); }
+  } gate;
+  window::NaiveWindow<ops::SumInt> oracle(4);
+  // The worker claims the first tuple and waits inside slide(); the rest
+  // stay queued as backlog while its heartbeat ages.
+  for (int64_t v = 1; v <= 8; ++v) {
+    eng.push(v);
+    oracle.slide(v);
+  }
+  const auto stalls = [&] {
+    return eng.snapshot().shards[0].stall_detections;
+  };
+  uint64_t detected_at = 0;
+  while (util::MonotonicNanos() - t_start < 10 * Engine::kStallNs) {
+    eng.SupervisePoll();
+    if (stalls() > 0) {
+      detected_at = util::MonotonicNanos();
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  ASSERT_NE(detected_at, 0u) << "stall never detected";
+  // The worker's last heartbeat is no older than the engine.
+  EXPECT_GT(detected_at - t_start, Engine::kStallNs);
+  // Still the same episode: further polls do not count it again.
+  for (int i = 0; i < 20; ++i) {
+    eng.SupervisePoll();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(stalls(), 1u);
+  // Report-only: opening the gate lets the same thread finish the backlog.
+  g_slide_gate_open.store(true, std::memory_order_release);
+  EXPECT_EQ(eng.query(), oracle.query());
+  EXPECT_EQ(stalls(), 1u);
+  EXPECT_EQ(eng.stats().restarts, 0u);
+}
+
 // The supervised-recovery grid crossed with the crash-robust shm ring
 // (DESIGN.md §17): a worker fail-stop while lease producers are pushing
 // directly into the shard rings must recover answer-identically to a
@@ -348,12 +434,40 @@ TEST(RecoveryTest, ShmRingWorkerKillWithLeaseProducersRecovers) {
 // ---------------------------------------------------------------------------
 // Backpressure policy matrix (DESIGN.md §12.4). A dead, unsupervised worker
 // makes its ring a black hole — the sharpest way to force each policy's
-// full-ring edge.
+// full-ring edge. Each policy runs through both admission edges: the
+// engine's own push() on SPSC rings (the router, which supervises between
+// retries) and a Producer handle on MPMC rings (which only yields). The
+// router case keeps the plain test name.
 // ---------------------------------------------------------------------------
 
-TEST(BackpressureTest, DeadlineExpiryShedsAndCounts) {
+struct RouterEdge {
+  template <typename Agg>
+  using Engine = ParallelShardedEngine<Agg>;
+  /// Hands `feed` the engine itself, then flushes its staging.
+  template <typename Eng, typename Feed>
+  static void Run(Eng& eng, Feed feed) {
+    feed(eng);
+    eng.flush();
+  }
+};
+
+struct ProducerEdge {
+  template <typename Agg>
+  using Engine = ParallelShardedEngine<Agg, runtime::MpmcRing>;
+  /// Hands `feed` a Producer handle, flushed and destroyed on return (the
+  /// quiesce contract for the engine reads that follow).
+  template <typename Eng, typename Feed>
+  static void Run(Eng& eng, Feed feed) {
+    typename Eng::Producer prod = eng.MakeProducer();
+    feed(prod);
+    prod.flush();
+  }
+};
+
+template <typename Edge>
+void DeadlineExpiryShedsAndCounts() {
   using Agg = core::SlickDequeInv<ops::SumInt>;
-  ParallelShardedEngine<Agg> eng(
+  typename Edge::template Engine<Agg> eng(
       4, 1,
       {.ring_capacity = 8,
        .batch = 2,
@@ -362,49 +476,82 @@ TEST(BackpressureTest, DeadlineExpiryShedsAndCounts) {
   // Kill the only worker immediately: nothing drains, every flush after
   // the ring fills must expire its deadline and shed.
   eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
-  for (int64_t i = 0; i < 64; ++i) eng.push(1);
-  eng.flush();
+  Edge::Run(eng, [](auto& in) {
+    for (int64_t i = 0; i < 64; ++i) in.push(1);
+  });
   const telemetry::RuntimeSnapshot snap = eng.snapshot();
   EXPECT_GT(snap.shards[0].deadline_expiries, 0u);
   EXPECT_GT(snap.total_dropped(), 0u);
+  // Every expiry sheds at least one element of its batch.
+  EXPECT_GE(snap.total_dropped(), snap.shards[0].deadline_expiries);
   const auto stats = eng.stats();
   EXPECT_EQ(stats.admitted + stats.dropped, 64u);
   EXPECT_STREQ(snap.backpressure, "block-with-deadline");
   eng.stop();
 }
 
-TEST(BackpressureTest, ShedOldestNeverBlocksAndKeepsFreshest) {
+TEST(BackpressureTest, DeadlineExpiryShedsAndCounts) {
+  DeadlineExpiryShedsAndCounts<RouterEdge>();
+}
+
+TEST(BackpressureTest, DeadlineExpiryShedsAndCountsViaProducer) {
+  DeadlineExpiryShedsAndCounts<ProducerEdge>();
+}
+
+template <typename Edge>
+void ShedOldestNeverBlocksAndKeepsFreshest() {
   using Agg = core::SlickDequeInv<ops::SumInt>;
-  ParallelShardedEngine<Agg> eng(
+  typename Edge::template Engine<Agg> eng(
       4, 1,
       {.ring_capacity = 8,
        .batch = 2,
        .backpressure = Backpressure::kShedOldest});
   eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
-  for (int64_t i = 0; i < 200; ++i) eng.push(i);
-  eng.flush();  // returns without blocking despite the dead worker
+  // Returns without blocking despite the dead worker.
+  Edge::Run(eng, [](auto& in) {
+    for (int64_t i = 0; i < 200; ++i) in.push(i);
+  });
   const auto stats = eng.stats();
   EXPECT_EQ(stats.admitted + stats.dropped, 200u);
   EXPECT_GT(stats.dropped, 0u);
   EXPECT_LE(stats.admitted, 8u + 2u);  // bounded by ring + claimed batch
+  EXPECT_EQ(eng.snapshot().shards[0].deadline_expiries, 0u);
   eng.stop();
 }
 
-TEST(BackpressureTest, ErrorPolicyDiesOnFullRing) {
+TEST(BackpressureTest, ShedOldestNeverBlocksAndKeepsFreshest) {
+  ShedOldestNeverBlocksAndKeepsFreshest<RouterEdge>();
+}
+
+TEST(BackpressureTest, ShedOldestNeverBlocksAndKeepsFreshestViaProducer) {
+  ShedOldestNeverBlocksAndKeepsFreshest<ProducerEdge>();
+}
+
+template <typename Edge>
+void ErrorPolicyDiesOnFullRing() {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   using Agg = core::SlickDequeInv<ops::SumInt>;
   EXPECT_DEATH(
       {
-        ParallelShardedEngine<Agg> eng(
+        typename Edge::template Engine<Agg> eng(
             4, 1,
             {.ring_capacity = 4,
              .batch = 1,
              .backpressure = Backpressure::kError});
         eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
-        for (int64_t i = 0; i < 64; ++i) eng.push(1);
-        eng.flush();
+        Edge::Run(eng, [](auto& in) {
+          for (int64_t i = 0; i < 64; ++i) in.push(1);
+        });
       },
       "kError");
+}
+
+TEST(BackpressureTest, ErrorPolicyDiesOnFullRing) {
+  ErrorPolicyDiesOnFullRing<RouterEdge>();
+}
+
+TEST(BackpressureTest, ErrorPolicyDiesOnFullRingViaProducer) {
+  ErrorPolicyDiesOnFullRing<ProducerEdge>();
 }
 
 TEST(BackpressureTest, MultiShardNonCommutativeDies) {
@@ -492,10 +639,12 @@ class FaultInjectionRecoveryTest : public ::testing::Test {
 using FI = runtime::fault::Point;
 
 /// One supervised engine under an armed fault schedule vs a NaiveWindow
-/// oracle; answers must match and accounting must conserve.
+/// oracle, fed through `Edge` in 50-tuple rounds with a query after each;
+/// answers must match and accounting must conserve.
+template <typename Edge = RouterEdge>
 void RunFaultSchedule(uint64_t seed) {
   using Agg = core::SlickDequeInv<ops::SumInt>;
-  ParallelShardedEngine<Agg> eng(
+  typename Edge::template Engine<Agg> eng(
       8, 2,
       {.ring_capacity = 16,
        .batch = 3,
@@ -503,12 +652,14 @@ void RunFaultSchedule(uint64_t seed) {
        .checkpoint_interval = 4});
   window::NaiveWindow<ops::SumInt> oracle(8);
   const std::vector<int64_t> stream = IntStream(500, seed);
-  for (std::size_t i = 0; i < stream.size(); ++i) {
-    eng.push(stream[i]);
-    oracle.slide(stream[i]);
-    if ((i + 1) % 50 == 0 && i + 1 >= 8) {
-      ASSERT_EQ(eng.query(), oracle.query()) << "i=" << i;
-    }
+  for (std::size_t from = 0; from < stream.size(); from += 50) {
+    Edge::Run(eng, [&](auto& in) {
+      for (std::size_t i = from; i < from + 50; ++i) {
+        in.push(stream[i]);
+        oracle.slide(stream[i]);
+      }
+    });
+    ASSERT_EQ(eng.query(), oracle.query()) << "i=" << from + 49;
   }
   eng.stop();
   EXPECT_EQ(eng.query(), oracle.query());
@@ -537,6 +688,13 @@ TEST_F(FaultInjectionRecoveryTest, SpuriousRingFullIsRetried) {
   runtime::fault::Arm(FI::kRingSpuriousFull, 0, 3);
   runtime::fault::Arm(FI::kRingSpuriousFull, 1, 13);
   RunFaultSchedule(33);
+  EXPECT_GE(runtime::fault::FiredCount(FI::kRingSpuriousFull), 2u);
+}
+
+TEST_F(FaultInjectionRecoveryTest, SpuriousRingFullIsRetriedViaProducer) {
+  runtime::fault::Arm(FI::kRingSpuriousFull, 0, 3);
+  runtime::fault::Arm(FI::kRingSpuriousFull, 1, 13);
+  RunFaultSchedule<ProducerEdge>(33);
   EXPECT_GE(runtime::fault::FiredCount(FI::kRingSpuriousFull), 2u);
 }
 
