@@ -23,10 +23,10 @@
 #include <vector>
 
 #include "runtime/fault.h"
+#include "runtime/ring_core.h"
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/clock.h"
-#include "util/math.h"
 #include "util/serde.h"
 #include "util/shm.h"
 
@@ -53,9 +53,9 @@ inline void WaitBounded(std::atomic<uint32_t>* word, uint32_t expected,
   ts.tv_sec = 0;
   ts.tv_nsec = kWaitBoundNs;
   // Advertise BEFORE sleeping, seq_cst: pairs with WakeAll's seq_cst
-  // load. Either the waker's event bump precedes the kernel's
+  // RMW. Either the waker's event bump precedes the kernel's
   // word==expected check (we don't sleep), or our increment precedes the
-  // waker's waiters load (it issues the wake). A waiter that dies here
+  // waker's waiters RMW (it issues the wake). A waiter that dies here
   // leaves the count stuck high — that only costs the fast-path skip,
   // never a hang, and the ring this counter serves is the one built to
   // survive exactly such deaths.
@@ -74,16 +74,17 @@ SLICK_REALTIME_ALLOW(
     "in-process ring's notify_all, which is the same shape")
 inline void WakeAll(std::atomic<uint32_t>* word,
                     std::atomic<uint32_t>* waiters) {
-  // The fence orders the caller's event-word bump (a release RMW)
-  // before the waiters load — the StoreLoad edge the C++ model does not
-  // grant release-then-seq_cst on its own. With it: either the bump
-  // precedes the kernel's word==expected check (the waiter won't sleep),
-  // or the waiter's advertise precedes this load (we issue the wake).
-  // Even a lost race costs at most one kWaitBoundNs recheck, by design.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  // relaxed: the fence above supplies the ordering; the load itself only
-  // needs the value, and a stale nonzero just falls through to the wake.
-  if (waiters->load(std::memory_order_relaxed) == 0) return;
+  // A seq_cst read-modify-write, not a load: an RMW reads the latest
+  // value in the waiters' modification order, where it is ordered against
+  // every advertise. Either it follows a waiter's advertise — it reads
+  // nonzero and we issue the wake — or it precedes it; then the waiter's
+  // seq_cst increment reads from this release RMW and synchronizes with
+  // it, so the caller's event-word bump (sequenced before this call)
+  // happens-before the waiter's FUTEX_WAIT, whose word==expected check
+  // fails: the waiter does not sleep. Unlike a fence, ThreadSanitizer
+  // models this pairing. Even a lost race costs at most one kWaitBoundNs
+  // recheck, by design.
+  if (waiters->fetch_add(0, std::memory_order_seq_cst) == 0) return;
   ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAKE,
             INT_MAX, nullptr, nullptr, 0);
 }
@@ -302,9 +303,12 @@ struct ShmLeaseStats {
 /// ring. The consumer side stays single-logical-consumer (the shard
 /// worker), same as MpmcRing.
 template <typename T>
-class ShmRing {
+class ShmRing : public RingCore<ShmRing<T>, T> {
   static_assert(std::is_trivially_copyable_v<T>,
                 "shm slots cross process boundaries as raw bytes");
+  using Core = RingCore<ShmRing<T>, T>;
+  friend Core;
+  using Core::mask_;
 
  public:
   /// Trait the engine keys producer-handle support on.
@@ -314,6 +318,8 @@ class ShmRing {
   static constexpr bool kShared = true;
 
   static constexpr std::size_t kDefaultMaxProducers = 16;
+
+  using Core::capacity;
 
   /// Engine-owned ring: a fresh anonymous segment (unlinked at birth, see
   /// util::ShmMapping::CreateAnonymous) sized for `min_capacity` slots
@@ -368,40 +374,20 @@ class ShmRing {
   ShmRing& operator=(const ShmRing&) = delete;
 
   ShmRing(ShmRing&& other) noexcept
-      : map_(std::move(other.map_)),
-        mask_(other.mask_),
+      : Core(other),
+        map_(std::move(other.map_)),
         hdr_(std::exchange(other.hdr_, nullptr)),
         ctl_(std::exchange(other.ctl_, nullptr)),
         leases_(std::exchange(other.leases_, nullptr)),
         seq_(std::exchange(other.seq_, nullptr)),
         slots_(std::exchange(other.slots_, nullptr)),
-        fault_lane_(other.fault_lane_),
         pending_(std::move(other.pending_)) {}
 
-  std::size_t capacity() const { return mask_ + 1; }
   std::size_t max_producers() const {
     return static_cast<std::size_t>(hdr_->max_producers);
   }
   /// The /dev/shm name for named segments; empty for anonymous ones.
   const std::string& name() const { return map_.name(); }
-
-  /// Approximate occupancy — reserved minus released; includes tombstoned
-  /// slots until the consumer skips them. Advisory outside quiescence.
-  std::size_t size() const {
-    // Consumer cursor FIRST (see MpmcRing::size): a stale head can only
-    // over-count; tail-first can wrap the unsigned subtraction.
-    const uint64_t h = ctl_->head.load(std::memory_order_acquire);
-    const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - h);
-  }
-  bool empty() const { return size() == 0; }
-
-  /// Highest occupancy observed at any publish point (upper bound).
-  std::size_t occupancy_highwater() const {
-    // relaxed: monotonic telemetry gauge, no data published through it.
-    return static_cast<std::size_t>(
-        ctl_->highwater.load(std::memory_order_relaxed));
-  }
 
   /// Lifetime reaper telemetry (leases reclaimed, slots tombstoned,
   /// zombie fences) accumulated in the segment.
@@ -425,38 +411,11 @@ class ShmRing {
   SLICK_NODISCARD SLICK_REALTIME T* TryClaimPush(std::size_t max,
                                                  std::size_t* count) {
     *count = 0;
-    // relaxed: closed is a monotonic go/no-go flag; promptness only.
-    if (ctl_->closed.load(std::memory_order_relaxed) != 0) return nullptr;
-    if (fault::Fire(fault::Point::kRingSpuriousFull, fault_lane_)) {
+    uint64_t pos = 0;
+    if (this->PushRefused() || !this->ReserveSpan(max, &pos, count)) {
       return nullptr;
     }
-    uint64_t tail = ctl_->tail.load(std::memory_order_relaxed);
-    for (;;) {
-      // acquire: pairs with ReleasePop's head release store — released
-      // slots are safe to overwrite (the claim bound, as in MpmcRing).
-      const uint64_t head = ctl_->head.load(std::memory_order_acquire);
-      const uint64_t used = tail - head;
-      if (used >= capacity()) {
-        // relaxed: the CAS re-validates; a stale tail costs one retry.
-        const uint64_t fresh = ctl_->tail.load(std::memory_order_relaxed);
-        if (fresh == tail) return nullptr;
-        tail = fresh;
-        continue;
-      }
-      const std::size_t free = capacity() - static_cast<std::size_t>(used);
-      const std::size_t idx = static_cast<std::size_t>(tail) & mask_;
-      std::size_t n = max < free ? max : free;
-      const std::size_t to_wrap = capacity() - idx;
-      if (n > to_wrap) n = to_wrap;
-      // relaxed: the reservation carries no payload; publication is the
-      // per-slot seq CAS in PublishPush.
-      if (ctl_->tail.compare_exchange_weak(tail, tail + n,
-                                           std::memory_order_relaxed,
-                                           std::memory_order_relaxed)) {
-        *count = n;
-        return slots_ + idx;
-      }
-    }
+    return slots_ + (static_cast<std::size_t>(pos) & mask_);
   }
 
   /// Publishes slots previously reserved with TryClaimPush (same span /
@@ -468,96 +427,12 @@ class ShmRing {
   /// claim held unpublished for a full lease period).
   SLICK_REALTIME void PublishPush(T* span, std::size_t count) {
     if (count == 0) return;
-    if (fault::Fire(fault::Point::kPublishDelay, fault_lane_)) {
-      fault::InjectDelay();
-    }
-    const auto idx = static_cast<std::size_t>(span - slots_);
-    SLICK_DCHECK(idx <= mask_, "publish span outside the slot array");
-    // Recover the free-running position from the slot index (unique in
-    // [head, head + capacity) — see MpmcRing::PublishPush).
-    // relaxed: any head value between claim time and now yields the same
-    // answer; no data rides on it.
-    const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-    const uint64_t pos = head + ((static_cast<uint64_t>(idx) - head) & mask_);
-    UpdateHighwater(pos + count - head);
+    const uint64_t pos = this->BeginSlotPublish(span, count);
     for (std::size_t i = 0; i < count; ++i) {
       PublishSlot(pos + i);
     }
-    // release: orders the seq CASes before the bump a waiter snapshots.
-    ctl_->tail_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
+    this->SignalData();
   }
-
-  /// Copies up to `n` elements into the ring without blocking; returns the
-  /// number accepted (0 when full or closed).
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(const T* src,
-                                                        std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      std::size_t k = 0;
-      T* span = TryClaimPush(n - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) span[i] = src[done + i];
-      PublishPush(span, k);
-      done += k;
-      // A claim is capped at the array wrap; continue only when this one
-      // ended exactly there.
-      if (span + k != slots_ + capacity()) break;
-    }
-    return done;
-  }
-
-  SLICK_NODISCARD SLICK_REALTIME bool try_push(const T& v) {
-    return try_push_n(&v, 1) == 1;
-  }
-
-  /// Blocking push (backpressure): parks on the head eventcount when
-  /// full. Returns the number accepted — `n` unless closed mid-wait.
-  std::size_t push_n(const T* src, std::size_t n) {
-    std::size_t done = 0;
-    while (done < n) {
-      const std::size_t k = try_push_n(src + done, n - done);
-      done += k;
-      if (done == n) break;
-      if (k == 0) {
-        // relaxed: WaitForSpace rechecks closed with acquire before
-        // parking, and close() bumps head_event — a stale false costs
-        // one loop, never a missed shutdown.
-        if (ctl_->closed.load(std::memory_order_relaxed) != 0) break;
-        WaitForSpace();
-      }
-    }
-    return done;
-  }
-
-  /// Producers are done: wakes everyone; consumers settle, drain, then
-  /// see ClaimPop return nullptr. Idempotent, any side.
-  void close() {
-    ctl_->closed.store(1, std::memory_order_release);
-    ctl_->tail_event.fetch_add(1, std::memory_order_release);
-    ctl_->head_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
-    shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
-  }
-
-  bool closed() const {
-    return ctl_->closed.load(std::memory_order_acquire) != 0;
-  }
-
-  /// Names this ring's lane for the fault-injection schedule (the owning
-  /// shard index). Set before threads start.
-  void set_fault_lane(std::size_t lane) { fault_lane_ = lane; }
-
-  /// Eventcount introspection for the deterministic model checker — same
-  /// contract as MpmcRing.
-  uint32_t tail_event_word() const {
-    return ctl_->tail_event.load(std::memory_order_acquire);
-  }
-  uint32_t head_event_word() const {
-    return ctl_->head_event.load(std::memory_order_acquire);
-  }
-  bool pop_ready_or_settled() const { return PopReadyOrSettled(); }
-  bool push_space_or_closed() const { return PushSpaceOrClosed(); }
 
   // ------------------------------------------------------------------
   // Consumer side (one logical consumer: the shard worker).
@@ -589,9 +464,10 @@ class ShmRing {
         ++skip;
       }
       if (skip > 0) {
-        // relaxed: cursor handout only, same as the live-claim CAS below.
+        // release/relaxed: cursor handout, same orders as the live-claim
+        // CAS below.
         if (!ctl_->claim.compare_exchange_strong(claim, claim + skip,
-                                                 std::memory_order_relaxed,
+                                                 std::memory_order_release,
                                                  std::memory_order_relaxed)) {
           continue;  // another claimer moved the cursor — rescan
         }
@@ -599,9 +475,7 @@ class ShmRing {
         claim += skip;
       }
       const std::size_t idx = static_cast<std::size_t>(claim) & mask_;
-      std::size_t limit = max;
-      const std::size_t to_wrap = capacity() - idx;
-      if (limit > to_wrap) limit = to_wrap;
+      const std::size_t limit = this->ClampToWrap(claim, max);
       std::size_t n = 0;
       while (n < limit) {
         const uint64_t pos = claim + n;
@@ -616,10 +490,11 @@ class ShmRing {
         return nullptr;
       }
       uint64_t expect = claim;
-      // relaxed: the cursor advance transfers no payload (the seq
-      // acquires above did).
+      // release on success: carries the seq acquires above to a backlog
+      // reader that acquires claim (RingCore::unconsumed). relaxed on
+      // failure: another claimer won — rescan.
       if (ctl_->claim.compare_exchange_strong(expect, claim + n,
-                                              std::memory_order_relaxed,
+                                              std::memory_order_release,
                                               std::memory_order_relaxed)) {
         pending_.push_back(Pending{0, n});
         *count = n;
@@ -656,85 +531,17 @@ class ShmRing {
     SLICK_DCHECK(remaining == 0, "ReleasePop past the claimed span");
     advance += remaining;  // defensive: keep cursors consistent anyway
     if (advance == 0) return;
-    // relaxed: head is the releaser's own cursor (single releaser).
-    const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-    // release: hands slots back; pairs with TryClaimPush's head acquire.
-    ctl_->head.store(head + advance, std::memory_order_release);
-    ctl_->head_event.fetch_add(1, std::memory_order_release);
-    shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
+    this->AdvanceHead(advance);
   }
 
   /// Rewinds the claim cursor to the release cursor — the recovery
-  /// primitive (see MpmcRing::ResetClaims; unchanged rationale: seq words
-  /// survive releases, so the replayed span re-reads published slots and
-  /// re-skips dead-marked ones). MUST only run with no consumer
-  /// thread live; the pending skip accounting resets with the cursor.
+  /// primitive (RingCore::ResetClaims; seq words survive releases, so the
+  /// replayed span re-reads published slots and re-skips dead-marked
+  /// ones). MUST only run with no consumer thread live; the pending skip
+  /// accounting resets with the cursor.
   void ResetClaims() {
     pending_.clear();
-    // relaxed: thread-lifecycle contract — join/spawn order the cursors.
-    ctl_->claim.store(ctl_->head.load(std::memory_order_relaxed),
-                      std::memory_order_relaxed);
-  }
-
-  /// Elements reserved but not yet claimed (upper bound; includes
-  /// tombstoned positions not yet skipped).
-  std::size_t unconsumed() const {
-    const uint64_t c = ctl_->claim.load(std::memory_order_acquire);
-    const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(t - c);
-  }
-
-  /// Elements claimed but not yet released — the replay span. Upper
-  /// bound: includes tombstoned positions queued in the skip accounting.
-  std::size_t unreleased() const {
-    const uint64_t h = ctl_->head.load(std::memory_order_acquire);
-    const uint64_t c = ctl_->claim.load(std::memory_order_acquire);
-    return static_cast<std::size_t>(c - h);
-  }
-
-  /// Blocking claim; nullptr only once closed AND settled (every reserved
-  /// slot published-or-tombstoned and claimed). An abandoned reservation
-  /// parks the consumer here until the reaper repairs it and bumps the
-  /// tail eventcount — the exact wedge this ring exists to break.
-  SLICK_NODISCARD T* ClaimPop(std::size_t max, std::size_t* count) {
-    while (true) {
-      T* span = TryClaimPop(max, count);
-      if (span != nullptr) return span;
-      if (closed()) {
-        span = TryClaimPop(max, count);
-        if (span != nullptr) return span;
-        const uint64_t t = ctl_->tail.load(std::memory_order_acquire);
-        // relaxed: own cursor (single logical consumer).
-        if (t == ctl_->claim.load(std::memory_order_relaxed)) return nullptr;
-      }
-      WaitForData();
-    }
-  }
-
-  /// Non-blocking bulk move; returns the number popped.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_pop_n(T* dst,
-                                                       std::size_t max) {
-    std::size_t done = 0;
-    while (done < max) {
-      std::size_t k = 0;
-      T* span = TryClaimPop(max - done, &k);
-      if (span == nullptr) break;
-      for (std::size_t i = 0; i < k; ++i) dst[done + i] = span[i];
-      ReleasePop(k);
-      done += k;
-      if (span + k != slots_ + capacity()) break;
-    }
-    return done;
-  }
-
-  /// Blocking pop; 0 only once closed and settled.
-  std::size_t pop_n(T* dst, std::size_t max) {
-    std::size_t k = 0;
-    T* span = ClaimPop(max, &k);
-    if (span == nullptr) return 0;
-    for (std::size_t i = 0; i < k; ++i) dst[i] = span[i];
-    ReleasePop(k);
-    return k;
+    Core::ResetClaims();
   }
 
   // ------------------------------------------------------------------
@@ -766,9 +573,11 @@ class ShmRing {
     /// Whether the reaper has fenced this lease (or handed the row to a
     /// new holder). A fenced producer must stop publishing and re-attach.
     bool Fenced() const {
-      // acquire: pairs with the reaper's epoch fetch_add — a bumped
-      // epoch means repair may already be underway.
-      return lease_->epoch.load(std::memory_order_acquire) !=
+      // seq_cst (a plain load on x86): pairs with the reaper's seq_cst
+      // epoch fetch_add — a bumped epoch means repair may already be
+      // underway — and is the epoch half of TryBeginClaim's post-CAS
+      // Dekker check.
+      return lease_->epoch.load(std::memory_order_seq_cst) !=
                  epoch_at_attach_ ||
              lease_->pid.load(std::memory_order_acquire) != my_pid_;
     }
@@ -785,6 +594,7 @@ class ShmRing {
       if (ctl->closed.load(std::memory_order_relaxed) != 0) {
         return Result::kClosed;
       }
+      // relaxed: tail is only a CAS seed — staleness costs one retry.
       uint64_t tail = ctl->tail.load(std::memory_order_relaxed);
       bool first_attempt = true;
       for (;;) {
@@ -793,22 +603,9 @@ class ShmRing {
         // not rewrite span state into a lease row the reaper may already
         // have reclaimed (and a new holder re-taken).
         if (Fenced()) return Result::kFenced;
-        // acquire: the claim bound (pairs with head release stores).
-        const uint64_t head = ctl->head.load(std::memory_order_acquire);
-        const uint64_t used = tail - head;
-        if (used >= ring_->capacity()) {
-          // relaxed: tail is only a CAS seed — staleness costs one retry.
-          const uint64_t fresh = ctl->tail.load(std::memory_order_relaxed);
-          if (fresh == tail) return Result::kFull;
-          tail = fresh;
-          continue;
-        }
-        const std::size_t free =
-            ring_->capacity() - static_cast<std::size_t>(used);
-        const std::size_t idx = static_cast<std::size_t>(tail) & ring_->mask_;
-        std::size_t n = max < free ? max : free;
-        const std::size_t to_wrap = ring_->capacity() - idx;
-        if (n > to_wrap) n = to_wrap;
+        // The head bound every CAS producer shares (RingCore).
+        std::size_t n = 0;
+        if (!ring_->HeadBoundedSpan(&tail, max, &n)) return Result::kFull;
         // Record intent before the CAS. relaxed stores sequenced before
         // the span_state release: the reaper reads state first (acquire)
         // and only then trusts the span bounds.
@@ -828,19 +625,19 @@ class ShmRing {
             fault::DieHard();
           }
         }
-        // relaxed CAS: the reservation carries no payload (see
-        // TryClaimPush); the lease stores above are what must be visible
-        // first, and their release covers that.
+        // seq_cst on success: this CAS and the Fenced() epoch load below
+        // are this side of the Dekker pairing with the reaper, whose
+        // seq_cst epoch bump precedes its seq_cst tail load. All four sit
+        // in one total order, so if the reaper's tail load missed this
+        // CAS — and so skips [tail, tail + n) as never-claimed — the
+        // epoch load below comes after the bump and observes it: the span
+        // is never stranded outside every repair. The success order's
+        // release also hands the intent stores above to a reaper whose
+        // tail load reads this CAS or a later one. relaxed on failure:
+        // the retry reloads tail and re-checks everything.
         if (ctl->tail.compare_exchange_weak(tail, tail + n,
-                                            std::memory_order_relaxed,
+                                            std::memory_order_seq_cst,
                                             std::memory_order_relaxed)) {
-          // Dekker pairing with the reaper (its seq_cst fence sits
-          // between the epoch bump and the span/tail reads): if the
-          // reaper's repair read tail BEFORE this CAS landed — and so
-          // skipped [tail, tail + n) as never-claimed — this fence
-          // guarantees the Fenced() load below observes the bump, so
-          // the span is never stranded outside every repair.
-          std::atomic_thread_fence(std::memory_order_seq_cst);
           if (Fenced()) {
             // The tail CAS landed, so the span is exclusively ours —
             // but the lease row no longer is: the reaper fenced us
@@ -861,8 +658,7 @@ class ShmRing {
               ctl->slots_tombstoned.fetch_add(dead,
                                               std::memory_order_relaxed);
             }
-            ctl->tail_event.fetch_add(1, std::memory_order_release);
-            shm_futex::WakeAll(&ctl->tail_event, &ctl->tail_waiters);
+            ring_->SignalData();
             return Result::kFenced;
           }
           // The span is now certainly ours: upgrade the attribution. No
@@ -941,7 +737,7 @@ class ShmRing {
       if (landed > 0) {
         // relaxed: highwater is advisory telemetry; a stale head only
         // under-reports occupancy for one sample.
-        ring_->UpdateHighwater(
+        ring_->RaiseHighwater(
             pos0 + n - ring_->ctl_->head.load(std::memory_order_relaxed));
       }
       if (!Fenced()) {
@@ -955,9 +751,7 @@ class ShmRing {
       claim_len_ = 0;
       // Wake the consumer even when landed < n: the reaper's tombstones
       // cover the rest, and an extra bump is harmless.
-      ring_->ctl_->tail_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ring_->ctl_->tail_event,
-                         &ring_->ctl_->tail_waiters);
+      ring_->SignalData();
       return landed;
     }
 
@@ -1102,9 +896,10 @@ class ShmRing {
 
       // 1. Fence (idempotent across reap passes via fenced_at).
       if (lease.fenced_at_ns.load(std::memory_order_acquire) == 0) {
-        // acq_rel: the bump both observes the holder's last stores and
-        // publishes the fence to its next Fenced() check.
-        lease.epoch.fetch_add(1, std::memory_order_acq_rel);
+        // seq_cst: the bump both observes the holder's last stores and
+        // publishes the fence to its next Fenced() check, and it is this
+        // side's store in the Dekker pairing below.
+        lease.epoch.fetch_add(1, std::memory_order_seq_cst);
         lease.fenced_at_ns.store(now_ns == 0 ? 1 : now_ns,
                                  std::memory_order_release);
         if (!dead) {
@@ -1114,15 +909,20 @@ class ShmRing {
         }
       }
 
-      // Dekker pairing with TryBeginClaim's post-CAS fence: the holder
-      // CASes tail then re-checks the epoch; we bumped the epoch (this
-      // pass or an earlier one) and now read tail and the span. The
-      // paired seq_cst fences guarantee at least one side sees the
-      // other: either the tail load below observes the holder's CAS (so
+      // Dekker pairing with TryBeginClaim: the holder CASes tail
+      // (seq_cst) then re-reads the epoch (seq_cst); we bumped the epoch
+      // (seq_cst, this pass or an earlier one) and now read tail
+      // (seq_cst). All four sit in one total order, so at least one side
+      // sees the other: either this load observes the holder's CAS (so
       // its span is inside [.., tail) and repairable), or the holder's
-      // re-check observes the bump and it self-repairs. No interleaving
-      // leaves a reserved span that neither side tombstones.
-      std::atomic_thread_fence(std::memory_order_seq_cst);
+      // re-read observes the bump and it self-repairs. No interleaving
+      // leaves a reserved span that neither side tombstones. tail is read
+      // BEFORE span_state: reading the holder's release CAS (or any later
+      // RMW of tail) synchronizes with it, so the state load below also
+      // sees the intent the holder recorded before that CAS. Reading it
+      // early is conservative — positions reserved after it are
+      // skipped as never-claimed here and, per the pairing, self-repaired.
+      const uint64_t tail = ctl_->tail.load(std::memory_order_seq_cst);
 
       // 2. Repair the recorded span, if attribution allows it yet.
       const auto state = static_cast<LeaseSpan>(
@@ -1142,7 +942,6 @@ class ShmRing {
             lease.span_begin.load(std::memory_order_relaxed);
         const uint64_t end = lease.span_end.load(std::memory_order_relaxed);
         if (begin < end && end - begin <= capacity()) {
-          const uint64_t tail = ctl_->tail.load(std::memory_order_acquire);
           for (uint64_t pos = begin; pos < end; ++pos) {
             if (pos >= tail) continue;  // never claimed by anyone
             if (state == LeaseSpan::kIntent &&
@@ -1191,8 +990,7 @@ class ShmRing {
     if (out.slots_tombstoned != 0 || out.leases_reclaimed != 0) {
       // The consumer may be parked on a hole we just repaired: bump the
       // eventcount so it rescans (and skips) the tombstoned run.
-      ctl_->tail_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ctl_->tail_event, &ctl_->tail_waiters);
+      this->SignalData();
     }
     return out;
   }
@@ -1238,9 +1036,8 @@ class ShmRing {
 
   static std::size_t BytesFor(std::size_t min_capacity,
                               std::size_t max_producers) {
-    const std::size_t cap =
-        std::size_t{1} << util::CeilLog2(min_capacity < 2 ? 2 : min_capacity);
-    return ComputeShmLayout(cap, max_producers, sizeof(T), alignof(T))
+    return ComputeShmLayout(Core::MaskFor(min_capacity) + 1, max_producers,
+                            sizeof(T), alignof(T))
         .total_bytes;
   }
 
@@ -1248,10 +1045,7 @@ class ShmRing {
   /// every shared object in place, then flips the header's ready flag.
   ShmRing(util::ShmMapping map, std::size_t min_capacity,
           std::size_t max_producers)
-      : map_(std::move(map)),
-        mask_((std::size_t{1} << util::CeilLog2(
-                   min_capacity < 2 ? 2 : min_capacity)) -
-              1) {
+      : Core(Core::MaskFor(min_capacity)), map_(std::move(map)) {
     SLICK_CHECK(map_.valid(), "shm segment creation failed");
     SLICK_CHECK(max_producers >= 1, "shm ring needs at least one lease row");
     const ShmLayout l =
@@ -1335,27 +1129,13 @@ class ShmRing {
     return SequenceSlot(pos, (pos + 1) | kSeqDead);
   }
 
-  SLICK_REALTIME void UpdateHighwater(uint64_t occupancy) {
-    // relaxed CAS-max: monotonic gauge, reporting only.
-    uint64_t hw = ctl_->highwater.load(std::memory_order_relaxed);
-    while (occupancy > hw &&
-           !ctl_->highwater.compare_exchange_weak(hw, occupancy,
-                                                  std::memory_order_relaxed,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
-
   /// Claim cursor moved past `skip` tombstoned slots: either advance head
   /// immediately (nothing live awaits release — the common case when the
   /// consumer is caught up) or queue the skip behind the unreleased live
   /// runs so the eventual release folds it in, in claim order.
   SLICK_REALTIME void AccountTombstones(std::size_t skip) {
     if (pending_.empty()) {
-      // relaxed/release: same roles as ReleasePop's head advance.
-      const uint64_t head = ctl_->head.load(std::memory_order_relaxed);
-      ctl_->head.store(head + skip, std::memory_order_release);
-      ctl_->head_event.fetch_add(1, std::memory_order_release);
-      shm_futex::WakeAll(&ctl_->head_event, &ctl_->head_waiters);
+      this->AdvanceHead(skip);
     } else if (pending_.back().live == 0) {
       pending_.back().dead += skip;
     } else {
@@ -1363,62 +1143,35 @@ class ShmRing {
     }
   }
 
-  /// Consumer wake condition: the next slot is published (live OR
-  /// tombstoned — either way TryClaimPop makes progress), or shutdown has
-  /// settled. Mirrors MpmcRing::PopReadyOrSettled.
-  bool PopReadyOrSettled() const {
+  /// Pop-ready predicate: the slot at the claim cursor is sequenced —
+  /// live OR tombstoned, either way TryClaimPop makes progress.
+  bool PopReady() const {
     // relaxed: effectively the consumer's own cursor.
     const uint64_t claim = ctl_->claim.load(std::memory_order_relaxed);
     // acquire: pairs with the publish/tombstone seq CAS release. The
     // dead mark is progress too (TryClaimPop skips it), so mask it.
-    if ((seq_[static_cast<std::size_t>(claim) & mask_].load(
-             std::memory_order_acquire) &
-         ~kSeqDead) == claim + 1) {
-      return true;
-    }
-    if (ctl_->closed.load(std::memory_order_acquire) == 0) return false;
-    return ctl_->tail.load(std::memory_order_acquire) == claim;
+    return (seq_[static_cast<std::size_t>(claim) & mask_].load(
+                std::memory_order_acquire) &
+            ~kSeqDead) == claim + 1;
   }
 
-  bool PushSpaceOrClosed() const {
-    // relaxed tail: only gates a retry; the claim CAS re-validates.
-    return static_cast<std::size_t>(
-               ctl_->tail.load(std::memory_order_relaxed) -
-               ctl_->head.load(std::memory_order_acquire)) < capacity() ||
-           ctl_->closed.load(std::memory_order_acquire) != 0;
+  // Cross-process parking: the bounded shared-futex eventcount above,
+  // gated by the sleeper count beside each event word.
+  std::atomic<uint32_t>& WaitersOf(const std::atomic<uint32_t>& event) const {
+    return &event == &ctl_->tail_event ? ctl_->tail_waiters
+                                       : ctl_->head_waiters;
+  }
+  void Park(std::atomic<uint32_t>& event, uint32_t seen) const {
+    shm_futex::WaitBounded(&event, seen, &WaitersOf(event));
+  }
+  void Wake(std::atomic<uint32_t>& event) const {
+    shm_futex::WakeAll(&event, &WaitersOf(event));
   }
 
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-bounded-futex wait, entered only when "
-      "the ring has nothing claimable — never on the per-tuple path")
-  void WaitForData() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PopReadyOrSettled()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = ctl_->tail_event.load(std::memory_order_acquire);
-    if (PopReadyOrSettled()) return;
-    shm_futex::WaitBounded(&ctl_->tail_event, e, &ctl_->tail_waiters);
-  }
-
-  SLICK_REALTIME_ALLOW(
-      "idle-only parking: spin-then-bounded-futex wait, entered only when "
-      "the ring is full — backpressure by design, never on the per-tuple "
-      "path")
-  void WaitForSpace() {
-    for (int i = 0; i < kSpinYields; ++i) {
-      if (PushSpaceOrClosed()) return;
-      std::this_thread::yield();
-    }
-    const uint32_t e = ctl_->head_event.load(std::memory_order_acquire);
-    if (PushSpaceOrClosed()) return;
-    shm_futex::WaitBounded(&ctl_->head_event, e, &ctl_->head_waiters);
-  }
-
-  static constexpr int kSpinYields = 4;
+  ShmControl& cursors() const { return *ctl_; }
+  T* slots() const { return slots_; }
 
   util::ShmMapping map_;
-  std::size_t mask_ = 0;
   ShmHeader* hdr_ = nullptr;
   ShmControl* ctl_ = nullptr;
   ShmLease* leases_ = nullptr;
@@ -1426,9 +1179,6 @@ class ShmRing {
   // offsets; these are plain pointers into the mapping, not owners.
   std::atomic<uint64_t>* seq_ = nullptr;  // slick-lint: allow(atomic-alignas)
   T* slots_ = nullptr;
-  // Fault-injection lane id (shard index); written once before threads
-  // start, read only inside fault::Fire hooks.
-  std::size_t fault_lane_ = 0;
   // Consumer-thread-private skip accounting (see Pending). Lives in THIS
   // process, not the segment: only the consumer process pops.
   std::deque<Pending> pending_;

@@ -175,7 +175,7 @@ class MpmcProducerThread : public VirtualThread {
 /// Consumer: mirrors the ShardWorker drain loop over pop_n/ClaimPop —
 /// including the settle logic: after observing closed, a failed pop with
 /// reservations still in flight (unconsumed() > 0) goes back to PARK on
-/// tail_event_, because the in-flight publisher's event bump is the only
+/// tail_event, because the in-flight publisher's event bump is the only
 /// wake — precisely the close-race window the scenarios below exhaust.
 class MpmcConsumerThread : public VirtualThread {
  public:
@@ -214,7 +214,7 @@ class MpmcConsumerThread : public VirtualThread {
           state_ = State::kDone;  // closed AND settled: shutdown signal
         } else {
           // Reserved-but-unpublished slots remain: park until the
-          // in-flight publish bumps tail_event_.
+          // in-flight publish bumps tail_event.
           state_ = State::kSnapshotEvent;
         }
         return;

@@ -91,8 +91,8 @@ class RouterThread : public VirtualThread {
         state_ = State::kRecheck;
         return;
       case State::kRecheck:
-        state_ = w_->ring.size() < w_->ring.capacity() ? State::kTryPush
-                                                       : State::kParked;
+        state_ = w_->ring.push_space_or_closed() ? State::kTryPush
+                                                 : State::kParked;
         return;
       case State::kParked:
         state_ = State::kTryPush;
@@ -208,11 +208,10 @@ class SupervisedWorkerThread : public VirtualThread {
         state_ = State::kRecheck;
         return;
       case State::kRecheck:
-        // WaitForData's predicate under deferred releases: unclaimed data
-        // (tail != claim), not mere occupancy (tail != head).
-        state_ = (w_->ring.unconsumed() != 0 || w_->ring.closed())
-                     ? State::kClaim
-                     : State::kParked;
+        // WaitForData's own predicate; under deferred releases it wakes on
+        // unclaimed data (tail != claim), not mere occupancy (tail != head).
+        state_ = w_->ring.pop_ready_or_settled() ? State::kClaim
+                                                 : State::kParked;
         return;
       case State::kParked:
         state_ = State::kClaim;

@@ -80,7 +80,7 @@ class RouterThread : public VirtualThread {
         state_ = State::kRecheck;
         return;
       case State::kRecheck:
-        if (w_->ring.size() < w_->ring.capacity()) {
+        if (w_->ring.push_space_or_closed()) {
           state_ = State::kTryPush;
         } else {
           state_ = State::kParked;
@@ -178,7 +178,7 @@ class WorkerThread : public VirtualThread {
         state_ = State::kRecheck;
         return;
       case State::kRecheck:
-        if (!w_->ring.empty() || w_->ring.closed()) {
+        if (w_->ring.pop_ready_or_settled()) {
           state_ = State::kTryPop;
         } else {
           state_ = State::kParked;

@@ -4,7 +4,9 @@
 // mirror push_n/pop_n line-for-line — each try-op, eventcount snapshot and
 // wait-path recheck is one scheduler-visible step, and parking follows the
 // exact snapshot/recheck/wait protocol of WaitForData/WaitForSpace (via
-// the ring's *_event_word() introspection hooks).
+// the ring's *_event_word() and pop_ready_or_settled()/
+// push_space_or_closed() introspection hooks — the real wake predicates,
+// not restatements).
 //
 // Checked on EVERY explored schedule:
 //   * FIFO + no double-consume + no reorder: the popped sequence is
@@ -55,10 +57,10 @@ class ProducerThread : public VirtualThread {
  private:
   enum class State {
     kTryPush,
-    kCheckClosed,    // push_n: `if (closed_) break;`
-    kSnapshotEvent,  // WaitForSpace: e = head_event_
+    kCheckClosed,    // push_n: `if (closed) break;`
+    kSnapshotEvent,  // WaitForSpace: e = head_event
     kRecheck,        // WaitForSpace: re-check space/closed before parking
-    kParked,         // head_event_.wait(e) — value-based wake
+    kParked,         // head_event.wait(e) — value-based wake
     kClose,
     kDone,
   };
@@ -88,9 +90,9 @@ class ConsumerThread : public VirtualThread {
     kTryPop,
     kCheckClosed,
     kFinalPop,
-    kSnapshotEvent,  // WaitForData: e = tail_event_
+    kSnapshotEvent,  // WaitForData: e = tail_event
     kRecheck,
-    kParked,  // tail_event_.wait(e)
+    kParked,  // tail_event.wait(e)
     kDone,
   };
   RingWorld* w_;
@@ -150,9 +152,10 @@ void ProducerThread::Step() {
       state_ = State::kRecheck;
       return;
     case State::kRecheck:
-      // WaitForSpace: space freed or closed → retry; else park on the
-      // event word (wake = word moved past the snapshot).
-      if (w_->ring.size() < w_->ring.capacity() || w_->ring.closed()) {
+      // WaitForSpace: the ring's own wake predicate (space freed or
+      // closed) → retry; else park on the event word (wake = word moved
+      // past the snapshot).
+      if (w_->ring.push_space_or_closed()) {
         state_ = State::kTryPush;
       } else {
         state_ = State::kParked;
@@ -211,8 +214,9 @@ void ConsumerThread::Step() {
       state_ = State::kRecheck;
       return;
     case State::kRecheck:
-      // WaitForData: data arrived or closed → retry; else park.
-      if (!w_->ring.empty() || w_->ring.closed()) {
+      // WaitForData: the ring's own wake predicate (unclaimed data, or
+      // closed and settled) → retry; else park.
+      if (w_->ring.pop_ready_or_settled()) {
         state_ = State::kTryPop;
       } else {
         state_ = State::kParked;
@@ -436,10 +440,10 @@ class ClaimingConsumerThread : public VirtualThread {
         state_ = State::kRecheck;
         return;
       case State::kRecheck:
-        // WaitForData under deferred releases parks on "no unclaimed data"
+        // WaitForData under deferred releases wakes on unclaimed data
         // (tail != claim), not occupancy — held claims keep size() > 0
-        // forever, which would otherwise spin or park on a stale predicate.
-        if (w_->ring.unconsumed() != 0 || w_->ring.closed()) {
+        // forever; the ring's own predicate says exactly that.
+        if (w_->ring.pop_ready_or_settled()) {
           state_ = State::kClaim;
         } else {
           state_ = State::kParked;

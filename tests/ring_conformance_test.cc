@@ -7,6 +7,7 @@
 // ResetClaims replay) — any future ring must pass this suite verbatim to
 // be selectable in ParallelShardedEngine.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -226,6 +227,70 @@ TYPED_TEST(RingConformanceTest, ConsumerReleasesBlockedProducer) {
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
   }
   producer.join();
+}
+
+// The backlog views are read cross-thread while the consumer drains
+// (ParallelShardedEngine::snapshot() exports them as in_flight and
+// unreleased). Each must load its trailing cursor first: a claim or release
+// landing between its two loads then only inflates the view, where the
+// opposite order wraps the unsigned difference to ~2^64. A third thread
+// samples both views against a producer and a claim-then-release consumer,
+// and bounds each sample by the total pushed so far, loaded after it.
+TYPED_TEST(RingConformanceTest, BacklogViewsNeverWrapUnderConcurrentDrain) {
+  TypeParam ring(64);
+  constexpr int kItems = 1 << 20;
+  std::atomic<uint64_t> pushed{0};
+  std::atomic<bool> drained{false};
+  std::thread producer([&] {
+    for (int i = 0; i < kItems; ++i) {
+      // Counted before the push, so `pushed` never trails the ring's tail.
+      pushed.fetch_add(1, std::memory_order_seq_cst);
+      while (!ring.try_push(i)) std::this_thread::yield();
+    }
+  });
+  std::thread consumer([&] {
+    int next = 0;
+    while (next < kItems) {
+      std::size_t n = 0;
+      int* span = ring.TryClaimPop(4, &n);
+      if (span == nullptr) {
+        std::this_thread::yield();
+        continue;
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        if (span[i] != next + static_cast<int>(i)) {
+          ADD_FAILURE() << "FIFO broken at " << next + static_cast<int>(i);
+        }
+      }
+      next += static_cast<int>(n);
+      ring.ReleasePop(n);
+    }
+    drained.store(true, std::memory_order_release);
+  });
+  uint64_t samples = 0;
+  uint64_t wrapped = 0;
+  std::size_t worst = 0;
+  while (!drained.load(std::memory_order_acquire)) {
+    const std::size_t unconsumed = ring.unconsumed();
+    const uint64_t after_unconsumed = pushed.load(std::memory_order_seq_cst);
+    const std::size_t unreleased = ring.unreleased();
+    const uint64_t after_unreleased = pushed.load(std::memory_order_seq_cst);
+    if (unconsumed > after_unconsumed) {
+      ++wrapped;
+      worst = unconsumed > worst ? unconsumed : worst;
+    }
+    if (unreleased > after_unreleased) {
+      ++wrapped;
+      worst = unreleased > worst ? unreleased : worst;
+    }
+    ++samples;
+  }
+  producer.join();
+  consumer.join();
+  EXPECT_EQ(wrapped, 0u) << "of " << samples << " samples; worst view "
+                         << worst;
+  EXPECT_EQ(ring.unconsumed(), 0u);
+  EXPECT_EQ(ring.unreleased(), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -57,6 +58,47 @@ using IntLease = IntRing::LeaseProducer;
 // ---------------------------------------------------------------------
 // Tier-1 legs: real process death and forged clocks, no fault injection.
 // ---------------------------------------------------------------------
+
+// The segment layout is a cross-binary contract: a producer built from one
+// revision attaches to a segment created by another, and
+// InspectShmSegment reads ShmControl without knowing the slot type.
+// These figures are the version-2 layout; a refactor that moves a region
+// offset, resizes or reorders ShmControl, or changes the hash inputs must
+// fail here rather than break attach silently. Changing them on purpose
+// means bumping kShmVersion.
+TEST(ShmSegmentLayoutTest, VersionTwoGeometryAndHashArePinned) {
+  EXPECT_EQ(runtime::kShmVersion, 2u);
+  const runtime::ShmLayout l =
+      runtime::ComputeShmLayout(1024, 16, sizeof(double), alignof(double));
+  EXPECT_EQ(l.control_off, 64u);
+  EXPECT_EQ(l.lease_off, 576u);
+  EXPECT_EQ(l.seq_off, 1600u);
+  EXPECT_EQ(l.slot_off, 9792u);
+  EXPECT_EQ(l.total_bytes, 20480u);
+  EXPECT_EQ(runtime::ShmLayoutHash(1024, 16, sizeof(double), alignof(double)),
+            0xF67E2A393D0BEFEDull);
+  EXPECT_EQ(sizeof(runtime::ShmHeader), 64u);
+  EXPECT_EQ(sizeof(runtime::ShmControl), 512u);
+  EXPECT_EQ(sizeof(runtime::ShmLease), 64u);
+
+  const auto ctl = std::make_unique<runtime::ShmControl>();
+  const auto off = [&ctl](const auto& field) {
+    return reinterpret_cast<const char*>(&field) -
+           reinterpret_cast<const char*>(ctl.get());
+  };
+  EXPECT_EQ(off(ctl->head), 0);
+  EXPECT_EQ(off(ctl->tail), 64);
+  EXPECT_EQ(off(ctl->claim), 128);
+  EXPECT_EQ(off(ctl->tail_event), 192);
+  EXPECT_EQ(off(ctl->tail_waiters), 196);
+  EXPECT_EQ(off(ctl->head_event), 256);
+  EXPECT_EQ(off(ctl->head_waiters), 260);
+  EXPECT_EQ(off(ctl->closed), 320);
+  EXPECT_EQ(off(ctl->highwater), 384);
+  EXPECT_EQ(off(ctl->leases_reclaimed), 448);
+  EXPECT_EQ(off(ctl->slots_tombstoned), 456);
+  EXPECT_EQ(off(ctl->zombie_fences), 464);
+}
 
 // The read-only triage path behind `telemetry_dump --shm=<name>`:
 // InspectShmSegment must surface the cursors, the reaper counters and a
