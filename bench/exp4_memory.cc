@@ -31,30 +31,14 @@
 #include "window/flat_fit.h"
 #include "window/naive.h"
 #include "window/two_stacks.h"
-#include "window/two_stacks_ring.h"
 
 namespace slick::bench {
 namespace {
 
 template <typename Agg>
-struct NeedsCapacityArg : std::false_type {};
-template <typename Op>
-struct NeedsCapacityArg<core::Windowed<window::TwoStacksRing<Op>>>
-    : std::true_type {};
-
-template <typename Agg>
-Agg MakeForWindow(std::size_t window) {
-  if constexpr (NeedsCapacityArg<Agg>::value) {
-    return Agg(window, window);  // ring capacity = window
-  } else {
-    return Agg(window);
-  }
-}
-
-template <typename Agg>
 std::size_t Footprint(std::size_t window, const std::vector<double>& data) {
   using Op = typename Agg::op_type;
-  Agg agg = MakeForWindow<Agg>(window);
+  Agg agg(window);
   std::size_t di = 0;
   // Fill one full window plus a lap so dynamic structures reach steady
   // state (TwoStacks/DABA flip at least once; the deque sees real data).
@@ -83,8 +67,6 @@ void Row(std::size_t w, const std::vector<double>& data, JsonReport& report) {
   point("bint", Footprint<window::BInt<Sum>>(w, data));
   point("flatfit", Footprint<window::FlatFit<Sum>>(w, data));
   point("twostacks", Footprint<core::Windowed<window::TwoStacks<Sum>>>(w, data));
-  point("2stk-ring",
-        Footprint<core::Windowed<window::TwoStacksRing<Sum>>>(w, data));
   point("daba", Footprint<core::Windowed<window::Daba<Sum>>>(w, data));
   point("slick-inv", Footprint<core::SlickDequeInv<Sum>>(w, data));
   point("slick-noninv", Footprint<core::SlickDequeNonInv<Max>>(w, data));
@@ -106,7 +88,7 @@ int main(int argc, char** argv) {
               (unsigned long long)seed);
   PrintHeader("Structure footprint, bytes",
               "#  window        naive      flatfat         bint      flatfit"
-              "    twostacks     2stk-ring         daba    slick-inv slick-noninv");
+              "    twostacks         daba    slick-inv slick-noninv");
 
   const std::vector<double> data = BenchSeries(flags, 1 << 20, seed);
 

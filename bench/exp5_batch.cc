@@ -37,7 +37,6 @@
 #include "window/flat_fit.h"
 #include "window/naive.h"
 #include "window/two_stacks.h"
-#include "window/two_stacks_ring.h"
 
 namespace slick::bench {
 namespace {
@@ -65,12 +64,9 @@ std::vector<typename Op::value_type> Lift(const std::vector<double>& data) {
 /// One aggregator across the batch sweep, single-threaded. batch == 1 is
 /// the per-tuple slide loop; batch > 1 goes through window::BulkSlide with
 /// contiguous spans (shortened only at the data ring's wrap point).
-/// Extra ctor_args are forwarded after the window (TwoStacksRing's fixed
-/// capacity rides through Windowed this way).
-template <typename Agg, typename... CtorArgs>
+template <typename Agg>
 void SweepSingle(const char* algo, const char* opname, const Config& cfg,
-                 const std::vector<double>& data, JsonReport& report,
-                 CtorArgs... ctor_args) {
+                 const std::vector<double>& data, JsonReport& report) {
   using Op = typename Agg::op_type;
   const auto lifted = Lift<Op>(data);
   std::printf("\n== %s (%s), window %zu, single-thread ==\n", algo, opname,
@@ -80,7 +76,7 @@ void SweepSingle(const char* algo, const char* opname, const Config& cfg,
   double base = 0.0;
   for (std::size_t batch : kBatches) {
     if (batch > cfg.max_batch) break;
-    Agg agg(cfg.window, ctor_args...);
+    Agg agg(cfg.window);
     std::size_t di = 0;
     for (std::size_t i = 0; i < cfg.window; ++i) {
       agg.slide(lifted[di]);
@@ -127,15 +123,15 @@ void SweepSingle(const char* algo, const char* opname, const Config& cfg,
 /// rows let CI gate "vectorized never slower than scalar" as a same-run
 /// cost ratio (tools/bench_summary.py --best-pair), robust to runner
 /// speed, and let the committed snapshot record the SIMD win itself.
-template <typename Agg, typename... CtorArgs>
+template <typename Agg>
 void SweepSingleVsScalar(const char* algo, const char* opname,
                          const Config& cfg, const std::vector<double>& data,
-                         JsonReport& report, CtorArgs... ctor_args) {
-  SweepSingle<Agg>(algo, opname, cfg, data, report, ctor_args...);
+                         JsonReport& report) {
+  SweepSingle<Agg>(algo, opname, cfg, data, report);
   const auto prev =
       ops::kernels::SetSimdLevel(ops::kernels::SimdLevel::kScalar);
   const std::string twin = std::string(algo) + "-scalar";
-  SweepSingle<Agg>(twin.c_str(), opname, cfg, data, report, ctor_args...);
+  SweepSingle<Agg>(twin.c_str(), opname, cfg, data, report);
   ops::kernels::SetSimdLevel(prev);
 }
 
@@ -221,8 +217,6 @@ int main(int argc, char** argv) {
                                                report);
   SweepSingle<slick::core::Windowed<slick::core::SubtractOnEvict<Sum>>>(
       "sub-on-evict", "sum", cfg, data, report);
-  SweepSingle<slick::core::Windowed<slick::window::TwoStacks<Sum>>>(
-      "twostacks", "sum", cfg, data, report);
   SweepSingle<slick::core::Windowed<slick::window::Daba<Sum>>>(
       "daba", "sum", cfg, data, report);
   SweepSingle<slick::window::FlatFat<Sum>>("flatfat", "sum", cfg, data,
@@ -240,32 +234,24 @@ int main(int argc, char** argv) {
   SweepSingle<slick::window::FlatFat<Max>>("flatfat", "max", cfg, data,
                                            report);
 
-  // Flip-heavy int64 rows for the vectorized structural kernels, each
-  // paired with its scalar twin (DESIGN.md §16). TwoStacks/TwoStacksRing
-  // exercise the carry-scan flip + prefix-scan BulkInsert (window ≫ batch
-  // keeps the amortized flip span at ~window elements), slick-noninv
-  // exercises the survivor-mask staircase AppendBatch, and the Sum ring
-  // row covers the double-add scan. CI gates vectorized ≥ scalar on
-  // these pairs; EXPERIMENTS.md Exp 8 records the measured speedups.
+  // Flip-heavy rows for the vectorized structural kernels, each paired
+  // with its scalar twin (DESIGN.md §16). TwoStacks exercises the
+  // carry-scan flip + prefix-scan BulkInsert (window ≫ batch keeps the
+  // amortized flip span at ~window elements), with the Sum row covering
+  // the double-add scan; slick-noninv exercises the survivor-mask
+  // staircase AppendBatch. CI gates vectorized ≥ scalar on these pairs;
+  // EXPERIMENTS.md Exp 8 records the measured speedups.
   {
     using slick::ops::MaxInt;
     using slick::ops::MinInt;
-    using slick::window::TwoStacksRing;
-    using RingMaxI = slick::core::Windowed<TwoStacksRing<MaxInt>>;
-    using RingMinI = slick::core::Windowed<TwoStacksRing<MinInt>>;
-    using RingSum = slick::core::Windowed<TwoStacksRing<Sum>>;
-    using StacksMaxI = slick::core::Windowed<slick::window::TwoStacks<MaxInt>>;
-    using StacksMinI = slick::core::Windowed<slick::window::TwoStacks<MinInt>>;
-    SweepSingleVsScalar<RingMaxI>("twostacks-ring", "max_int", cfg, data,
-                                  report, cfg.window);
-    SweepSingleVsScalar<RingMinI>("twostacks-ring", "min_int", cfg, data,
-                                  report, cfg.window);
-    SweepSingleVsScalar<RingSum>("twostacks-ring", "sum", cfg, data, report,
-                                 cfg.window);
-    SweepSingleVsScalar<StacksMaxI>("twostacks", "max_int", cfg, data,
-                                    report);
-    SweepSingleVsScalar<StacksMinI>("twostacks", "min_int", cfg, data,
-                                    report);
+    using slick::core::Windowed;
+    using slick::window::TwoStacks;
+    SweepSingleVsScalar<Windowed<TwoStacks<MaxInt>>>("twostacks", "max_int",
+                                                     cfg, data, report);
+    SweepSingleVsScalar<Windowed<TwoStacks<MinInt>>>("twostacks", "min_int",
+                                                     cfg, data, report);
+    SweepSingleVsScalar<Windowed<TwoStacks<Sum>>>("twostacks", "sum", cfg,
+                                                  data, report);
     SweepSingleVsScalar<slick::core::SlickDequeNonInv<MaxInt>>(
         "slick-noninv", "max_int", cfg, data, report);
     SweepSingleVsScalar<slick::core::SlickDequeNonInv<MinInt>>(

@@ -2,6 +2,7 @@
 
 #include <cstddef>
 #include <utility>
+#include <vector>
 
 #include "ops/traits.h"
 #include "util/check.h"
@@ -23,14 +24,12 @@ class Windowed {
   using value_type = typename A::value_type;
   using result_type = typename A::result_type;
 
-  template <typename... Args>
-    requires std::constructible_from<A, Args...>
-  explicit Windowed(std::size_t window, Args&&... args)
-      : impl_(std::forward<Args>(args)...), window_(window) {
+  /// One bulk insert of `window` identities, so an aggregator with a
+  /// native batch path (TwoStacks) sizes its storage exactly once.
+  explicit Windowed(std::size_t window) : window_(window) {
     SLICK_CHECK(window >= 1, "window must hold at least one partial");
-    for (std::size_t i = 0; i < window; ++i) {
-      impl_.insert(op_type::identity());
-    }
+    const std::vector<value_type> fill(window, op_type::identity());
+    window::BulkInsert(impl_, fill.data(), window);
   }
 
   void slide(value_type v) {

@@ -44,5 +44,4 @@
 #include "window/naive.h"              // IWYU pragma: export
 #include "window/reference.h"          // IWYU pragma: export
 #include "window/two_stacks.h"         // IWYU pragma: export
-#include "window/two_stacks_ring.h"    // IWYU pragma: export
 

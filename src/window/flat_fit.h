@@ -129,23 +129,37 @@ class FlatFit {
     util::WritePod<uint64_t>(os, cur_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state; leaves the target
+  /// untouched when the stream is rejected.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
     if (!util::ExpectTag(is, util::MakeTag('F', 'I', 'T', '1'), 1)) {
       return false;
     }
+    std::vector<value_type> vals;
+    std::vector<uint32_t> jump;
     uint64_t pos = 0, cur = 0;
-    if (!util::ReadPodVec(is, &vals_) || !util::ReadPodVec(is, &jump_) ||
+    if (!util::ReadPodVec(is, &vals) || !util::ReadPodVec(is, &jump) ||
         !util::ReadPod(is, &pos) || !util::ReadPod(is, &cur)) {
       return false;
     }
-    if (vals_.empty() || jump_.size() != vals_.size() ||
-        pos >= vals_.size() || cur >= vals_.size()) {
-      return false;
+    const std::size_t n = vals.size();
+    if (n == 0 || jump.size() != n || pos >= n || cur >= n) return false;
+    // Every traversal hops along jump_ until it reaches cur_, so each
+    // pointer off cur_ must stay in range and move strictly closer to cur_
+    // in ring order — otherwise query() reads out of bounds or never ends.
+    // O(n), once per load.
+    const auto dist = [&](std::size_t i) {
+      return (static_cast<std::size_t>(cur) + n - i) % n;
+    };
+    for (std::size_t i = 0; i < n; ++i) {
+      if (jump[i] >= n) return false;
+      if (i != cur && dist(jump[i]) >= dist(i)) return false;
     }
-    window_ = vals_.size();
+    vals_ = std::move(vals);
+    jump_ = std::move(jump);
+    window_ = n;
     pos_ = static_cast<std::size_t>(pos);
     cur_ = static_cast<std::size_t>(cur);
     stack_.clear();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -20,20 +21,31 @@ namespace slick::window {
 /// whose entries carry (val, running suffix aggregate). When F runs empty,
 /// B is flipped onto F — the O(n) step responsible for the latency spikes
 /// the paper measures in Exp 3. The window answer combines the aggregate of
-/// all of F (its top entry) with the aggregate of all of B (its top entry),
-/// front before back, so non-commutative operations stay correct.
+/// all of F with the aggregate of all of B, front before back, so
+/// non-commutative operations stay correct.
 ///
-/// Each stack is a pair of parallel value/aggregate vectors (SoA) so the
-/// flip is one contiguous suffix scan over the back values — the shape
-/// ops/scan_kernels.h vectorizes — followed by a reversal into the front
-/// stack's pop order. The combine chain is identical to the per-entry
-/// flip, so non-commutative ops (Concat) and floating-point sums produce
-/// the same sequence of ⊕ applications as before; only vectorizable ops
-/// take the wide path.
+/// Both stacks share one circular buffer — the layout behind Table 1's
+/// "both stacks combined can never have more than n nodes total": the
+/// front region [f_lo_, f_lo_ + f_size_) holds the oldest elements and the
+/// back region follows it. The flip converts the back region's prefix
+/// aggregates into suffix aggregates *in place* (no copy, no second
+/// allocation) and adopts it as the new front region.
+///
+/// Storage is split into parallel value/aggregate arrays (SoA), so the flip
+/// and the bulk-insert prefix chain are contiguous scans over one array
+/// each — the shape ops/scan_kernels.h vectorizes (HammerSlide's
+/// observation that the flip is a suffix scan the vector unit can run as a
+/// carry-propagating blocked pass). A region that wraps the buffer's seam
+/// is scanned as two contiguous segments with a carry between them.
+///
+/// The buffer grows geometrically when full, so the class also serves as a
+/// dynamically sized FIFO (TimeWindow, PerQueryAdapter). Under
+/// core::Windowed the identity pre-fill sizes it exactly once to the window
+/// and steady-state slides never grow it.
 ///
 /// Complexity (Table 1): amortized 3 operations per slide, worst case n.
-/// Space: 2n live values (two fields per stored partial). Single-query
-/// only, as in the paper.
+/// Space: exactly 2n values at a fixed window (one (val, agg) pair per
+/// live element). Single-query only, as in the paper.
 template <ops::AggregateOp Op>
 class TwoStacks {
  public:
@@ -42,168 +54,224 @@ class TwoStacks {
   using result_type = typename Op::result_type;
 
   SLICK_REALTIME void insert(value_type v) {
-    if (b_vals_.empty()) {
-      b_aggs_.push_back(v);
+    if (size() == cap_) Grow(1);
+    const std::size_t idx = Wrap(f_lo_ + f_size_ + b_size_);
+    if (b_size_ == 0) {
+      aggs_[idx] = v;
     } else {
-      b_aggs_.push_back(Op::combine(b_aggs_.back(), v));
+      aggs_[idx] = Op::combine(aggs_[Wrap(f_lo_ + f_size_ + b_size_ - 1)], v);
     }
-    b_vals_.push_back(std::move(v));
+    vals_[idx] = std::move(v);
+    ++b_size_;
   }
 
   SLICK_REALTIME void evict() {
-    if (f_vals_.empty()) Flip();
-    SLICK_CHECK(!f_vals_.empty(), "evict from empty TwoStacks window");
-    f_vals_.pop_back();
-    f_aggs_.pop_back();
+    if (f_size_ == 0) Flip();
+    SLICK_CHECK(f_size_ > 0, "evict from empty TwoStacks window");
+    f_lo_ = Wrap(f_lo_ + 1);
+    --f_size_;
   }
 
-  /// Batch insert (DESIGN.md §11): the same prefix-aggregate chain as n
-  /// insert() calls, built by one (vectorized where the op allows)
-  /// prefix scan seeded with the current back top.
-  SLICK_REALTIME_ALLOW(
-      "resize grows the back stack once per bulk batch — amortized "
-      "O(1) per element, and a no-op at steady-state capacity")
-  void BulkInsert(const value_type* src, std::size_t n) {
-    if (n == 0) return;
-    const std::size_t m0 = b_vals_.size();
-    value_type carry = m0 == 0 ? Op::identity() : b_aggs_[m0 - 1];
-    b_vals_.resize(m0 + n);
-    b_aggs_.resize(m0 + n);
-    std::copy(src, src + n, b_vals_.begin() + static_cast<std::ptrdiff_t>(m0));
-    ops::PrefixScanValues<Op>(src, b_aggs_.data() + m0, n, std::move(carry));
+  /// Batch insert (DESIGN.md §11): the values land in at most two
+  /// contiguous buffer segments and their running prefix aggregates come
+  /// from the (vectorized where the op allows) prefix scan, seeded with the
+  /// current back top so the chain continues exactly as m insert() calls
+  /// would.
+  SLICK_REALTIME void BulkInsert(const value_type* src, std::size_t m) {
+    if (m == 0) return;
+    if (size() + m > cap_) Grow(m);
+    value_type carry = b_size_ == 0
+                           ? Op::identity()
+                           : aggs_[Wrap(f_lo_ + f_size_ + b_size_ - 1)];
+    const std::size_t start = Wrap(f_lo_ + f_size_ + b_size_);
+    const std::size_t first = std::min(m, cap_ - start);
+    std::copy(src, src + first, vals_.data() + start);
+    ops::PrefixScanValues<Op>(src, aggs_.data() + start, first,
+                              std::move(carry));
+    if (first < m) {
+      carry = aggs_[start + first - 1];
+      std::copy(src + first, src + m, vals_.data());
+      ops::PrefixScanValues<Op>(src + first, aggs_.data(), m - first,
+                                std::move(carry));
+    }
+    b_size_ += m;
   }
 
-  /// Batch evict (DESIGN.md §11): pops min(n, |F|) front entries for free;
-  /// if the front stack runs out, the n' leftover evictions drop the n'
-  /// oldest back entries *before* flipping, so the flip builds suffix
-  /// chains for the survivors only — saving n' combines and pushes versus
-  /// per-element eviction. The surviving entries' aggregates are the exact
-  /// combine chains Flip() would have built (agg[i] = Σ val[i..end)), so
-  /// the state matches sequential eviction.
-  SLICK_REALTIME_ALLOW(
-      "resize only shrinks and the flip target never exceeds the window's "
-      "high-water capacity — no new allocation at steady state; the flip "
-      "rebuild is the same amortized-O(1) cost as per-element eviction")
-  void BulkEvict(std::size_t n) {
+  /// Batch evict (DESIGN.md §11): the front region pops in O(1) per element
+  /// (index math only). If the eviction crosses into the back region, the
+  /// n' leftover evictions drop the n' oldest back entries *before*
+  /// flipping, so the flip builds suffix chains for the survivors only —
+  /// the same aggregates a sequence of evict() calls would have built,
+  /// n' combines cheaper.
+  SLICK_REALTIME void BulkEvict(std::size_t n) {
     SLICK_CHECK(n <= size(), "bulk evict larger than window");
-    const std::size_t from_front = n < f_vals_.size() ? n : f_vals_.size();
-    f_vals_.resize(f_vals_.size() - from_front);
-    f_aggs_.resize(f_aggs_.size() - from_front);
+    const std::size_t from_front = std::min(n, f_size_);
+    f_lo_ = Wrap(f_lo_ + from_front);
+    f_size_ -= from_front;
     n -= from_front;
-    if (n == 0) return;
-    // f is now empty; flip back_[n..) directly onto it.
-    FlipFrom(n);
+    if (n > 0) {
+      f_lo_ = Wrap(f_lo_ + n);
+      b_size_ -= n;
+      if (b_size_ > 0) Flip();
+    }
   }
 
-  /// Aggregate of the entire window, in stream order.
+  /// Aggregate of the entire window, in stream order. The newest element's
+  /// index is shared by the back-only and mixed paths, so the wrap math is
+  /// computed once.
   SLICK_REALTIME result_type query() const {
-    if (f_aggs_.empty() && b_aggs_.empty()) return Op::lower(Op::identity());
-    if (f_aggs_.empty()) return Op::lower(b_aggs_.back());
-    if (b_aggs_.empty()) return Op::lower(f_aggs_.back());
-    return Op::lower(Op::combine(f_aggs_.back(), b_aggs_.back()));
+    const std::size_t total = f_size_ + b_size_;
+    if (total == 0) return Op::lower(Op::identity());
+    if (b_size_ == 0) return Op::lower(aggs_[f_lo_]);
+    const std::size_t top = Wrap(f_lo_ + total - 1);  // newest element
+    if (f_size_ == 0) return Op::lower(aggs_[top]);
+    return Op::lower(Op::combine(aggs_[f_lo_], aggs_[top]));
   }
 
-  std::size_t size() const { return f_vals_.size() + b_vals_.size(); }
+  std::size_t size() const { return f_size_ + b_size_; }
+  std::size_t capacity() const { return cap_; }
 
-  /// Checkpoints the window (DSMS fault tolerance). Tag v2: the SoA
-  /// layout serializes four pod vectors (front values/aggregates, back
-  /// values/aggregates) instead of two interleaved entry vectors.
+  /// Checkpoints the window (DSMS fault tolerance). Tag TWS3: the front
+  /// region's length, then the live values and aggregates in stream order
+  /// (front region first), independent of where the regions sit in the
+  /// buffer.
   void SaveState(std::ostream& os) const
     requires std::is_trivially_copyable_v<value_type>
   {
-    util::WriteTag(os, util::MakeTag('T', 'W', 'S', '2'), 1);
-    util::WritePodVec(os, f_vals_);
-    util::WritePodVec(os, f_aggs_);
-    util::WritePodVec(os, b_vals_);
-    util::WritePodVec(os, b_aggs_);
+    util::WriteTag(os, util::MakeTag('T', 'W', 'S', '3'), 1);
+    util::WritePod<uint64_t>(os, f_size_);
+    util::WritePodVec(os, Linearized(vals_));
+    util::WritePodVec(os, Linearized(aggs_));
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state; leaves the target
+  /// untouched when the stream is rejected.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
-    if (!util::ExpectTag(is, util::MakeTag('T', 'W', 'S', '2'), 1)) {
+    uint64_t front = 0;
+    std::vector<value_type> vals;
+    std::vector<value_type> aggs;
+    if (!util::ExpectTag(is, util::MakeTag('T', 'W', 'S', '3'), 1) ||
+        !util::ReadPod(is, &front) || !util::ReadPodVec(is, &vals) ||
+        !util::ReadPodVec(is, &aggs)) {
       return false;
     }
-    if (!(util::ReadPodVec(is, &f_vals_) && util::ReadPodVec(is, &f_aggs_) &&
-          util::ReadPodVec(is, &b_vals_) && util::ReadPodVec(is, &b_aggs_))) {
-      return false;
-    }
-    // A value vector and its aggregate vector describe the same entries.
-    return f_vals_.size() == f_aggs_.size() &&
-           b_vals_.size() == b_aggs_.size();
+    // Values and aggregates describe the same entries, and the front
+    // region is a prefix of them.
+    if (vals.size() != aggs.size() || front > vals.size()) return false;
+    vals_ = std::move(vals);
+    aggs_ = std::move(aggs);
+    cap_ = vals_.size();
+    f_lo_ = 0;
+    f_size_ = static_cast<std::size_t>(front);
+    b_size_ = cap_ - f_size_;
+    return true;
   }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) +
-           (f_vals_.capacity() + f_aggs_.capacity() + b_vals_.capacity() +
-            b_aggs_.capacity()) *
-               sizeof(value_type);
+           (vals_.capacity() + aggs_.capacity()) * sizeof(value_type);
   }
 
  private:
-  /// Moves every entry of B onto F, rebuilding running aggregates so that
-  /// F's top covers all of F in stream order. Costs |B| combines.
-  void Flip() { FlipFrom(0); }
+  std::size_t Wrap(std::size_t i) const { return i >= cap_ ? i - cap_ : i; }
 
-  /// Flips back_[skip..) onto the (empty) front stack: one suffix scan
-  /// over the surviving back values in stream order, then a reversal into
-  /// pop order (front top = .back() = oldest element, carrying the
-  /// aggregate of the whole flipped region).
+  /// The live entries of one of the parallel arrays, in stream order.
+  std::vector<value_type> Linearized(const std::vector<value_type>& a) const {
+    std::vector<value_type> out(size());
+    for (std::size_t k = 0; k < out.size(); ++k) out[k] = a[Wrap(f_lo_ + k)];
+    return out;
+  }
+
+  /// Re-linearizes the live entries (stream order, front region first)
+  /// into a buffer of max(2·capacity, size + m) entries. Kept out of line
+  /// so the per-tuple insert() stays as small as a fixed-capacity one.
   SLICK_REALTIME_ALLOW(
-      "front-stack resize never exceeds the window's high-water capacity — "
-      "a no-op at steady state; the flip itself is the structure's "
-      "amortized-O(1) cost, identical to the per-element variant")
-  void FlipFrom(std::size_t skip) {
-    SLICK_DCHECK(f_vals_.empty(), "flip with non-empty front");
-    const std::size_t m = b_vals_.size() - skip;
-    f_vals_.resize(m);
-    f_aggs_.resize(m);
-    if (m > 0) {
-      ops::SuffixScanValues<Op>(b_vals_.data() + skip, f_aggs_.data(), m,
-                                Op::identity());
-      std::reverse(f_aggs_.begin(), f_aggs_.end());
-      if constexpr (std::is_trivially_copyable_v<value_type>) {
-        std::reverse_copy(b_vals_.begin() +
-                              static_cast<std::ptrdiff_t>(skip),
-                          b_vals_.end(), f_vals_.begin());
-      } else {
-        for (std::size_t i = 0; i < m; ++i) {
-          f_vals_[i] = std::move(b_vals_[skip + m - 1 - i]);
-        }
-      }
+      "allocates only when the window outgrows its buffer — geometric "
+      "growth is amortized O(1) per element, and a fixed-size Windowed "
+      "slide never grows the buffer its identity pre-fill sized")
+  [[gnu::noinline]] void Grow(std::size_t m) {
+    const std::size_t live = size();
+    const std::size_t cap = std::max(2 * cap_, live + m);
+    std::vector<value_type> vals(cap);
+    std::vector<value_type> aggs(cap);
+    for (std::size_t k = 0; k < live; ++k) {
+      const std::size_t i = Wrap(f_lo_ + k);
+      vals[k] = std::move(vals_[i]);
+      aggs[k] = std::move(aggs_[i]);
     }
-    b_vals_.clear();
-    b_aggs_.clear();
+    vals_ = std::move(vals);
+    aggs_ = std::move(aggs);
+    cap_ = cap;
+    f_lo_ = 0;
+  }
 
-    // Post-conditions (always-on, O(1)): the front top carries the
-    // aggregate of the whole flipped region's chain head, and the bottom
-    // entry is the newest element's own value. Exact for integer and
-    // selective ops; floating-point sums reassociate under the wide scan,
-    // and NaN payloads (x == x filters them) are incomparable.
-    if constexpr (std::is_integral_v<value_type> || Op::kSelective) {
+  // Exact ops re-derive the sequential recurrence bit-for-bit from the
+  // vectorized scan; floating-point sums only match up to reassociation,
+  // so the combine-equality postconditions are restricted to these.
+  static constexpr bool kExactScan =
+      std::is_integral_v<value_type> || Op::kSelective;
+
+  /// Converts the back region's prefix aggregates to suffix aggregates in
+  /// place and adopts it as the new front region. The back region starts
+  /// at f_lo_ (the front must be empty) and may wrap; the wrapped tail
+  /// [0, L2) holds the *newer* elements, so it is scanned first and its
+  /// aggregate is carried into the older segment [f_lo_, f_lo_ + L1).
+  void Flip() {
+    SLICK_DCHECK(f_size_ == 0, "flip with non-empty front");
+    const std::size_t m = b_size_;
+    const std::size_t first = std::min(m, cap_ - f_lo_);
+    value_type carry = Op::identity();
+    if (first < m) {
+      ops::SuffixScanValues<Op>(vals_.data(), aggs_.data(), m - first,
+                                std::move(carry));
+      carry = aggs_[0];
+    }
+    ops::SuffixScanValues<Op>(vals_.data() + f_lo_, aggs_.data() + f_lo_,
+                              first, std::move(carry));
+    f_size_ = m;
+    b_size_ = 0;
+
+    // Post-conditions (always-on, O(1)): the newest element's suffix
+    // aggregate is its own value, and the oldest element's aggregate
+    // continues the chain from its successor. Guarded against NaN payloads
+    // (x == x filters them), since a NaN value is incomparable without
+    // being wrong.
+    if constexpr (kExactScan) {
       if (m > 0) {
+        const std::size_t newest = Wrap(f_lo_ + m - 1);
         const value_type expect_new =
-            Op::combine(f_vals_[0], Op::identity());
-        SLICK_CHECK(!(expect_new == expect_new) || f_aggs_[0] == expect_new,
+            Op::combine(vals_[newest], Op::identity());
+        SLICK_CHECK(!(expect_new == expect_new) ||
+                        aggs_[newest] == expect_new,
                     "flip postcondition: newest suffix aggregate");
         if (m > 1) {
-          const value_type expect_top =
-              Op::combine(f_vals_[m - 1], f_aggs_[m - 2]);
-          SLICK_CHECK(
-              !(expect_top == expect_top) || f_aggs_[m - 1] == expect_top,
-              "flip postcondition: top suffix chain");
+          const value_type expect_head =
+              Op::combine(vals_[f_lo_], aggs_[Wrap(f_lo_ + 1)]);
+          SLICK_CHECK(!(expect_head == expect_head) ||
+                          aggs_[f_lo_] == expect_head,
+                      "flip postcondition: head suffix chain");
         }
       }
+#if !defined(NDEBUG)
+      // Debug builds verify the whole suffix chain.
+      for (std::size_t k = 0; k + 1 < m; ++k) {
+        const std::size_t i = Wrap(f_lo_ + k);
+        const value_type expect = Op::combine(vals_[i], aggs_[Wrap(i + 1)]);
+        SLICK_CHECK(!(expect == expect) || aggs_[i] == expect,
+                    "flip postcondition: suffix chain");
+      }
+#endif
     }
   }
 
-  // Stack tops are at .back(). front's top is the oldest window element;
-  // back's top is the newest. vals/aggs are parallel (same length).
-  std::vector<value_type> f_vals_;
-  std::vector<value_type> f_aggs_;
-  std::vector<value_type> b_vals_;
-  std::vector<value_type> b_aggs_;
+  std::vector<value_type> vals_;
+  std::vector<value_type> aggs_;
+  std::size_t cap_ = 0;     // buffer length (== vals_.size())
+  std::size_t f_lo_ = 0;    // oldest front element
+  std::size_t f_size_ = 0;  // front region length (starts at f_lo_)
+  std::size_t b_size_ = 0;  // back region length (follows the front region)
 };
 
 }  // namespace slick::window

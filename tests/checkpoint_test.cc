@@ -4,8 +4,11 @@
 // stream — plus corruption rejection.
 
 #include <cstdint>
+#include <cstring>
+#include <initializer_list>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -190,6 +193,94 @@ void RunFifoRoundTrip(uint64_t seed) {
 }
 
 TEST(CheckpointTest, TwoStacks) { RunFifoRoundTrip<window::TwoStacks<ops::SumInt>>(6); }
+
+// ---------------------------------------------------------------------------
+// TwoStacks at a wrapped buffer position. TWS3 byte layout (versioned, so
+// these offsets are stable for 4 live int64 entries):
+//   [0]  TWS3 tag+version (8)   [8] front length u64
+//   [16] vals count u64         [24] 4 vals, stream order
+//   [56] aggs count u64         [64] 4 aggs, stream order    [96] end
+// ---------------------------------------------------------------------------
+
+/// A capacity-8 TwoStacks (sized by its first bulk insert) whose front
+/// region wraps the buffer's seam — slots [7,8)+[0,1) — with the back
+/// region [1,3) non-empty.
+window::TwoStacks<ops::SumInt> WrappedTwoStacks() {
+  window::TwoStacks<ops::SumInt> agg;
+  const int64_t fill[8] = {5, -3, 8, 13, -21, 34, 2, 1};
+  agg.BulkInsert(fill, 8);
+  for (int i = 0; i < 8; ++i) agg.evict();
+  for (int64_t v : {4, 9, -6, 7, 11, -2}) agg.insert(v);
+  agg.evict();
+  for (int64_t v : {3, 12, -8}) agg.insert(v);
+  for (int i = 0; i < 6; ++i) agg.evict();
+  agg.insert(15);
+  agg.insert(-1);
+  return agg;
+}
+
+std::string SaveTwoStacks(const window::TwoStacks<ops::SumInt>& agg) {
+  std::stringstream ss;
+  agg.SaveState(ss);
+  return ss.str();
+}
+
+bool LoadTwoStacks(const std::string& bytes,
+                   window::TwoStacks<ops::SumInt>* agg) {
+  std::stringstream ss(bytes);
+  return agg->LoadState(ss);
+}
+
+TEST(CheckpointTest, TwoStacksWrappedRoundTrip) {
+  window::TwoStacks<ops::SumInt> original = WrappedTwoStacks();
+  ASSERT_EQ(original.capacity(), 8u);
+  ASSERT_EQ(original.size(), 4u);
+  ASSERT_EQ(original.query(), 12 - 8 + 15 - 1);
+  window::TwoStacks<ops::SumInt> restored;
+  ASSERT_TRUE(LoadTwoStacks(SaveTwoStacks(original), &restored));
+  ASSERT_EQ(restored.size(), original.size());
+  util::SplitMix64 rng(12);
+  for (int i = 0; i < 100; ++i) {
+    if (original.size() >= 6) {
+      original.evict();
+      restored.evict();
+    }
+    const int64_t v = static_cast<int64_t>(rng.NextBounded(1000));
+    original.insert(v);
+    restored.insert(v);
+    ASSERT_EQ(original.query(), restored.query()) << "i=" << i;
+  }
+}
+
+TEST(CheckpointTest, TwoStacksTruncatedRejected) {
+  const std::string bytes = SaveTwoStacks(WrappedTwoStacks());
+  ASSERT_EQ(bytes.size(), 96u);
+  for (std::size_t cut : {std::size_t{0}, std::size_t{6}, std::size_t{12},
+                          std::size_t{20}, std::size_t{40}, std::size_t{60},
+                          bytes.size() - 1}) {
+    window::TwoStacks<ops::SumInt> fresh;
+    EXPECT_FALSE(LoadTwoStacks(bytes.substr(0, cut), &fresh))
+        << "cut=" << cut;
+  }
+}
+
+TEST(CheckpointTest, TwoStacksInconsistentRejected) {
+  const std::string bytes = SaveTwoStacks(WrappedTwoStacks());
+  window::TwoStacks<ops::SumInt> target;
+  for (int64_t v : {7, 3, 5}) target.insert(v);
+
+  std::string long_front = bytes;
+  long_front[8] = 0x05;  // front length 5 > 4 live entries
+  EXPECT_FALSE(LoadTwoStacks(long_front, &target));
+
+  std::string short_aggs = bytes;
+  short_aggs[56] = 0x03;  // 4 values but 3 aggregates
+  EXPECT_FALSE(LoadTwoStacks(short_aggs, &target));
+
+  // Rejected loads leave the target's own window in place.
+  EXPECT_EQ(target.size(), 3u);
+  EXPECT_EQ(target.query(), 15);
+}
 TEST(CheckpointTest, SubtractOnEvict) {
   RunFifoRoundTrip<core::SubtractOnEvict<ops::SumInt>>(7);
 }
@@ -338,6 +429,60 @@ TEST_F(NonInvPayloadTest, TruncatedPayloadRejected) {
         kNodes + 5, bytes_.size() - 1}) {
     EXPECT_FALSE(LoadNonInvMax(bytes_.substr(0, cut))) << "cut=" << cut;
   }
+}
+
+// ---------------------------------------------------------------------------
+// FlatFIT jump-pointer validation: query() hops along jump_ until it meets
+// cur_, so a frame whose pointers leave the window or never reach cur_
+// must be rejected even when its CRC is intact.
+//
+// FIT1 byte layout for window 8 over int64:
+//   [0]  FIT1 tag+version (8)   [8] vals count u64   [16] 8 vals
+//   [80] jump count u64         [88] 8 jumps u32     [120] pos u64
+//   [128] cur u64
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointTest, FlatFitBadJumpPointersRejected) {
+  window::FlatFit<ops::SumInt> agg(8);
+  for (int64_t i = 0; i < 11; ++i) agg.slide(i * 7);
+  (void)agg.query(5);  // compress part of the index
+  std::stringstream raw;
+  agg.SaveState(raw);
+  const std::string bytes = raw.str();
+  ASSERT_EQ(bytes.size(), 136u);
+  uint64_t cur = 0;
+  std::memcpy(&cur, bytes.data() + 128, sizeof(cur));
+  ASSERT_LT(cur, 8u);
+  const std::size_t a = (cur + 2) % 8;  // both off cur_
+  const std::size_t b = (cur + 5) % 8;
+  const auto with_jumps = [&](std::initializer_list<
+                              std::pair<std::size_t, uint32_t>> edits) {
+    std::string out = bytes;
+    for (const auto& [i, target] : edits) {
+      std::memcpy(out.data() + 88 + 4 * i, &target, sizeof(target));
+    }
+    return out;
+  };
+  const auto load_framed = [](const std::string& payload) {
+    std::stringstream framed;
+    util::WriteFramed(framed, payload);
+    window::FlatFit<ops::SumInt> fresh(8);
+    return util::LoadStateFramed(&fresh, framed);
+  };
+
+  EXPECT_EQ(load_framed(bytes), util::FrameError::kOk);
+  // Out of range: query() would read vals_[8].
+  EXPECT_EQ(load_framed(with_jumps({{a, 8u}})),
+            util::FrameError::kBadPayload);
+  EXPECT_EQ(load_framed(with_jumps({{a, 200u}})),
+            util::FrameError::kBadPayload);
+  // A two-node cycle that never reaches cur_: query() would spin forever.
+  EXPECT_EQ(load_framed(with_jumps({{a, static_cast<uint32_t>(b)},
+                                    {b, static_cast<uint32_t>(a)}})),
+            util::FrameError::kBadPayload);
+  // A self-loop is the shortest such cycle.
+  EXPECT_EQ(load_framed(with_jumps({{a, static_cast<uint32_t>(a)}})),
+            util::FrameError::kBadPayload);
 }
 
 TEST(CheckpointTest, WrongStructureTagRejected) {

@@ -3,6 +3,7 @@
 // growth/shrink phases and randomized insert/evict interleavings. DABA's
 // region invariants are additionally brute-force checked after every event.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <type_traits>
@@ -46,12 +47,21 @@ void MaybeCheckInvariants(const Agg& agg) {
 }
 
 /// Steady sliding: fill to `window`, then insert+evict for several laps.
+/// With `exact_capacity`, a bulk insert and evict of `window` elements
+/// first sizes TwoStacks' buffer to exactly the window, so the per-tuple
+/// regions and flips wrap its seam at every offset.
 template <typename Agg>
-void RunSteadyWindow(std::size_t window, uint64_t seed) {
+void RunSteadyWindow(std::size_t window, uint64_t seed,
+                     bool exact_capacity = false) {
   using Op = typename Agg::op_type;
   Agg agg;
   ReferenceAggregator<Op> ref;
   util::SplitMix64 rng(seed);
+  if (exact_capacity) {
+    const std::vector<typename Op::value_type> fill(window, Op::identity());
+    agg.BulkInsert(fill.data(), window);
+    agg.BulkEvict(window);
+  }
   const std::size_t total = 6 * window + 24;
   for (std::size_t i = 0; i < total; ++i) {
     const auto v =
@@ -67,6 +77,11 @@ void RunSteadyWindow(std::size_t window, uint64_t seed) {
     ASSERT_EQ(agg.query(), ref.query())
         << "window=" << window << " event=" << i;
     ASSERT_EQ(agg.size(), ref.size());
+  }
+  if constexpr (requires { agg.capacity(); }) {
+    if (exact_capacity) {
+      ASSERT_EQ(agg.capacity(), window);
+    }
   }
 }
 
@@ -101,9 +116,14 @@ void RunRandomInterleaving(uint64_t seed, std::size_t events = 4000) {
 /// the per-element reference, checked after every batch. Exercises the
 /// vectorized flip (partial and full) and the bulk prefix chain at every
 /// batch/stack-size remainder, at both the scalar and the widest compiled
-/// kernel dispatch level.
+/// kernel dispatch level. A nonzero `window` bounds the live size: the
+/// aggregator is first filled to exactly `window` elements and every later
+/// batch fits the remaining room, so TwoStacks keeps its exactly sized
+/// buffer and its regions (and flips) cross the buffer's wrap seam at
+/// every offset.
 template <typename Agg>
-void RunBulkBatches(uint64_t seed, std::size_t max_batch = 97) {
+void RunBulkBatches(uint64_t seed, std::size_t max_batch = 97,
+                    std::size_t window = 0) {
   using Op = typename Agg::op_type;
   for (const auto level :
        {ops::kernels::SimdLevel::kScalar, ops::kernels::DetectSimdLevel()}) {
@@ -112,9 +132,17 @@ void RunBulkBatches(uint64_t seed, std::size_t max_batch = 97) {
     ReferenceAggregator<Op> ref;
     util::SplitMix64 rng(seed);
     std::vector<typename Op::value_type> batch;
+    for (std::size_t i = 0; i < window; ++i) {
+      batch.push_back(
+          MakeValue<Op>(static_cast<int64_t>(rng.NextBounded(2001)) - 1000));
+      ref.insert(batch.back());
+    }
+    agg.BulkInsert(batch.data(), window);
     for (std::size_t step = 0; step < 300; ++step) {
       batch.clear();
-      const std::size_t m = rng.NextBounded(max_batch + 1);
+      const std::size_t room =
+          window == 0 ? max_batch : std::min(max_batch, window - ref.size());
+      const std::size_t m = rng.NextBounded(room + 1);
       for (std::size_t i = 0; i < m; ++i) {
         batch.push_back(
             MakeValue<Op>(static_cast<int64_t>(rng.NextBounded(2001)) - 1000));
@@ -127,6 +155,11 @@ void RunBulkBatches(uint64_t seed, std::size_t max_batch = 97) {
       for (std::size_t i = 0; i < e; ++i) ref.evict();
       ASSERT_EQ(agg.query(), ref.query()) << "step=" << step << " e=" << e;
       ASSERT_EQ(agg.size(), ref.size());
+    }
+    if constexpr (requires { agg.capacity(); }) {
+      if (window > 0) {
+        ASSERT_EQ(agg.capacity(), window);
+      }
     }
   }
   ops::kernels::SetSimdLevel(ops::kernels::DetectSimdLevel());
@@ -192,6 +225,100 @@ TEST(TwoStacksTest, BulkBatchesMatchReference) {
   RunBulkBatches<TwoStacks<ops::MinInt>>(16);
   RunBulkBatches<TwoStacks<ops::Sum>>(17);
   RunBulkBatches<TwoStacks<ops::Concat>>(18);  // generic (non-kernel) scans
+}
+
+/// Drives the buffer (capacity 8, pinned by the first bulk insert) until
+/// the front region wraps the seam with the back region non-empty, then
+/// inserts past capacity: growth must re-linearize both regions in stream
+/// order, moving the non-trivial Concat values.
+template <typename Op>
+void RunGrowthFromWrappedFront(uint64_t seed) {
+  TwoStacks<Op> agg;
+  ReferenceAggregator<Op> ref;
+  util::SplitMix64 rng(seed);
+  std::vector<typename Op::value_type> batch;
+  const auto insert = [&](std::size_t m) {
+    batch.clear();
+    for (std::size_t i = 0; i < m; ++i) {
+      batch.push_back(
+          MakeValue<Op>(static_cast<int64_t>(rng.NextBounded(2001)) - 1000));
+      ref.insert(batch.back());
+    }
+    agg.BulkInsert(batch.data(), m);
+    ASSERT_EQ(agg.query(), ref.query());
+  };
+  const auto evict = [&](std::size_t m) {
+    for (std::size_t i = 0; i < m; ++i) {
+      agg.evict();
+      ref.evict();
+      ASSERT_EQ(agg.query(), ref.query());
+    }
+  };
+  // Slots 0..7: the first flip fills the front, which drains to empty at
+  // slot 0; back [0,6) flips to front [1,6); back [6,8)+[0,1) flips
+  // across the seam to front [7,8)+[0,1); back [1,3). The next four
+  // inserts fill the buffer and the fifth grows it.
+  insert(8);
+  evict(8);
+  insert(6);
+  evict(1);
+  insert(3);
+  evict(6);
+  insert(2);
+  ASSERT_EQ(agg.capacity(), 8u);
+  ASSERT_EQ(agg.size(), 4u);
+  for (int i = 0; i < 40; ++i) {
+    agg.insert(batch.emplace_back(MakeValue<Op>(i)));
+    ref.insert(batch.back());
+    ASSERT_EQ(agg.query(), ref.query()) << "i=" << i;
+  }
+  EXPECT_GE(agg.capacity(), agg.size());
+  insert(100);  // bulk growth
+  evict(ref.size());
+}
+
+TEST(TwoStacksTest, GrowsPastCapacityWithFrontAcrossWrapSeam) {
+  RunGrowthFromWrappedFront<ops::SumInt>(19);
+  RunGrowthFromWrappedFront<ops::MaxInt>(20);
+  RunGrowthFromWrappedFront<ops::Concat>(21);
+}
+
+// TwoStacks held at an exact capacity: its buffer is sized to the window
+// once and never grows, so every per-tuple and bulk step — flips
+// included — meets the buffer's wrap seam at some offset. The bulk
+// inputs run at the scalar and at the detected SIMD level.
+class RingSweep : public ::testing::TestWithParam<std::size_t> {};
+INSTANTIATE_TEST_SUITE_P(Windows, RingSweep,
+                         ::testing::Values(1, 2, 3, 5, 8, 17, 64, 100),
+                         [](const auto& tpi) {
+                           std::string name("w");
+                           name += std::to_string(tpi.param);
+                           return name;
+                         });
+
+TEST_P(RingSweep, SumMatchesOracle) {
+  RunSteadyWindow<TwoStacks<ops::SumInt>>(GetParam(), 3, true);
+}
+TEST_P(RingSweep, MaxMatchesOracle) {
+  RunSteadyWindow<TwoStacks<ops::MaxInt>>(GetParam(), 4, true);
+}
+TEST_P(RingSweep, ConcatKeepsStreamOrder) {
+  RunSteadyWindow<TwoStacks<ops::Concat>>(GetParam(), 5, true);
+}
+TEST_P(RingSweep, BulkSumMatchesOracle) {
+  RunBulkBatches<TwoStacks<ops::SumInt>>(7, GetParam(), GetParam());
+}
+TEST_P(RingSweep, BulkMaxMatchesOracle) {
+  RunBulkBatches<TwoStacks<ops::MaxInt>>(8, GetParam(), GetParam());
+}
+TEST_P(RingSweep, BulkMinMatchesOracle) {
+  RunBulkBatches<TwoStacks<ops::MinInt>>(9, GetParam(), GetParam());
+}
+TEST_P(RingSweep, BulkSumDoubleMatchesOracle) {
+  RunBulkBatches<TwoStacks<ops::Sum>>(10, GetParam(), GetParam());
+}
+TEST_P(RingSweep, BulkConcatKeepsStreamOrder) {
+  RunBulkBatches<TwoStacks<ops::Concat>>(11, GetParam(), GetParam());
 }
 
 // --------------------------- DABA ------------------------------------------

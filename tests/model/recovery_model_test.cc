@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -389,15 +388,7 @@ void RunScenario(const char* what, int64_t n, std::size_t capacity,
     WireOracles(ow.get(), n);
     return ow;
   });
-  EXPECT_FALSE(r.failed) << what << ": " << r.failure;
-  EXPECT_TRUE(r.exhausted)
-      << what << ": schedule space not exhausted within " << r.schedules
-      << " schedules — raise SLICK_MODEL_MAX_SCHEDULES";
-  EXPECT_GT(r.schedules, 0u);
-  std::printf("[model] %-28s schedules=%llu steps=%llu max_depth=%llu\n",
-              what, static_cast<unsigned long long>(r.schedules),
-              static_cast<unsigned long long>(r.steps),
-              static_cast<unsigned long long>(r.max_depth));
+  ReportAndExpectExhausted(r, what);
 }
 
 /// Death before the first checkpoint exists: recovery must fall back to a

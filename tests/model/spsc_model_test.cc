@@ -23,7 +23,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -308,18 +307,6 @@ ModelConfig ConfigFromEnv() {
   cfg.explore.max_schedules = static_cast<uint64_t>(
       EnvKnob("SLICK_MODEL_MAX_SCHEDULES", 2'000'000));
   return cfg;
-}
-
-void ReportAndExpectExhausted(const ExploreResult& r, const char* what) {
-  EXPECT_FALSE(r.failed) << what << ": " << r.failure;
-  EXPECT_TRUE(r.exhausted)
-      << what << ": bounded schedule space not exhausted within "
-      << r.schedules << " schedules — raise SLICK_MODEL_MAX_SCHEDULES";
-  EXPECT_GT(r.schedules, 0u);
-  std::printf("[model] %-28s schedules=%llu steps=%llu max_depth=%llu\n",
-              what, static_cast<unsigned long long>(r.schedules),
-              static_cast<unsigned long long>(r.steps),
-              static_cast<unsigned long long>(r.max_depth));
 }
 
 // ---------------------------------------------------------------------------

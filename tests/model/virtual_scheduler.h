@@ -36,11 +36,14 @@
 // out of scope — that is what the TSan CI leg and the fuzz suite cover.
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
 
 namespace slick::model {
 
@@ -227,5 +230,19 @@ class ScheduleExplorer {
 
   ExploreOptions opts_;
 };
+
+/// Every model suite's verdict on one exploration: no failing schedule, the
+/// bounded schedule space fully exhausted, and a one-line size report.
+inline void ReportAndExpectExhausted(const ExploreResult& r, const char* what) {
+  EXPECT_FALSE(r.failed) << what << ": " << r.failure;
+  EXPECT_TRUE(r.exhausted)
+      << what << ": bounded schedule space not exhausted within "
+      << r.schedules << " schedules — raise SLICK_MODEL_MAX_SCHEDULES";
+  EXPECT_GT(r.schedules, 0u);
+  std::printf("[model] %-36s schedules=%llu steps=%llu max_depth=%llu\n",
+              what, static_cast<unsigned long long>(r.schedules),
+              static_cast<unsigned long long>(r.steps),
+              static_cast<unsigned long long>(r.max_depth));
+}
 
 }  // namespace slick::model

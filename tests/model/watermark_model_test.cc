@@ -26,7 +26,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -388,15 +387,7 @@ void RunScenario(const char* what, const std::vector<Event>& events,
     WireOracles(ow.get(), events, range);
     return ow;
   });
-  EXPECT_FALSE(r.failed) << what << ": " << r.failure;
-  EXPECT_TRUE(r.exhausted)
-      << what << ": schedule space not exhausted within " << r.schedules
-      << " schedules — raise SLICK_MODEL_MAX_SCHEDULES";
-  EXPECT_GT(r.schedules, 0u);
-  std::printf("[model] %-28s schedules=%llu steps=%llu max_depth=%llu\n",
-              what, static_cast<unsigned long long>(r.schedules),
-              static_cast<unsigned long long>(r.steps),
-              static_cast<unsigned long long>(r.max_depth));
+  ReportAndExpectExhausted(r, what);
 }
 
 /// Out-of-order arrivals with an eviction at the sample: the last-routed

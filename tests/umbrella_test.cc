@@ -14,19 +14,19 @@ TEST(UmbrellaHeaderTest, ExposesTheApi) {
                                                       slick::plan::Pat::kPairs);
   slick::core::PerQueryAdapter<slick::window::TwoStacks<slick::ops::Max>>
       ranged(8, {4, 8});
-  slick::window::TwoStacksRing<slick::ops::SumInt> ring(8);
+  slick::window::TwoStacks<slick::ops::SumInt> stacks;
 
   for (int i = 1; i <= 8; ++i) {
     sum.slide(static_cast<double>(i));
     max.slide(static_cast<double>(i));
     ranged.slide(static_cast<double>(9 - i));
-    ring.insert(i);
+    stacks.insert(i);
   }
   EXPECT_DOUBLE_EQ(sum.query(), 36.0);
   EXPECT_DOUBLE_EQ(max.query(), 8.0);
   EXPECT_DOUBLE_EQ(ranged.query(4), 4.0);
   EXPECT_DOUBLE_EQ(ranged.query(8), 8.0);
-  EXPECT_EQ(ring.query(), 36);
+  EXPECT_EQ(stacks.query(), 36);
   timed.Observe(5, 1.0, [](uint32_t, double) {});
 }
 
