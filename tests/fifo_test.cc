@@ -321,6 +321,23 @@ TEST_P(RingSweep, BulkConcatKeepsStreamOrder) {
   RunBulkBatches<TwoStacks<ops::Concat>>(11, GetParam(), GetParam());
 }
 
+TEST(TwoStacksRingTest, MemoryIsExactlyCapacity) {
+  // A bulk fill of the window sizes the buffer to exactly 2n values —
+  // capacity entries of (val, agg) — and steady sliding, flips included,
+  // never regrows it.
+  TwoStacks<ops::Sum> ring;
+  const std::vector<double> fill(1024, 0.0);
+  ring.BulkInsert(fill.data(), fill.size());
+  EXPECT_EQ(ring.capacity(), 1024u);
+  EXPECT_EQ(ring.memory_bytes(), sizeof(ring) + 1024 * 2 * sizeof(double));
+  for (int i = 0; i < 5000; ++i) {
+    if (ring.size() == 1024) ring.evict();
+    ring.insert(static_cast<double>(i));
+  }
+  EXPECT_EQ(ring.capacity(), 1024u);
+  EXPECT_EQ(ring.memory_bytes(), sizeof(ring) + 1024 * 2 * sizeof(double));
+}
+
 // --------------------------- DABA ------------------------------------------
 
 TEST_P(FifoWindowSweep, DabaSum) {
