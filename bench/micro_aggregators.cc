@@ -13,10 +13,14 @@
 #include "core/slick_deque_noninv.h"
 #include "core/windowed.h"
 #include "engine/acq_engine.h"
+#include "net/frame.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
 #include "telemetry/histogram.h"
 #include "telemetry/sink.h"
+#include "util/crc32.h"
+#include "util/rng.h"
+#include "util/simd_level.h"
 #include "window/b_int.h"
 #include "window/chunked_array_queue.h"
 #include "window/daba.h"
@@ -131,6 +135,35 @@ void BM_HistogramRecord(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_HistogramRecord);
+
+// ---------------------------------------------------------------------
+// CRC32 tiers on one full ingest frame payload (256 tuples = 4112 bytes,
+// the ingest front door's frame size): arg 0 pins the slicing-by-8 table
+// tier (SimdLevel kScalar), arg 1 runs at the host's detected level, which
+// takes the PCLMULQDQ fold where the host has it. Both rows report bytes/s
+// and the label names the level that ran.
+// ---------------------------------------------------------------------
+
+void BM_Crc32(benchmark::State& state) {
+  const util::SimdLevel level = state.range(0) == 0
+                                    ? util::SimdLevel::kScalar
+                                    : util::DetectSimdLevel();
+  const util::SimdLevel saved = util::SetSimdLevel(level);
+  std::string payload(net::kBatchHeaderBytes + 256 * sizeof(net::WireTuple),
+                      '\0');
+  util::SplitMix64 rng(7);
+  for (char& c : payload) c = static_cast<char>(rng.NextU64());
+  uint32_t crc = 0;
+  for (auto _ : state) {
+    crc = util::Crc32(payload, crc);
+    benchmark::DoNotOptimize(crc);
+  }
+  util::SetSimdLevel(saved);
+  state.SetLabel(util::SimdLevelName(level));
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+}
+BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace slick::bench

@@ -45,8 +45,8 @@ inline constexpr std::size_t kBatchHeaderBytes = 4 + 4 + 8;
 namespace detail {
 template <typename T>
   requires std::is_trivially_copyable_v<T>
-void AppendPod(std::string& out, const T& v) {
-  out.append(reinterpret_cast<const char*>(&v), sizeof(T));
+void StorePod(char* p, const T& v) {
+  std::memcpy(p, &v, sizeof(T));
 }
 
 template <typename T>
@@ -61,24 +61,27 @@ T LoadPod(const char* p) {
 /// Appends one complete frame carrying `n` tuples to `out`. The client's
 /// send path and the tests' golden-frame builders share this single
 /// encoder, so a decoder bug cannot hide behind a matching encoder bug in
-/// only one of them.
+/// only one of them. One pass, in place: `out` grows once, the headers
+/// and tuples are written straight into it, and the CRC of the payload
+/// just written is patched into the frame header last.
 inline void EncodeBatch(const WireTuple* tuples, std::size_t n,
                         std::string* out) {
-  std::string payload;
-  payload.reserve(kBatchHeaderBytes + n * sizeof(WireTuple));
-  detail::AppendPod(payload, kIngestBatchTag);
-  detail::AppendPod(payload, kIngestBatchVersion);
-  detail::AppendPod(payload, static_cast<uint64_t>(n));
+  const std::size_t payload_bytes = kBatchHeaderBytes + n * sizeof(WireTuple);
+  const std::size_t base = out->size();
+  out->resize(base + kFrameHeaderBytes + payload_bytes);
+  char* frame = out->data() + base;
+  char* payload = frame + kFrameHeaderBytes;
+  detail::StorePod(frame, util::kFrameMagic);
+  detail::StorePod(frame + 4, util::kFrameVersion);
+  detail::StorePod(frame + 8, static_cast<uint64_t>(payload_bytes));
+  detail::StorePod(payload, kIngestBatchTag);
+  detail::StorePod(payload + 4, kIngestBatchVersion);
+  detail::StorePod(payload + 8, static_cast<uint64_t>(n));
   if (n > 0) {
-    payload.append(reinterpret_cast<const char*>(tuples),
-                   n * sizeof(WireTuple));
+    std::memcpy(payload + kBatchHeaderBytes, tuples, n * sizeof(WireTuple));
   }
-  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
-  detail::AppendPod(*out, util::kFrameMagic);
-  detail::AppendPod(*out, util::kFrameVersion);
-  detail::AppendPod(*out, static_cast<uint64_t>(payload.size()));
-  detail::AppendPod(*out, util::Crc32(payload));
-  out->append(payload);
+  detail::StorePod(frame + 16,
+                   util::Crc32(std::string_view(payload, payload_bytes)));
 }
 
 /// Incremental frame decoder for a TCP byte stream. Feed() buffers raw
@@ -112,22 +115,32 @@ class FrameDecoder {
   explicit FrameDecoder(std::size_t max_frame_bytes = std::size_t{1} << 20)
       : max_frame_bytes_(max_frame_bytes) {}
 
-  /// Appends raw received bytes. Cheap; all parsing happens in Next().
+  /// Appends raw received bytes, first dropping the frames Next() has
+  /// consumed since the last Feed — one move of the unread tail per Feed,
+  /// not one per frame. Cheap; all parsing happens in Next().
   SLICK_REALTIME_ALLOW(
-      "bounded buffering: append is capped by the frame-size admission "
-      "check (max_frame_bytes), and steady-state appends reuse the "
-      "buffer capacity Next() compacts")
-  void Feed(const char* data, std::size_t len) { buf_.append(data, len); }
+      "bounded buffering: a caller that runs Next() to kNeedMore before "
+      "each Feed holds at most one partial frame (< kFrameHeaderBytes + "
+      "max_frame_bytes) plus the appended chunk, and steady-state appends "
+      "reuse the capacity the compaction frees")
+  void Feed(const char* data, std::size_t len) {
+    if (head_ > 0) {
+      buf_.erase(0, head_);
+      head_ = 0;
+    }
+    buf_.append(data, len);
+  }
 
-  /// Tries to decode one frame into *out (overwriting it). Compacts the
-  /// internal buffer as frames are consumed.
+  /// Tries to decode one frame into *out (overwriting it). A decoded frame
+  /// is consumed by advancing a head offset; Feed() compacts.
   SLICK_NODISCARD SLICK_REALTIME_ALLOW(
       "steady-state decode reuses the caller's vector capacity; growth "
       "is bounded by max_frame_bytes / sizeof(WireTuple)")
   Status Next(std::vector<WireTuple>* out) {
     if (error_ != util::FrameError::kOk) return Status::kError;
-    if (buf_.size() < kFrameHeaderBytes) return Status::kNeedMore;
-    const char* p = buf_.data();
+    const std::size_t avail = buffered();
+    if (avail < kFrameHeaderBytes) return Status::kNeedMore;
+    const char* p = buf_.data() + head_;
     if (detail::LoadPod<uint32_t>(p) != util::kFrameMagic) {
       return Poison(util::FrameError::kBadMagic);
     }
@@ -140,7 +153,7 @@ class FrameDecoder {
       // field: the declared length cannot belong to a well-formed stream.
       return Poison(util::FrameError::kTruncated);
     }
-    if (buf_.size() - kFrameHeaderBytes < size) return Status::kNeedMore;
+    if (avail - kFrameHeaderBytes < size) return Status::kNeedMore;
     const uint32_t crc = detail::LoadPod<uint32_t>(p + 16);
     const std::string_view payload(p + kFrameHeaderBytes,
                                    static_cast<std::size_t>(size));
@@ -150,7 +163,7 @@ class FrameDecoder {
     if (!DecodePayload(payload, out)) {
       return Poison(util::FrameError::kBadPayload);
     }
-    buf_.erase(0, kFrameHeaderBytes + static_cast<std::size_t>(size));
+    head_ += kFrameHeaderBytes + static_cast<std::size_t>(size);
     return Status::kFrame;
   }
 
@@ -158,7 +171,7 @@ class FrameDecoder {
   SLICK_NODISCARD util::FrameError error() const { return error_; }
 
   /// Bytes buffered but not yet consumed by a completed frame.
-  std::size_t buffered() const { return buf_.size(); }
+  std::size_t buffered() const { return buf_.size() - head_; }
 
  private:
   SLICK_NODISCARD Status Poison(util::FrameError e) {
@@ -194,6 +207,7 @@ class FrameDecoder {
 
   std::size_t max_frame_bytes_;
   std::string buf_;
+  std::size_t head_ = 0;  ///< start of the unconsumed bytes in buf_
   util::FrameError error_ = util::FrameError::kOk;
 };
 

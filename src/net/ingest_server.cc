@@ -179,15 +179,20 @@ void IngestServer::ReadAndPump(Loop& loop, Connection& c) {
   for (;;) {
     const ssize_t r = ::read(c.fd, buf, sizeof(buf));
     if (r > 0) {
+      // Decode after every read, not once the socket is drained: the
+      // decoder then never holds more than one partial frame plus one
+      // read's worth of bytes (see FrameDecoder::Feed).
       c.decoder.Feed(buf, static_cast<std::size_t>(r));
       c.last_bytes_ns = util::MonotonicNanos();
+      Pump(loop, c);
+      if (c.fd < 0 || c.paused) return;
       continue;
     }
-    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
+    if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     c.eof = true;  // peer closed (r == 0) or hard socket error
-    break;
+    Pump(loop, c);
+    return;
   }
-  Pump(loop, c);
 }
 
 void IngestServer::Pump(Loop& loop, Connection& c) {

@@ -1,18 +1,18 @@
 #pragma once
 
-#include <array>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <istream>
-
-#include "util/annotations.h"
 #include <ostream>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <type_traits>
 #include <vector>
+
+#include "util/annotations.h"
+#include "util/crc32.h"
 
 namespace slick::util {
 
@@ -205,32 +205,6 @@ inline const char* FrameErrorName(FrameError e) {
     case FrameError::kBadPayload: return "bad-payload";
   }
   return "unknown";
-}
-
-namespace detail {
-/// IEEE CRC32 (poly 0xEDB88320), table-driven; the table is computed at
-/// compile time so there is no runtime init order to worry about.
-constexpr std::array<uint32_t, 256> MakeCrc32Table() {
-  std::array<uint32_t, 256> table{};
-  for (uint32_t i = 0; i < 256; ++i) {
-    uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) != 0 ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-inline constexpr std::array<uint32_t, 256> kCrc32Table = MakeCrc32Table();
-}  // namespace detail
-
-inline uint32_t Crc32(std::string_view data, uint32_t seed = 0) {
-  uint32_t crc = ~seed;
-  for (const char ch : data) {
-    crc = detail::kCrc32Table[(crc ^ static_cast<unsigned char>(ch)) & 0xFF] ^
-          (crc >> 8);
-  }
-  return ~crc;
 }
 
 /// Wraps `payload` in the magic+version+size+CRC32 frame.

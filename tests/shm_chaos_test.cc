@@ -100,6 +100,22 @@ TEST(ShmSegmentLayoutTest, VersionTwoGeometryAndHashArePinned) {
   EXPECT_EQ(off(ctl->zombie_fences), 464);
 }
 
+// The header CRC of that same v2 geometry, recorded from the byte-at-a-time
+// CRC the segment format was defined with: every CRC tier must reproduce
+// it, or segments created by an older build stop attaching.
+TEST(ShmSegmentLayoutTest, VersionTwoHeaderCrcIsPinned) {
+  runtime::ShmHeader h{};
+  h.magic = runtime::kShmMagic;
+  h.version = runtime::kShmVersion;
+  h.layout_hash = 0xF67E2A393D0BEFEDull;
+  h.capacity = 1024;
+  h.max_producers = 16;
+  h.slot_size = sizeof(double);
+  h.slot_align = alignof(double);
+  h.total_bytes = 20480;
+  EXPECT_EQ(runtime::ShmHeaderCrc(h), 0x65A9C5B5u);
+}
+
 // The read-only triage path behind `telemetry_dump --shm=<name>`:
 // InspectShmSegment must surface the cursors, the reaper counters and a
 // live producer's in-flight lease row without knowing the slot type, and

@@ -11,6 +11,7 @@
 #include "util/memory.h"
 #include "util/rng.h"
 #include "util/serde.h"
+#include "util/simd_level.h"
 #include "util/stats.h"
 
 namespace slick::util {
@@ -201,7 +202,38 @@ std::string FrameOver(const std::string& payload) {
   return os.str();
 }
 
+std::string Hex(const std::string& bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (const char c : bytes) {
+    const auto b = static_cast<unsigned char>(c);
+    out += kDigits[b >> 4];
+    out += kDigits[b & 0xF];
+  }
+  return out;
+}
+
 }  // namespace
+
+// Golden bytes, recorded from the byte-at-a-time CRC the wire and
+// checkpoint formats were defined with: any CRC tier must reproduce them
+// exactly, or old peers and old checkpoints stop verifying.
+TEST(SerdeFrameTest, EncodeBatchBytesArePinned) {
+  EXPECT_EQ(Hex(GoldenFrame(3)),
+            "534c4b46" "01000000" "4000000000000000" "0fe1fb96"
+            "53494742" "01000000" "0300000000000000"
+            "0100000000000000" "0000000000000000"
+            "0200000000000000" "000000000000e03f"
+            "0300000000000000" "000000000000f03f");
+}
+
+TEST(SerdeFrameTest, WriteFramedBytesArePinned) {
+  std::ostringstream os;
+  WriteFramed(os, "hello checkpoint");
+  EXPECT_EQ(Hex(os.str()),
+            "534c4b46" "01000000" "1000000000000000" "323ce1d5"
+            "68656c6c6f20636865636b706f696e74");
+}
 
 TEST(SerdeFrameTest, ReadFramedRoundTrip) {
   std::ostringstream os;
@@ -443,6 +475,112 @@ TEST(FrameDecoderTest, BufferedAccountsForTheUnconsumedTail) {
   ASSERT_EQ(dec.Next(&out), net::FrameDecoder::Status::kFrame);
   EXPECT_EQ(out.size(), 1u);
   EXPECT_EQ(dec.buffered(), 0u);
+}
+
+TEST(FrameDecoderTest, ManyFramesInOneFeedConsumeInPlace) {
+  // 1000 frames arrive in one Feed. Each Next consumes exactly one frame
+  // from the front, so buffered() falls by one frame per call and the
+  // decoder never shifts the unread tail while it walks the batch.
+  const std::string frame = GoldenFrame(4);
+  std::string stream;
+  for (int i = 0; i < 1000; ++i) stream += frame;
+  net::FrameDecoder dec;
+  dec.Feed(stream.data(), stream.size());
+  std::vector<net::WireTuple> out;
+  for (std::size_t i = 1; i <= 1000; ++i) {
+    ASSERT_EQ(dec.Next(&out), net::FrameDecoder::Status::kFrame) << i;
+    ASSERT_EQ(out.size(), 4u);
+    ASSERT_EQ(dec.buffered(), stream.size() - i * frame.size()) << i;
+  }
+  EXPECT_EQ(dec.Next(&out), net::FrameDecoder::Status::kNeedMore);
+  // The consumed prefix is dropped on the next Feed; decoding resumes.
+  dec.Feed(frame.data(), frame.size() / 2);
+  EXPECT_EQ(dec.buffered(), frame.size() / 2);
+  ASSERT_EQ(dec.Next(&out), net::FrameDecoder::Status::kNeedMore);
+  dec.Feed(frame.data() + frame.size() / 2, frame.size() - frame.size() / 2);
+  ASSERT_EQ(dec.Next(&out), net::FrameDecoder::Status::kFrame);
+  EXPECT_EQ(dec.buffered(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// CRC32 tiers (util/crc32.h): the slicing-by-8 table tier and, where the
+// host has it, the PCLMULQDQ fold tier must both equal the byte-at-a-time
+// definition for every length, start offset and seed. The fold tier runs
+// at kAvx2 and above; kScalar pins the table tier.
+// ---------------------------------------------------------------------
+
+namespace {
+
+uint32_t ReferenceCrc32(std::string_view data, uint32_t seed) {
+  uint32_t crc = ~seed;
+  for (const char ch : data) {
+    crc ^= static_cast<unsigned char>(ch);
+    for (int k = 0; k < 8; ++k) {
+      crc = (crc & 1) != 0 ? 0xEDB88320u ^ (crc >> 1) : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+std::string RandomBytes(SplitMix64& rng, std::size_t n) {
+  std::string s(n, '\0');
+  for (char& c : s) c = static_cast<char>(rng.NextU64());
+  return s;
+}
+
+/// Runs `body` once per distinct CRC tier this host can execute.
+template <typename Body>
+void AtEveryCrcTier(Body body) {
+  const SimdLevel saved = ActiveSimdLevel();
+  for (const SimdLevel level : {SimdLevel::kScalar, DetectSimdLevel()}) {
+    SetSimdLevel(level);
+    SCOPED_TRACE(SimdLevelName(level));
+    body();
+  }
+  SetSimdLevel(saved);
+}
+
+}  // namespace
+
+TEST(Crc32Test, EveryTierMatchesByteAtATimeReference) {
+  constexpr std::size_t kMaxLen = 1100;
+  constexpr std::size_t kOffsets = 16;
+  SplitMix64 rng(0xC3C32u);
+  const std::string buf = RandomBytes(rng, kMaxLen + kOffsets);
+  struct Case {
+    std::string_view data;
+    uint32_t seed;
+    uint32_t want;
+  };
+  std::vector<Case> cases;
+  for (std::size_t len = 0; len <= kMaxLen; ++len) {
+    for (std::size_t off = 0; off < kOffsets; ++off) {
+      const std::string_view data(buf.data() + off, len);
+      // Offset 0 keeps the plain seed-0 CRC; the rest chain from a
+      // random previous result.
+      const auto seed = off == 0 ? 0u : static_cast<uint32_t>(rng.NextU64());
+      cases.push_back({data, seed, ReferenceCrc32(data, seed)});
+    }
+  }
+  AtEveryCrcTier([&] {
+    for (const Case& c : cases) {
+      ASSERT_EQ(Crc32(c.data, c.seed), c.want)
+          << "len " << c.data.size() << " offset " << c.data.data() - buf.data()
+          << " seed " << c.seed;
+    }
+  });
+}
+
+TEST(Crc32Test, ChainingEqualsCrcOfTheConcatenation) {
+  SplitMix64 rng(0xC4A1u);
+  AtEveryCrcTier([&] {
+    for (int round = 0; round < 500; ++round) {
+      const std::string a = RandomBytes(rng, rng.NextBounded(300));
+      const std::string b = RandomBytes(rng, rng.NextBounded(300));
+      ASSERT_EQ(Crc32(b, Crc32(a)), Crc32(a + b))
+          << "|a| " << a.size() << " |b| " << b.size();
+    }
+  });
 }
 
 TEST(MemoryTest, RssReadable) {
