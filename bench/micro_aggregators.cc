@@ -2,6 +2,7 @@
 // final aggregator at a parameterized window size. Complements the
 // experiment binaries with statistically managed per-op timings.
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -15,7 +16,9 @@
 #include "engine/acq_engine.h"
 #include "net/frame.h"
 #include "ops/arith.h"
+#include "ops/kernels.h"
 #include "ops/minmax.h"
+#include "ops/scan_kernels.h"
 #include "telemetry/histogram.h"
 #include "telemetry/sink.h"
 #include "util/crc32.h"
@@ -164,6 +167,89 @@ void BM_Crc32(benchmark::State& state) {
                           static_cast<int64_t>(payload.size()));
 }
 BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
+
+// ---------------------------------------------------------------------
+// Wide fold/scan/survivor kernels (DESIGN.md §16) at n = 4096, one row per
+// compiled SIMD level: the arg is the util::SimdLevel value (0 scalar,
+// 1 NEON, 2 AVX2, 3 AVX-512) and only levels this host can execute are
+// registered. Unlike exp5, which compares the detected level against
+// scalar, this pins each wide tier separately, so a regression confined
+// to one ISA shows up. Rows report elements/s.
+// ---------------------------------------------------------------------
+
+constexpr std::size_t kScanN = 4096;
+
+struct ScanInputs {
+  std::vector<double> dv, dout;
+  std::vector<int64_t> iv, iout;
+  std::vector<uint64_t> mask;
+  std::vector<std::size_t> ranges;  // descending, every entry > 0
+
+  ScanInputs()
+      : dv(kScanN), dout(kScanN), iv(kScanN), iout(kScanN),
+        mask(kScanN / 64), ranges(kScanN) {
+    util::SplitMix64 rng(11);
+    for (std::size_t i = 0; i < kScanN; ++i) {
+      dv[i] = rng.NextDouble() * 1e3;
+      iv[i] = static_cast<int64_t>(rng.NextBounded(1u << 20));
+      ranges[i] = kScanN - i;
+    }
+  }
+};
+
+void ScanLevelArgs(benchmark::internal::Benchmark* b) {
+  const auto best = static_cast<int>(util::DetectSimdLevel());
+#if defined(__aarch64__)
+  const int levels[] = {0, 1};
+#else
+  const int levels[] = {0, 2, 3};
+#endif
+  for (const int l : levels) {
+    if (l <= best) b->Arg(l);
+  }
+}
+
+template <typename Kernel>
+void BM_ScanKernels(benchmark::State& state, Kernel kernel) {
+  const auto level = static_cast<util::SimdLevel>(state.range(0));
+  const util::SimdLevel saved = util::SetSimdLevel(level);
+  ScanInputs in;
+  for (auto _ : state) {
+    kernel(in);
+    benchmark::ClobberMemory();
+  }
+  util::SetSimdLevel(saved);
+  state.SetLabel(util::SimdLevelName(level));
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(kScanN));
+}
+
+BENCHMARK_CAPTURE(BM_ScanKernels, SuffixMax_f64, [](ScanInputs& in) {
+  ops::kernels::SuffixMax(in.dv.data(), in.dout.data(), kScanN,
+                          Max::identity());
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, SuffixMax_i64, [](ScanInputs& in) {
+  ops::kernels::SuffixMax(in.iv.data(), in.iout.data(), kScanN,
+                          ops::MaxInt::identity());
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, PrefixAdd_f64, [](ScanInputs& in) {
+  ops::kernels::PrefixAdd(in.dv.data(), in.dout.data(), kScanN, 0.0);
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, PrefixAdd_i64, [](ScanInputs& in) {
+  ops::kernels::PrefixAdd(in.iv.data(), in.iout.data(), kScanN, int64_t{0});
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, MaxSurvivors_f64, [](ScanInputs& in) {
+  std::fill(in.mask.begin(), in.mask.end(), 0);
+  benchmark::DoNotOptimize(
+      ops::kernels::MaxSurvivors(in.dv.data(), kScanN, in.mask.data()));
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, FoldAdd_f64, [](ScanInputs& in) {
+  benchmark::DoNotOptimize(ops::kernels::FoldAdd(in.dv.data(), kScanN));
+})->Apply(ScanLevelArgs);
+BENCHMARK_CAPTURE(BM_ScanKernels, PrefixCountGreater, [](ScanInputs& in) {
+  benchmark::DoNotOptimize(
+      ops::kernels::PrefixCountGreater(in.ranges.data(), kScanN, 0));
+})->Apply(ScanLevelArgs);
 
 }  // namespace
 }  // namespace slick::bench
