@@ -180,6 +180,7 @@ BENCHMARK(BM_Crc32)->Arg(0)->Arg(1);
 constexpr std::size_t kScanN = 4096;
 
 struct ScanInputs {
+  std::size_t n = kScanN;
   std::vector<double> dv, dout;
   std::vector<int64_t> iv, iout;
   std::vector<uint64_t> mask;
@@ -214,41 +215,44 @@ void BM_ScanKernels(benchmark::State& state, Kernel kernel) {
   const auto level = static_cast<util::SimdLevel>(state.range(0));
   const util::SimdLevel saved = util::SetSimdLevel(level);
   ScanInputs in;
+  benchmark::DoNotOptimize(in.n);  // no kernel call may see a constant size
   for (auto _ : state) {
     kernel(in);
+    benchmark::DoNotOptimize(in.dout.data());
+    benchmark::DoNotOptimize(in.iout.data());
     benchmark::ClobberMemory();
   }
   util::SetSimdLevel(saved);
   state.SetLabel(util::SimdLevelName(level));
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(kScanN));
+                          static_cast<int64_t>(in.n));
 }
 
 BENCHMARK_CAPTURE(BM_ScanKernels, SuffixMax_f64, [](ScanInputs& in) {
-  ops::kernels::SuffixMax(in.dv.data(), in.dout.data(), kScanN,
+  ops::kernels::SuffixMax(in.dv.data(), in.dout.data(), in.n,
                           Max::identity());
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, SuffixMax_i64, [](ScanInputs& in) {
-  ops::kernels::SuffixMax(in.iv.data(), in.iout.data(), kScanN,
+  ops::kernels::SuffixMax(in.iv.data(), in.iout.data(), in.n,
                           ops::MaxInt::identity());
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, PrefixAdd_f64, [](ScanInputs& in) {
-  ops::kernels::PrefixAdd(in.dv.data(), in.dout.data(), kScanN, 0.0);
+  ops::kernels::PrefixAdd(in.dv.data(), in.dout.data(), in.n, 0.0);
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, PrefixAdd_i64, [](ScanInputs& in) {
-  ops::kernels::PrefixAdd(in.iv.data(), in.iout.data(), kScanN, int64_t{0});
+  ops::kernels::PrefixAdd(in.iv.data(), in.iout.data(), in.n, int64_t{0});
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, MaxSurvivors_f64, [](ScanInputs& in) {
   std::fill(in.mask.begin(), in.mask.end(), 0);
   benchmark::DoNotOptimize(
-      ops::kernels::MaxSurvivors(in.dv.data(), kScanN, in.mask.data()));
+      ops::kernels::MaxSurvivors(in.dv.data(), in.n, in.mask.data()));
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, FoldAdd_f64, [](ScanInputs& in) {
-  benchmark::DoNotOptimize(ops::kernels::FoldAdd(in.dv.data(), kScanN));
+  benchmark::DoNotOptimize(ops::kernels::FoldAdd(in.dv.data(), in.n));
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, PrefixCountGreater, [](ScanInputs& in) {
   benchmark::DoNotOptimize(
-      ops::kernels::PrefixCountGreater(in.ranges.data(), kScanN, 0));
+      ops::kernels::PrefixCountGreater(in.ranges.data(), in.n, 0));
 })->Apply(ScanLevelArgs);
 
 }  // namespace

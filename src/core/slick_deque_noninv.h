@@ -195,8 +195,8 @@ class SlickDequeNonInv {
                   Op::lower(node.val));
       // The run's first range already moved its cursor in Seek; the rest
       // are answered by the same node.
-      for (std::size_t k = i + 1; k < i + run; ++k) {
-        if (Cursor* rc = CursorFor(c, ranges_desc[k])) rc->seq = seq;
+      for (std::size_t k = 1; k < run; ++k) {
+        if (Cursor* rc = CursorFor(c, ranges_desc[i + k])) rc->seq = seq;
       }
       i += run;
       // The newest node (age 0) answers every remaining range (r >= 1),

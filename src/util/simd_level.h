@@ -8,8 +8,8 @@
 //
 // One binary carries every variant the compiler can emit for the target
 // architecture (scalar always; AVX2 + AVX-512F on x86-64; NEON on
-// aarch64), each behind a per-function target attribute so the rest of
-// the translation unit stays baseline-ISA portable. The host's best level
+// aarch64), each behind a target attribute or target pragma region so the
+// rest of the translation unit stays baseline-ISA portable. The host's best level
 // is resolved once (__builtin_cpu_supports on x86; compile-time on
 // aarch64, where NEON is mandatory) and cached; after that a level check
 // is one relaxed atomic load.

@@ -8,8 +8,11 @@
 // kernels double as the oracle for every wide variant in one process.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -405,6 +408,125 @@ TEST(ScanKernelsTest, SetSimdLevelClampsToDetected) {
   EXPECT_EQ(kernels::ActiveSimdLevel(), kernels::SimdLevel::kScalar);
   EXPECT_LE(static_cast<int>(prev), static_cast<int>(best));
   kernels::SetSimdLevel(best);
+}
+
+// ------------------------------------------------------------------
+// Special-value payloads: ±Inf, ±0.0 and the smallest denormal (and, for
+// the folds, NaN) at random positions among integer-valued doubles, whose
+// partial sums are exact under any association. Every compiled level must
+// reproduce the scalar level's output bit for bit: memcmp, because
+// EXPECT_EQ takes -0.0 for 0.0 and never matches a NaN.
+// ------------------------------------------------------------------
+
+std::vector<double> SpecialDoubles(std::size_t n, uint64_t seed,
+                                   bool with_nan) {
+  util::SplitMix64 rng(seed);
+  std::vector<double> v(n);
+  for (auto& x : v) {
+    x = static_cast<double>(static_cast<int64_t>(rng.NextBounded(1u << 20)) -
+                            (1 << 19));
+  }
+  // NaN payloads come without infinities: Inf - Inf makes a NaN whose
+  // sign bit differs from quiet_NaN(), and which of two NaNs a sum keeps
+  // is the hardware's choice, not the kernel's.
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> specials =
+      with_nan ? std::vector<double>{std::numeric_limits<double>::quiet_NaN(),
+                                     0.0, -0.0,
+                                     std::numeric_limits<double>::denorm_min()}
+               : std::vector<double>{kInf, -kInf, 0.0, -0.0,
+                                     std::numeric_limits<double>::denorm_min()};
+  for (std::size_t k = 0; n > 0 && k < n / 16 + 1; ++k) {
+    v[rng.NextBounded(n)] = specials[rng.NextBounded(specials.size())];
+  }
+  return v;
+}
+
+// `run()` returns a kernel's output as doubles; it is called once at the
+// scalar level and once per compiled level, and every result must match
+// the scalar one byte for byte.
+template <typename F>
+void ExpectBitIdenticalToScalar(const std::string& what, F&& run) {
+  kernels::SetSimdLevel(kernels::SimdLevel::kScalar);
+  const std::vector<double> expect = run();
+  ForEachCompiledLevel([&](kernels::SimdLevel level) {
+    const std::vector<double> got = run();
+    ASSERT_EQ(got.size(), expect.size()) << what;
+    // memcmp must not see the null data() of an empty output.
+    EXPECT_TRUE(got.empty() || std::memcmp(got.data(), expect.data(),
+                                           got.size() * sizeof(double)) == 0)
+        << what << " level=" << kernels::SimdLevelName(level);
+  });
+}
+
+void ExpectFoldsBitIdentical(bool with_nan) {
+  for (std::size_t n : kSizes) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      const std::vector<double> v = SpecialDoubles(n, 1000 * n + seed, with_nan);
+      const std::string what = "n=" + std::to_string(n) +
+                               " seed=" + std::to_string(seed);
+      ExpectBitIdenticalToScalar("FoldAdd " + what, [&] {
+        return std::vector<double>{kernels::FoldAdd(v.data(), n)};
+      });
+      ExpectBitIdenticalToScalar("FoldMax " + what, [&] {
+        return std::vector<double>{kernels::FoldMax(v.data(), n)};
+      });
+      ExpectBitIdenticalToScalar("FoldMin " + what, [&] {
+        return std::vector<double>{kernels::FoldMin(v.data(), n)};
+      });
+    }
+  }
+}
+
+TEST(KernelsTest, FoldSpecialValuesBitIdenticalToScalar) {
+  ExpectFoldsBitIdentical(/*with_nan=*/false);
+}
+
+TEST(KernelsTest, FoldNaNPayloadsBitIdenticalToScalar) {
+  ExpectFoldsBitIdentical(/*with_nan=*/true);
+}
+
+TEST(ScanKernelsTest, ScanAndSurvivorSpecialValuesBitIdenticalToScalar) {
+  struct Scan {
+    const char* name;
+    void (*fn)(const double*, double*, std::size_t, double);
+  };
+  const Scan scans[] = {
+      {"SuffixAdd", kernels::SuffixAdd}, {"SuffixMax", kernels::SuffixMax},
+      {"SuffixMin", kernels::SuffixMin}, {"PrefixAdd", kernels::PrefixAdd},
+      {"PrefixMax", kernels::PrefixMax}, {"PrefixMin", kernels::PrefixMin}};
+  for (std::size_t n : kSizes) {
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      const std::vector<double> v = SpecialDoubles(n, 2000 * n + seed, false);
+      const std::string what = " n=" + std::to_string(n) +
+                               " seed=" + std::to_string(seed);
+      for (const auto& [name, scan] : scans) {
+        ExpectBitIdenticalToScalar(name + what, [&] {
+          std::vector<double> out(n);
+          scan(v.data(), out.data(), n, 3.0);
+          return out;
+        });
+      }
+      if (n == 0) continue;  // the deque's bulk path never passes m == 0
+      // Survivor output: the batch aggregate, then the mask words.
+      const auto survivors = [&](auto kernel) {
+        std::vector<uint64_t> mask((n + 63) / 64, 0);
+        std::vector<double> out{kernel(v.data(), n, mask.data())};
+        for (uint64_t w : mask) out.push_back(std::bit_cast<double>(w));
+        return out;
+      };
+      ExpectBitIdenticalToScalar("MaxSurvivors" + what, [&] {
+        return survivors([](const double* p, std::size_t m, uint64_t* mask) {
+          return kernels::MaxSurvivors(p, m, mask);
+        });
+      });
+      ExpectBitIdenticalToScalar("MinSurvivors" + what, [&] {
+        return survivors([](const double* p, std::size_t m, uint64_t* mask) {
+          return kernels::MinSurvivors(p, m, mask);
+        });
+      });
+    }
+  }
 }
 
 // Compile-time wiring of the batch traits.
