@@ -9,7 +9,8 @@
 // declares the lane traits the body is written against:
 //
 //   kLanes          64-bit lanes per vector (2, 4 or 8);
-//   LessBits(a, b)  bit j set iff a[j] < b[j] (false on NaN).
+//   LessBits(a, b)  bit j set iff a[j] < b[j] (false on NaN);
+//   Align<S>(hi, lo), only with SLICK_SIMD_NATIVE_ALIGN (see below).
 //
 // Everything else (loads, stores, lane shifts, broadcasts, selects) is
 // plain vector-extension code the compiler lowers for the region's ISA.
@@ -31,7 +32,7 @@ using Vec = typename VecOf<T>::type;
 
 template <typename T>
 SLICK_REALTIME inline Vec<T> Load(const T* p) {
-  Vec<T> x;
+  Vec<T> x{};
   __builtin_memcpy(&x, p, sizeof x);
   return x;
 }
@@ -41,10 +42,13 @@ SLICK_REALTIME inline void Store(T* p, Vec<T> x) {
   __builtin_memcpy(p, &x, sizeof x);
 }
 
-// Each helper expands a pack I = 0..kLanes-1 over the lanes. Lane j of
-// Down<K> is x[j+K] (fill[j] past the top): the suffix scans' shift toward
-// lane 0. Lane j of Up<K> is x[j-K] (fill[j] below lane K): the prefix
-// scans' shift. Broadcast<L> copies lane L to every lane.
+// ForLanes hands `f` the lane pack I = 0..kLanes-1. Align<S>(hi, lo) is
+// lanes S..S+kLanes-1 of the two-vector concatenation lo:hi; a target
+// with a native two-register align (AVX-512's valignq) supplies its own
+// and defines SLICK_SIMD_NATIVE_ALIGN. Lane j of Down<K> is x[j+K], fill
+// past the top: the suffix scans' shift toward lane 0. Lane j of Up<K> is
+// x[j-K], fill below lane K: the prefix scans' shift. Broadcast<L> copies
+// lane L to every lane.
 template <typename F>
 SLICK_REALTIME inline auto ForLanes(F f) {
   return f(std::make_index_sequence<kLanes>{});
@@ -55,18 +59,21 @@ SLICK_REALTIME inline Vec<T> Splat(T s) {
     return Vec<T>{((void)I, s)...};
   });
 }
+#if !defined(SLICK_SIMD_NATIVE_ALIGN)
+template <std::size_t S, typename V>
+SLICK_REALTIME inline V Align(V hi, V lo) {
+  return ForLanes([hi, lo]<std::size_t... I>(std::index_sequence<I...>) {
+    return __builtin_shufflevector(lo, hi, (S + I)...);
+  });
+}
+#endif
 template <std::size_t K, typename V>
 SLICK_REALTIME inline V Down(V x, V fill) {
-  return ForLanes([x, fill]<std::size_t... I>(std::index_sequence<I...>) {
-    return __builtin_shufflevector(x, fill,
-                                   (I + K < kLanes ? I + K : kLanes + I)...);
-  });
+  return Align<K>(fill, x);
 }
 template <std::size_t K, typename V>
 SLICK_REALTIME inline V Up(V x, V fill) {
-  return ForLanes([x, fill]<std::size_t... I>(std::index_sequence<I...>) {
-    return __builtin_shufflevector(x, fill, (I >= K ? I - K : kLanes + I)...);
-  });
+  return Align<kLanes - K>(x, fill);
 }
 template <std::size_t L, typename V>
 SLICK_REALTIME inline V Broadcast(V x) {
@@ -80,7 +87,8 @@ SLICK_REALTIME inline V Broadcast(V x) {
 // vectors `a < b ? b : a` is a lane select, which the compiler lowers to
 // maxpd/minpd (second operand on unordered), a compare + blend, or a
 // native 64-bit max. Dominates(x, c) is the survivor test: x strictly
-// beats the aggregate c of everything after it.
+// beats the aggregate c of everything after it. DominatesBits is its lane
+// form, one bit per lane through the target's LessBits.
 struct LaneAdd {
   template <typename T>
   static constexpr T Identity() { return T{0}; }

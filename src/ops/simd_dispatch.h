@@ -39,12 +39,13 @@ inline constexpr std::size_t kSimdThreshold = 16;
 
 // ------------------------------------------------------------------
 // Per-target instantiation of ops/simd_body.h: each block declares its
-// lane traits (kLanes and the compare-to-bitmask LessBits, the only ISA
-// code the kernels have) and then re-includes the one kernel body inside
-// the target's ISA region. This is the "foreach target" technique of
-// Highway, with nothing added but this file. (-mavx512f implies AVX2, and
-// any host passing the avx512f CPUID test has AVX2.) Under clang the
-// region is an attribute push, so clang-based tools see the same targets.
+// lane traits (kLanes, the compare-to-bitmask LessBits and, on AVX-512,
+// a native Align: the only ISA code the kernels have) and then
+// re-includes the one kernel body inside the target's ISA region. This is
+// the "foreach target" technique of Highway, with nothing added but this
+// file. (-mavx512f implies AVX2, and any host passing the avx512f CPUID
+// test has AVX2.) Under clang the region is an attribute push, so
+// clang-based tools see the same targets.
 // ------------------------------------------------------------------
 
 #if defined(SLICK_SIMD_X86)
@@ -92,9 +93,22 @@ SLICK_REALTIME inline unsigned LessBits(V a, V b) {
     return _mm512_cmplt_epu64_mask(ia, ib);
   }
 }
+// valignq. GCC lowers a two-input __builtin_shufflevector to vpermt2q,
+// which overwrites an input and so costs a register copy per lane shift
+// (15% on the int64 prefix scan here). The all-lanes mask form avoids
+// the unmasked intrinsic's undefined pass-through, which GCC 12 reports
+// as uninitialized when inlined (GCC PR105593).
+template <std::size_t S, typename V>
+SLICK_REALTIME inline V Align(V hi, V lo) {
+  const auto h = reinterpret_cast<__m512i>(hi);
+  return reinterpret_cast<V>(_mm512_mask_alignr_epi64(
+      h, 0xFF, h, reinterpret_cast<__m512i>(lo), S));
+}
 }  // namespace slick::ops::kernels::avx512
 #define SLICK_SIMD_TARGET avx512
+#define SLICK_SIMD_NATIVE_ALIGN 1
 #include "ops/simd_body.h"
+#undef SLICK_SIMD_NATIVE_ALIGN
 #undef SLICK_SIMD_TARGET
 SLICK_SIMD_TARGET_POP()
 

@@ -462,7 +462,8 @@ void ExpectBitIdenticalToScalar(const std::string& what, F&& run) {
 void ExpectFoldsBitIdentical(bool with_nan) {
   for (std::size_t n : kSizes) {
     for (uint64_t seed = 0; seed < 20; ++seed) {
-      const std::vector<double> v = SpecialDoubles(n, 1000 * n + seed, with_nan);
+      const std::vector<double> v =
+          SpecialDoubles(n, 1000 * n + seed, with_nan);
       const std::string what = "n=" + std::to_string(n) +
                                " seed=" + std::to_string(seed);
       ExpectBitIdenticalToScalar("FoldAdd " + what, [&] {
