@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -254,6 +255,37 @@ BENCHMARK_CAPTURE(BM_ScanKernels, PrefixCountGreater, [](ScanInputs& in) {
   benchmark::DoNotOptimize(
       ops::kernels::PrefixCountGreater(in.ranges.data(), in.n, 0));
 })->Apply(ScanLevelArgs);
+
+// ---------------------------------------------------------------------
+// SlickDeque (Inv) answer lookup: query(range) with k registered ranges
+// (the arg) spread evenly over a 65536-partial window, probed in a fixed
+// shuffled order that visits every registered range. Nothing slides, so
+// the row prices the answers-map lookup alone; the answers' values do not
+// affect it.
+// ---------------------------------------------------------------------
+
+void BM_InvQueryRange(benchmark::State& state) {
+  constexpr std::size_t kWindow = std::size_t{1} << 16;
+  const auto k = static_cast<std::size_t>(state.range(0));
+  std::vector<std::size_t> ranges(k);
+  for (std::size_t i = 0; i < k; ++i) ranges[i] = (i + 1) * kWindow / k;
+  const core::SlickDequeInv<Sum> agg(kWindow, ranges);
+  std::vector<std::size_t> probes;
+  while (probes.size() < std::max<std::size_t>(k, 4096)) {
+    probes.insert(probes.end(), ranges.begin(), ranges.end());
+  }
+  util::SplitMix64 rng(13);
+  for (std::size_t i = probes.size(); i > 1; --i) {
+    std::swap(probes[i - 1], probes[rng.NextBounded(i)]);
+  }
+  std::size_t pi = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(agg.query(probes[pi]));
+    pi = pi + 1 == probes.size() ? 0 : pi + 1;
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_InvQueryRange)->Arg(1)->Arg(6)->Arg(1024)->Arg(65536);
 
 }  // namespace
 }  // namespace slick::bench
