@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -9,6 +11,7 @@
 #include "ops/traits.h"
 #include "util/annotations.h"
 #include "util/check.h"
+#include "util/math.h"
 #include "util/serde.h"
 
 namespace slick::core {
@@ -23,7 +26,8 @@ namespace slick::core {
 /// Complexity (Table 1): exactly 2 operations per slide single-query, 2n in
 /// the max-multi-query environment. Space: n + (one value per distinct
 /// registered range), i.e. n+1 single-query and 2n max-multi-query — the
-/// lowest of all compared algorithms.
+/// lowest of all compared algorithms. The answers map's hashed index adds
+/// 8–16 bytes per registered range (see RangeIndex).
 ///
 /// The inverse is applied as `inverse(ans ⊕ new, expiring)`, which assumes a
 /// commutative ⊕ (true of every invertible op in this library; a
@@ -52,6 +56,7 @@ class SlickDequeInv {
       SLICK_CHECK(r >= 1 && r <= window, "registered range out of bounds");
       answers_.push_back(Answer{r, Op::identity()});
     }
+    index_ = RangeIndex(answers_);
   }
 
   /// Stores the newest partial and refreshes every registered answer:
@@ -125,14 +130,19 @@ class SlickDequeInv {
   /// Answer for the full window (must be a registered range).
   SLICK_REALTIME result_type query() const { return query(window_); }
 
-  /// Answer for a registered range — a lookup, no aggregate operations.
+  /// Answer for a registered range — no aggregate operations. The lookup
+  /// is one probe of the hashed answers map (RangeIndex): a multiply, a
+  /// slot load and a range compare, independent of how many ranges are
+  /// registered.
   SLICK_REALTIME result_type query(std::size_t range) const {
-    const Answer* a = Find(range);
+    const Answer* a = index_.Find(answers_, range);
     SLICK_CHECK(a != nullptr, "queried range was not registered");
     return Op::lower(a->value);
   }
 
-  bool has_range(std::size_t range) const { return Find(range) != nullptr; }
+  bool has_range(std::size_t range) const {
+    return index_.Find(answers_, range) != nullptr;
+  }
 
   /// Visits every registered (range, answer) pair in ascending range order
   /// — the idiomatic way to drain the answers map each slide in a
@@ -155,32 +165,44 @@ class SlickDequeInv {
   }
 
   /// Restores a checkpoint, replacing the current state (including the
-  /// registered ranges).
+  /// window size and the registered ranges). Transactional: the frame is
+  /// parsed and validated into temporaries, and a rejected frame (false)
+  /// leaves this instance untouched.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
     if (!util::ExpectTag(is, util::MakeTag('S', 'D', 'I', '1'), 1)) {
       return false;
     }
+    std::vector<value_type> partials;
+    std::vector<Answer> answers;
     uint64_t pos = 0;
-    if (!util::ReadPodVec(is, &partials_) || !util::ReadPodVec(is, &answers_) ||
+    if (!util::ReadPodVec(is, &partials) || !util::ReadPodVec(is, &answers) ||
         !util::ReadPod(is, &pos)) {
       return false;
     }
-    if (partials_.empty() || answers_.empty() || pos >= partials_.size()) {
+    if (partials.empty() || answers.empty() || pos >= partials.size()) {
       return false;
     }
-    window_ = partials_.size();
-    pos_ = static_cast<std::size_t>(pos);
-    for (const Answer& a : answers_) {
-      if (a.range < 1 || a.range > window_) return false;
+    // Ranges must be strictly ascending (hence unique) and within the
+    // restored window, as the constructor leaves them.
+    std::size_t prev = 0;
+    for (const Answer& a : answers) {
+      if (a.range <= prev || a.range > partials.size()) return false;
+      prev = a.range;
     }
+    RangeIndex index(answers);
+    window_ = partials.size();
+    partials_.swap(partials);
+    answers_.swap(answers);
+    index_ = std::move(index);
+    pos_ = static_cast<std::size_t>(pos);
     return true;
   }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + partials_.capacity() * sizeof(value_type) +
-           answers_.capacity() * sizeof(Answer);
+           answers_.capacity() * sizeof(Answer) + index_.bytes();
   }
 
  private:
@@ -209,18 +231,72 @@ class SlickDequeInv {
     std::copy(src + first, src + len, partials_.data());
   }
 
-  const Answer* Find(std::size_t range) const {
-    auto it = std::lower_bound(
-        answers_.begin(), answers_.end(), range,
-        [](const Answer& a, std::size_t r) { return a.range < r; });
-    if (it == answers_.end() || it->range != range) return nullptr;
-    return &*it;
-  }
+  /// The answers map's index: an open-addressing table from a registered
+  /// range to its position in answers_. It has 2^b slots, the least power
+  /// of two >= twice the range count (so every probe run ends at an empty
+  /// slot), a multiplicative (Fibonacci) hash — the top b bits of
+  /// range * 2^64/φ — and linear probing. A slot is a 4-byte position, so
+  /// the table costs 8 to 16 bytes per range, 8 bytes in all for a single
+  /// range. Copies are deep, so SlickDequeInv stays copyable.
+  class RangeIndex {
+   public:
+    RangeIndex() = default;
+
+    explicit RangeIndex(const std::vector<Answer>& answers)
+        : shift_(64 - util::CeilLog2(2 * answers.size())),
+          slots_(std::make_unique<uint32_t[]>(size())) {
+      SLICK_CHECK(answers.size() < kEmpty, "too many registered ranges");
+      std::fill_n(slots_.get(), size(), kEmpty);
+      for (std::size_t i = 0; i < answers.size(); ++i) {
+        std::size_t s = Home(answers[i].range);
+        while (slots_[s] != kEmpty) s = Next(s);
+        slots_[s] = static_cast<uint32_t>(i);
+      }
+    }
+
+    RangeIndex(const RangeIndex& other)
+        : shift_(other.shift_),
+          slots_(other.slots_ ? std::make_unique<uint32_t[]>(other.size())
+                              : nullptr) {
+      if (slots_) std::copy_n(other.slots_.get(), size(), slots_.get());
+    }
+    RangeIndex& operator=(const RangeIndex& other) {
+      return *this = RangeIndex(other);
+    }
+    RangeIndex(RangeIndex&&) noexcept = default;
+    RangeIndex& operator=(RangeIndex&&) noexcept = default;
+
+    const Answer* Find(const std::vector<Answer>& answers,
+                       std::size_t range) const {
+      for (std::size_t s = Home(range);; s = Next(s)) {
+        const uint32_t i = slots_[s];
+        if (i == kEmpty) return nullptr;
+        if (answers[i].range == range) return &answers[i];
+      }
+    }
+
+    std::size_t bytes() const { return slots_ ? size() * sizeof(uint32_t) : 0; }
+
+   private:
+    static constexpr uint32_t kEmpty = UINT32_MAX;
+    static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
+
+    std::size_t size() const { return std::size_t{1} << (64 - shift_); }
+    std::size_t Home(std::size_t range) const {
+      return static_cast<std::size_t>((uint64_t{range} * kFibonacci) >> shift_);
+    }
+    std::size_t Next(std::size_t s) const { return (s + 1) & (size() - 1); }
+
+    uint32_t shift_ = 63;  // 64 - b
+    std::unique_ptr<uint32_t[]> slots_;
+  };
 
   std::size_t window_;
   std::vector<value_type> partials_;
   std::vector<Answer> answers_;  // sorted by range ascending
   std::size_t pos_ = 0;  // next write position
+  // Last, so the members slide() reads keep their offsets in one line.
+  RangeIndex index_;  // range -> position in answers_
 };
 
 }  // namespace slick::core

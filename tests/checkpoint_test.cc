@@ -3,6 +3,7 @@
 // uninterrupted original — byte-for-byte answers over the rest of the
 // stream — plus corruption rejection.
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <initializer_list>
@@ -159,6 +160,92 @@ TEST(CheckpointTest, SlickDequeInvWithRanges) {
       ASSERT_EQ(original.query(r), restored.query(r));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// SDI1 frame validation. Layout: tag+version (8), partials as a counted
+// vector, answers as a counted vector of {range u64, value}, pos u64.
+// ---------------------------------------------------------------------------
+
+struct InvAnswer {  // SlickDequeInv<SumInt>'s answer record
+  uint64_t range;
+  int64_t value;
+};
+
+std::string SdiFrame(const std::vector<int64_t>& partials,
+                     const std::vector<InvAnswer>& answers, uint64_t pos) {
+  std::stringstream ss;
+  util::WriteTag(ss, util::MakeTag('S', 'D', 'I', '1'), 1);
+  util::WritePodVec(ss, partials);
+  util::WritePodVec(ss, answers);
+  util::WritePod<uint64_t>(ss, pos);
+  return ss.str();
+}
+
+std::string SaveInv(const core::SlickDequeInv<ops::SumInt>& agg) {
+  std::stringstream ss;
+  agg.SaveState(ss);
+  return ss.str();
+}
+
+TEST(CheckpointTest, SlickDequeInvBadFramesRejectedTargetUntouched) {
+  using Agg = core::SlickDequeInv<ops::SumInt>;
+  Agg target(31, {31, 7, 3});
+  for (int64_t v = 1; v <= 40; ++v) target.slide(v);
+  Agg twin = target;  // same state, never offered a frame
+  const std::string before = SaveInv(target);
+  ASSERT_EQ(before, SaveInv(twin));
+
+  const std::vector<std::string> frames = {
+      // A range larger than the frame's own 4-partial window.
+      SdiFrame({1, 2, 3, 4}, {{31, 10}}, 0),
+      // Ranges out of order: the index and slide() assume ascending.
+      SdiFrame({1, 2, 3, 4, 5, 6, 7, 8}, {{8, 36}, {3, 21}, {5, 30}}, 0),
+      // A duplicated range.
+      SdiFrame({1, 2, 3, 4, 5, 6, 7, 8}, {{3, 21}, {3, 21}}, 0),
+  };
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    std::stringstream ss(frames[f]);
+    EXPECT_FALSE(target.LoadState(ss)) << "frame " << f;
+    EXPECT_EQ(SaveInv(target), before) << "frame " << f;
+  }
+  // The target still slides and answers over its own geometry.
+  for (int64_t v = 41; v <= 100; ++v) {
+    target.slide(v);
+    twin.slide(v);
+    for (std::size_t r : {std::size_t{3}, std::size_t{7}, std::size_t{31}}) {
+      ASSERT_EQ(target.query(r), twin.query(r)) << "v=" << v << " r=" << r;
+    }
+  }
+}
+
+TEST(CheckpointTest, SlickDequeInvRestoreAdoptsNewRangeSet) {
+  using Agg = core::SlickDequeInv<ops::SumInt>;
+  const std::vector<std::size_t> ranges = {1, 5, 17, 40, 64};
+  Agg original(64, ranges);
+  util::SplitMix64 rng(9);
+  for (int i = 0; i < 150; ++i) {
+    original.slide(static_cast<int64_t>(rng.NextBounded(1000)));
+  }
+  std::stringstream ss;
+  original.SaveState(ss);
+  Agg restored(31, {31, 7, 3});
+  ASSERT_TRUE(restored.LoadState(ss));
+  EXPECT_EQ(restored.window_size(), 64u);
+  for (std::size_t r = 1; r <= 64; ++r) {
+    const bool registered =
+        std::find(ranges.begin(), ranges.end(), r) != ranges.end();
+    EXPECT_EQ(restored.has_range(r), registered) << "r=" << r;
+  }
+  for (int i = 0; i < 100; ++i) {
+    const int64_t v = static_cast<int64_t>(rng.NextBounded(1000));
+    original.slide(v);
+    restored.slide(v);
+    for (std::size_t r : ranges) {
+      ASSERT_EQ(original.query(r), restored.query(r)) << "i=" << i;
+    }
+  }
+  EXPECT_EQ(SaveInv(original), SaveInv(restored));
 }
 
 // ---------------------------------------------------------------------------

@@ -499,6 +499,136 @@ TEST(FixedWindowEdgeTest, SlickDequeInvUnregisteredRangeIsRejected) {
   EXPECT_DEATH(inv.query(5), "not registered");
 }
 
+// --------------------- SlickDeque (Inv) answers-map index ----------------
+//
+// SlickDequeInv finds a range's answer through a hashed index. For every
+// r in [1, n], has_range(r) must agree with a sorted-vector reference and
+// query(r) with a reference window, after slides, batch slides, in-window
+// updates and a checkpoint round trip.
+
+struct InvIndexCase {
+  const char* name;
+  std::size_t window;
+  std::vector<std::size_t> ranges;  // empty: the default (full window only)
+};
+
+void PrintTo(const InvIndexCase& c, std::ostream* os) { *os << c.name; }
+
+/// Reference window: a ring of the last n partials, 0 = the newest.
+class InvReference {
+ public:
+  explicit InvReference(std::size_t n) : ring_(n, 0) {}
+  void slide(int64_t v) {
+    ring_[pos_] = v;
+    pos_ = pos_ + 1 == ring_.size() ? 0 : pos_ + 1;
+  }
+  int64_t& at_age(std::size_t age) {
+    return ring_[(pos_ + ring_.size() - 1 - age) % ring_.size()];
+  }
+  /// sums[r] = sum of the r newest partials, r in [0, n].
+  std::vector<int64_t> SuffixSums() {
+    std::vector<int64_t> sums(ring_.size() + 1, 0);
+    for (std::size_t r = 1; r <= ring_.size(); ++r) {
+      sums[r] = sums[r - 1] + at_age(r - 1);
+    }
+    return sums;
+  }
+
+ private:
+  std::vector<int64_t> ring_;
+  std::size_t pos_ = 0;
+};
+
+void ExpectIndexMatches(const SlickDequeInv<ops::SumInt>& agg,
+                        const std::vector<std::size_t>& sorted,
+                        InvReference& ref, const char* phase) {
+  const std::vector<int64_t> sums = ref.SuffixSums();
+  for (std::size_t r = 1; r < sums.size(); ++r) {
+    const bool registered = std::binary_search(sorted.begin(), sorted.end(), r);
+    ASSERT_EQ(agg.has_range(r), registered) << phase << " r=" << r;
+    if (registered) {
+      ASSERT_EQ(agg.query(r), sums[r]) << phase << " r=" << r;
+    }
+  }
+}
+
+class InvIndexTest : public ::testing::TestWithParam<InvIndexCase> {};
+
+TEST_P(InvIndexTest, AgreesWithSortedReference) {
+  const InvIndexCase& c = GetParam();
+  const std::size_t n = c.window;
+  std::vector<std::size_t> sorted =
+      c.ranges.empty() ? std::vector<std::size_t>{n} : c.ranges;
+  std::sort(sorted.begin(), sorted.end());
+  SlickDequeInv<ops::SumInt> agg(n, c.ranges);
+  InvReference ref(n);
+  util::SplitMix64 rng(n);
+  auto next = [&rng] { return static_cast<int64_t>(rng.NextBounded(1000)); };
+
+  ExpectIndexMatches(agg, sorted, ref, "fresh");
+  for (std::size_t i = 0; i < n + 17; ++i) {
+    const int64_t v = next();
+    agg.slide(v);
+    ref.slide(v);
+  }
+  ExpectIndexMatches(agg, sorted, ref, "slide");
+
+  // A batch shorter than the window, then one that replaces all of it.
+  for (const std::size_t len : {n / 3 + 1, n + 3}) {
+    std::vector<int64_t> batch(len);
+    for (int64_t& v : batch) v = next();
+    agg.BulkSlide(batch.data(), batch.size());
+    for (const int64_t v : batch) ref.slide(v);
+    ExpectIndexMatches(agg, sorted, ref, "BulkSlide");
+  }
+
+  for (const std::size_t age : {std::size_t{0}, n / 2, n - 1}) {
+    const int64_t v = next();
+    agg.UpdateAt(age, v);
+    ref.at_age(age) = v;
+  }
+  ExpectIndexMatches(agg, sorted, ref, "UpdateAt");
+
+  std::stringstream ss;
+  agg.SaveState(ss);
+  SlickDequeInv<ops::SumInt> restored(1);
+  ASSERT_TRUE(restored.LoadState(ss));
+  ExpectIndexMatches(restored, sorted, ref, "LoadState");
+  for (int i = 0; i < 5; ++i) {
+    const int64_t v = next();
+    restored.slide(v);
+    ref.slide(v);
+  }
+  ExpectIndexMatches(restored, sorted, ref, "slide after LoadState");
+}
+
+std::vector<std::size_t> RangesFromOneTo(std::size_t n) {
+  std::vector<std::size_t> r(n);
+  std::iota(r.begin(), r.end(), std::size_t{1});
+  return r;
+}
+
+std::vector<std::size_t> MultiplesOf(std::size_t step, std::size_t n) {
+  std::vector<std::size_t> r;
+  for (std::size_t x = step; x <= n; x += step) r.push_back(x);
+  return r;
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RangeSets, InvIndexTest,
+    ::testing::Values(
+        InvIndexCase{"SingleRange", 64, {}},
+        // The distinct ranges (in partials) of the eight-ACQ Pairs plan
+        // (100,1) (1000,10) (6000,100) (30000,100) (90000,1000)
+        // (360000,1000) (6000,1) (30000,10): one partial per tuple.
+        InvIndexCase{"AcqSumPlan",
+                     360000,
+                     {6000, 100, 360000, 1000, 90000, 30000}},
+        // Multiples of 2^12 share their low 12 bits.
+        InvIndexCase{"SharedLowBits", 1 << 16, MultiplesOf(1 << 12, 1 << 16)},
+        InvIndexCase{"EveryRange", 300, RangesFromOneTo(300)}),
+    [](const auto& tpi) { return std::string(tpi.param.name); });
+
 TEST(FixedWindowEdgeTest, SlickDequeNonInvNodeCountStaysOneOnAscending) {
   // Each new maximum evicts the whole deque: the best-case space regime
   // (§4.2 — "constant (2)").
