@@ -3,7 +3,10 @@
 // experiment binaries with statistically managed per-op timings.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <functional>
+#include <iterator>
 #include <string>
 #include <utility>
 #include <vector>
@@ -286,6 +289,65 @@ void BM_InvQueryRange(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_InvQueryRange)->Arg(1)->Arg(6)->Arg(1024)->Arg(65536);
+
+// ---------------------------------------------------------------------
+// SlickDeque (Non-Inv) on the acq-max plan shape: a 360000-partial window
+// with its six distinct ranges registered, fed the synthetic energy
+// series scaled by 1000 and rounded (as the benchmark's reference input).
+// Arg 0 prices slide() alone; arg 1 adds each step's query_multi over the
+// ranges of the eight ACQs that report at that step (slides 1, 10, 100,
+// 1000, so the schedule repeats every 1000 partials). The difference of
+// the two rows is the answer layer's cost per partial.
+// ---------------------------------------------------------------------
+
+void BM_NonInvSlide(benchmark::State& state) {
+  constexpr std::size_t kWindow = 360000;
+  constexpr std::size_t kPeriod = 1000;
+  struct Acq {
+    std::size_t range, slide;
+  };
+  constexpr Acq kAcqs[] = {{100, 1},      {1000, 10},     {6000, 100},
+                           {30000, 100},  {90000, 1000},  {360000, 1000},
+                           {6000, 1},     {30000, 10}};
+  const bool answer = state.range(0) != 0;
+  static const std::vector<double>* input = [] {
+    auto* v = new std::vector<double>(EnergySeries(1 << 20, 1));
+    for (double& x : *v) x = std::round(x * 1000.0);
+    return v;
+  }();
+  std::vector<std::vector<std::size_t>> steps(kPeriod);
+  std::vector<std::size_t> registered;
+  for (const Acq& q : kAcqs) registered.push_back(q.range);
+  for (std::size_t s = 0; s < kPeriod; ++s) {
+    for (const Acq& q : kAcqs) {
+      if ((s + 1) % q.slide == 0) steps[s].push_back(q.range);
+    }
+    std::sort(steps[s].begin(), steps[s].end(), std::greater<>());
+  }
+  core::SlickDequeNonInv<Max> agg(kWindow, registered);
+  std::size_t di = 0;
+  for (std::size_t i = 0; i < kWindow; ++i) {
+    agg.slide((*input)[di]);
+    di = di + 1 == input->size() ? 0 : di + 1;
+  }
+  std::vector<double> out;
+  out.reserve(std::size(kAcqs));
+  std::size_t step = 0;
+  for (auto _ : state) {
+    agg.slide((*input)[di]);
+    di = di + 1 == input->size() ? 0 : di + 1;
+    if (answer) {
+      out.clear();
+      agg.query_multi(steps[step], out);
+      benchmark::DoNotOptimize(out.data());
+    }
+    step = step + 1 == kPeriod ? 0 : step + 1;
+  }
+  benchmark::DoNotOptimize(agg.query());
+  state.SetLabel(answer ? "slide+query_multi" : "slide");
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_NonInvSlide)->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace slick::bench
