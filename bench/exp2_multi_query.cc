@@ -9,11 +9,9 @@
 // quadratically, FlatFAT/B-Int as n·log(n). TwoStacks and DABA are absent —
 // they do not support multi-query execution (§2.2).
 //
-// A second sweep fixes the window and varies the registered query COUNT
-// (ranges evenly spaced over 1..window): the SlideSide-style fused
-// query_multi answer walk vs one query() probe per range, plus the fused
-// walk pinned to scalar kernels — the paired rows gate the vectorized
-// PrefixCountGreater walk against its scalar twin (DESIGN.md §16).
+// A second sweep fixes the window and varies the query COUNT (ranges
+// evenly spaced over 1..window): the shared query_multi answer walk vs one
+// query() probe per range.
 //
 // Flags: --max-exp=N (default 12)  --budget-ms=M (default 200)
 //        --max-slides=T (default 262144)  --op=sum|max|both  --seed=S
@@ -29,7 +27,6 @@
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
 #include "ops/arith.h"
-#include "ops/kernels.h"
 #include "ops/minmax.h"
 #include "window/b_int.h"
 #include "window/daba.h"
@@ -238,9 +235,9 @@ void RunQueryCountSweep(const char* opname, const Config& cfg,
                         const std::vector<double>& data, JsonReport& report) {
   const std::size_t window = cfg.qc_window;
   std::printf(
-      "\nExp2(c) %s: Manswers/s vs registered query count, window %zu\n"
-      "%8s %14s %14s %14s\n",
-      opname, window, "# nq", "multi", "multi-scalar", "per-query");
+      "\nExp2(c) %s: Manswers/s vs query count, window %zu\n"
+      "%8s %14s %14s\n",
+      opname, window, "# nq", "multi", "per-query");
   Checksum cs;
   for (std::size_t nq = 1; nq <= window; nq *= 4) {
     std::printf("%8zu", nq);
@@ -255,13 +252,6 @@ void RunQueryCountSweep(const char* opname, const Config& cfg,
     };
     point("slick-noninv-multi",
           RunQueryCountPoint<Op>(window, nq, true, data, cfg, cs));
-    {
-      const auto prev =
-          ops::kernels::SetSimdLevel(ops::kernels::SimdLevel::kScalar);
-      point("slick-noninv-multi-scalar",
-            RunQueryCountPoint<Op>(window, nq, true, data, cfg, cs));
-      ops::kernels::SetSimdLevel(prev);
-    }
     point("slick-noninv-single",
           RunQueryCountPoint<Op>(window, nq, false, data, cfg, cs));
     std::printf("\n");

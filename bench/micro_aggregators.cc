@@ -188,16 +188,14 @@ struct ScanInputs {
   std::vector<double> dv, dout;
   std::vector<int64_t> iv, iout;
   std::vector<uint64_t> mask;
-  std::vector<std::size_t> ranges;  // descending, every entry > 0
 
   ScanInputs()
       : dv(kScanN), dout(kScanN), iv(kScanN), iout(kScanN),
-        mask(kScanN / 64), ranges(kScanN) {
+        mask(kScanN / 64) {
     util::SplitMix64 rng(11);
     for (std::size_t i = 0; i < kScanN; ++i) {
       dv[i] = rng.NextDouble() * 1e3;
       iv[i] = static_cast<int64_t>(rng.NextBounded(1u << 20));
-      ranges[i] = kScanN - i;
     }
   }
 };
@@ -253,10 +251,6 @@ BENCHMARK_CAPTURE(BM_ScanKernels, MaxSurvivors_f64, [](ScanInputs& in) {
 })->Apply(ScanLevelArgs);
 BENCHMARK_CAPTURE(BM_ScanKernels, FoldAdd_f64, [](ScanInputs& in) {
   benchmark::DoNotOptimize(ops::kernels::FoldAdd(in.dv.data(), in.n));
-})->Apply(ScanLevelArgs);
-BENCHMARK_CAPTURE(BM_ScanKernels, PrefixCountGreater, [](ScanInputs& in) {
-  benchmark::DoNotOptimize(
-      ops::kernels::PrefixCountGreater(in.ranges.data(), in.n, 0));
 })->Apply(ScanLevelArgs);
 
 // ---------------------------------------------------------------------

@@ -14,24 +14,40 @@
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/serde.h"
-#include "window/chunked_array_queue.h"
 
 namespace slick::core {
 
 /// SlickDeque (Non-Inv) — the paper's Algorithm 2: final aggregation for
 /// *non-invertible* (selective) operations. The window is represented by a
-/// deque of (pos, val) nodes, allocated in chunks, that stays monotone under
-/// ⊕ from head to tail: the head holds the answer for the whole window, and
-/// the answer for any shorter range is the first node (from the head) whose
-/// position falls inside the range.
+/// deque of (t, val) nodes that stays monotone under ⊕ from head to tail:
+/// the head holds the answer for the whole window, and the answer for any
+/// shorter range is the first node (from the head) whose partial falls
+/// inside the range.
 ///
-/// Per slide: the head node is dropped if it expires (its position is
-/// exactly one window old), then incoming partial `v` evicts every tail
-/// node it dominates (combine(tail, v) == v — such nodes can never be an
-/// answer again), and a new node is appended. Amortized cost is below 2
+/// Per slide: the head node is dropped if it expires (it is exactly one
+/// window old), then incoming partial `v` evicts every tail node it
+/// dominates (combine(tail, v) == v — such nodes can never be an answer
+/// again), and a new node is appended. Amortized cost is below 2
 /// operations per slide for any input; the worst case (a fully descending
 /// window followed by a large value, probability 1/n! under uniform input)
 /// costs n — see §4.1.
+///
+/// Storage (EXPERIMENTS.md, deviations): one contiguous ring of nodes
+/// instead of §4.2's chunked array. Nodes are addressed by deque sequence
+/// numbers (front_seq_ is the head's, end_seq_ one past the tail's; pops
+/// at the tail hand their seqs to the next push); seq s lives in slot
+/// head_ + (s - front_seq_), wrapped by one compare. The ring starts at
+/// min(64, window) slots and doubles up to exactly `window`, the most
+/// nodes the deque can hold, so the worst case stays n nodes. `t` is the
+/// node's absolute slide index and n_ counts slides: a node expires when
+/// t + window == n_ and lies within range r iff t + r >= n_.
+///
+/// Tail prune: for ops with a registered survivor kernel (Max/Min over
+/// double/int64) one unrolled pass tests the 8 newest nodes and pops the
+/// leading run of dominated ones with one subtraction — the pop count's
+/// unpredictable exit branch is gone; a run of 8 continues in the exact
+/// loop. Every other op keeps the exact loop, so instrumented ops
+/// (CountingOp) count exactly the paper's domination tests.
 ///
 /// Multi-query answers are produced by one walk over the deque with ranges
 /// in descending order (query_multi), which is how the shared-plan engine
@@ -39,24 +55,25 @@ namespace slick::core {
 /// registered through the (window, ranges) constructor keeps an *answer
 /// cursor* — a deque sequence number that is a lower bound on the seq of
 /// its range's answer node — and the walk jumps ahead to it:
-///  * an answer starts at max(cursor, previous answer node + 1) and advances
-///    while the node's age is >= the range, then stores the node's seq back
-///    into the cursor. Ages only grow and pop_front only raises front_seq,
-///    so a cursor stays a lower bound across slides without any upkeep;
-///  * pop_back reuses seqs, so every tail pop-run in slide()/BulkSlide()
-///    clamps the cursors to the post-pop end_seq() before the new node is
+///  * each answer starts at max(cursor, previous answer node) and advances
+///    while the node is older than the range, then stores the node's seq
+///    back into the cursor. Nodes only age and pops at the head only raise
+///    front_seq_, so a cursor stays a lower bound across slides without
+///    any upkeep;
+///  * tail pops reuse seqs, so every tail pop-run in slide()/BulkSlide()
+///    clamps the cursors to the post-pop end_seq_ before the new node is
 ///    pushed there (nodes older than that seq were not touched);
-///  * LoadState() resets every cursor to front_seq().
+///  * LoadState() resets every cursor to front_seq_.
 /// A cursor advances over each node at most once per push, so a registered
 /// range costs amortized O(1) and zero ⊕ per answer instead of the head
 /// walk's O(nodes older than the range) (EXPERIMENTS.md, deviations). An
-/// unregistered range starts at the previous answer node + 1 — the paper's
+/// unregistered range starts at the previous answer node — the paper's
 /// walk. Cursors are `mutable` scratch behind the const query surface, so
 /// query(range)/query_multi must not race each other on one instance;
 /// query() reads only the head and stays safe to call concurrently.
 ///
-/// Position bookkeeping (startPos and the window-boundary test) follows
-/// Algorithm 2; the in-range predicates fix the off-by-one in the paper's
+/// The window-boundary test follows Algorithm 2 on absolute slide
+/// indices; the in-range predicate fixes the off-by-one in the paper's
 /// Answer Loop 1 listing, which as printed would include the
 /// already-expired position `currPos - range` (its own worked Example 3,
 /// Step 4 returns the value our predicate produces).
@@ -72,8 +89,8 @@ class SlickDequeNonInv {
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
 
-  explicit SlickDequeNonInv(std::size_t window, std::size_t chunk_capacity = 64)
-      : window_(window), deque_(chunk_capacity) {
+  explicit SlickDequeNonInv(std::size_t window)
+      : window_(window), ring_(InitialCapacity(window)) {
     SLICK_CHECK(window >= 1, "window must hold at least one partial");
   }
 
@@ -94,11 +111,10 @@ class SlickDequeNonInv {
   /// Admits the newest partial: expire the head, evict dominated tail
   /// nodes, append.
   SLICK_REALTIME void slide(value_type v) {
-    if (!deque_.empty() && deque_.front().pos == pos_) deque_.pop_front();
+    if (end_seq_ != front_seq_ && ring_[head_].t + window_ == n_) PopFront();
     PruneTail(v);
-    deque_.push_back(Node{pos_, std::move(v)});
-    cur_ = pos_;
-    pos_ = pos_ + 1 == window_ ? 0 : pos_ + 1;
+    PushBack(n_, std::move(v));
+    ++n_;
   }
 
   /// Batch slide (DESIGN.md §11): expires every head node the n slides age
@@ -116,60 +132,56 @@ class SlickDequeNonInv {
     if (n == 0) return;
     if (n >= window_) {
       // Only the trailing window_ elements can survive: restart empty.
-      while (!deque_.empty()) deque_.pop_back();
+      end_seq_ = front_seq_;
       ClampCursors();
-      AppendBatch(src + (n - window_), window_,
-                  (pos_ + (n - window_)) % window_);
+      AppendBatch(src + (n - window_), window_, n_ + (n - window_));
     } else {
-      // Slide k expires the node of age window_-1-k, so the batch expires
-      // exactly the head prefix with age >= window_-n (ages decrease
-      // strictly head -> tail, so the loop stops at the first survivor).
-      while (!deque_.empty() && AgeOf(deque_.front().pos) >= window_ - n) {
-        deque_.pop_front();
+      // The batch expires exactly the head prefix older than its last
+      // partial's window (nodes age strictly head -> tail, so the loop
+      // stops at the first survivor).
+      while (end_seq_ != front_seq_ && ring_[head_].t + window_ < n_ + n) {
+        PopFront();
       }
-      AppendBatch(src, n, pos_);
+      AppendBatch(src, n, n_);
     }
-    cur_ = (pos_ + n - 1) % window_;
-    pos_ = (pos_ + n) % window_;
+    n_ += n;
   }
 
   /// Aggregate of the whole window: the head node's value. O(1), zero
   /// aggregate operations.
   SLICK_REALTIME result_type query() const {
-    SLICK_CHECK(!deque_.empty(), "query before the first slide");
-    return Op::lower(deque_.front().val);
+    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
+    return Op::lower(ring_[head_].val);
   }
 
   /// Aggregate of the newest `range` partials: first in-range node from the
   /// head, or from the range's cursor when it is registered.
   SLICK_REALTIME result_type query(std::size_t range) const {
-    SLICK_CHECK(!deque_.empty(), "query before the first slide");
+    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
     SLICK_CHECK(range >= 1 && range <= window_, "query range out of bounds");
     Cursor* c = cursors_.data();
-    const uint64_t seq = Seek(CursorFor(c, range), deque_.front_seq(), range);
-    return Op::lower(deque_[seq].val);
+    uint64_t seq = front_seq_;
+    std::size_t slot = head_;
+    Seek(CursorFor(c, range), range, seq, slot);
+    return Op::lower(ring_[slot].val);
   }
 
   /// Answers several ranges with one walk towards the tail. `ranges_desc`
   /// must be sorted descending (larger ranges resolve nearer the head, as
   /// in the paper's shared plan). Results are appended to `out`.
   ///
-  /// A node of age a (0 = newest partial) answers exactly the ranges r with
-  /// r > a down to the age of the next-older node. Each block of still-open
-  /// ranges starts at max(cursor of its first range, previous answer node
-  /// + 1) and seeks the first node that range covers; the leading run of
-  /// `ranges_desc[i..)` with r > age that this node answers is found by the
-  /// vectorized PrefixCountGreater kernel and answered with one lower() and
-  /// a fill, and the registered ranges of the run move their cursors there.
+  /// Each range is one Seek, from max(its cursor, the previous range's
+  /// answer node): a smaller range's answer is never older than a larger
+  /// one's, and consecutive ranges mostly share their answer node, so the
+  /// seek usually does not move.
   SLICK_REALTIME_ALLOW(
       "out.resize appends into the caller's buffer — callers reuse one "
       "answer vector across slides, so growth amortizes to a steady-state "
       "no-op; the walk itself allocates nothing")
   void query_multi(const std::vector<std::size_t>& ranges_desc,
                    std::vector<result_type>& out) const {
-    SLICK_CHECK(!deque_.empty(), "query before the first slide");
+    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
     const std::size_t n = ranges_desc.size();
-    if (n == 0) return;
 #if !defined(NDEBUG)
     for (std::size_t i = 0; i < n; ++i) {
       SLICK_DCHECK(ranges_desc[i] >= 1 && ranges_desc[i] <= window_,
@@ -183,82 +195,112 @@ class SlickDequeNonInv {
     // Cursors are sorted descending like ranges_desc, so one forward
     // pointer finds every range's cursor.
     Cursor* c = cursors_.data();
-    uint64_t next = deque_.front_seq();
-    std::size_t i = 0;
-    for (;;) {
-      const uint64_t seq =
-          Seek(CursorFor(c, ranges_desc[i]), next, ranges_desc[i]);
-      const Node& node = deque_[seq];
-      const std::size_t run = ops::kernels::PrefixCountGreater(
-          ranges_desc.data() + i, n - i, AgeOf(node.pos));
-      std::fill_n(out.begin() + static_cast<std::ptrdiff_t>(base + i), run,
-                  Op::lower(node.val));
-      // The run's first range already moved its cursor in Seek; the rest
-      // are answered by the same node.
-      for (std::size_t k = 1; k < run; ++k) {
-        if (Cursor* rc = CursorFor(c, ranges_desc[i + k])) rc->seq = seq;
-      }
-      i += run;
-      // The newest node (age 0) answers every remaining range (r >= 1),
-      // so the walk always terminates there at the latest.
-      if (i == n) return;
-      next = seq + 1;
+    uint64_t seq = front_seq_;
+    std::size_t slot = head_;
+    for (std::size_t i = 0; i < n; ++i) {
+      Seek(CursorFor(c, ranges_desc[i]), ranges_desc[i], seq, slot);
+      out[base + i] = Op::lower(ring_[slot].val);
     }
   }
 
   std::size_t window_size() const { return window_; }
 
   /// Number of live deque nodes (the paper's input-dependent space term).
-  std::size_t node_count() const { return deque_.size(); }
+  std::size_t node_count() const {
+    return static_cast<std::size_t>(end_seq_ - front_seq_);
+  }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + deque_.memory_bytes() +
+    return sizeof(*this) + ring_.capacity() * sizeof(Node) +
            stair_.capacity() * sizeof(std::size_t) +
            mask_.capacity() * sizeof(uint64_t) +
            cursors_.capacity() * sizeof(Cursor);
   }
 
-  /// Checkpoints the deque (DSMS fault tolerance). Trivially copyable
-  /// values keep the raw PR 1 byte layout; other value types (AlphaMax's
-  /// std::string) serialize node-wise through util::WriteVal.
+  /// Checkpoints the deque (DSMS fault tolerance) in the SDN1 layout: the
+  /// window, the circular write position and newest position, then the
+  /// nodes as a CAQ1 chunked-queue frame (shift, head and end seq, nodes
+  /// with their circular positions). Trivially copyable values are
+  /// written raw; other value types (AlphaMax's std::string) serialize
+  /// node-wise through util::WriteVal.
   void SaveState(std::ostream& os) const
     requires util::Serializable<value_type>
   {
-    util::WriteTag(os, util::MakeTag('S', 'D', 'N', '1'), 1);
+    util::WriteTag(os, kTag, 1);
     util::WritePod<uint64_t>(os, window_);
-    util::WritePod<uint64_t>(os, pos_);
-    util::WritePod<uint64_t>(os, cur_);
-    deque_.SaveState(os);
+    util::WritePod<uint64_t>(os, n_ % window_);
+    util::WritePod<uint64_t>(os, n_ == 0 ? 0 : (n_ - 1) % window_);
+    util::WriteTag(os, kNodesTag, 1);
+    util::WritePod<uint32_t>(os, kNodesShift);
+    util::WritePod<uint64_t>(os, front_seq_);
+    util::WritePod<uint64_t>(os, end_seq_);
+    for (uint64_t s = front_seq_; s != end_seq_; ++s) {
+      const Node& node = At(s);
+      util::WriteVal(os, Node{node.t % window_, node.val});
+    }
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. The frame is
+  /// parsed and validated into temporaries and committed by swap, so a
+  /// rejected frame leaves this instance untouched. Accepted states:
+  ///  * an empty deque only with write and newest position 0 (pristine);
+  ///  * otherwise the write position one past the newest position;
+  ///  * every node's position inside [0, window);
+  ///  * ages strictly decreasing head → tail (each circular position at
+  ///    most once, at most `window` nodes, head oldest);
+  ///  * the tail node at the newest position (slide() always appends the
+  ///    newest partial there);
+  ///  * ⊕-monotonicity: no node absorbed by its newer neighbour — slide()
+  ///    would have popped it, so its presence proves a corrupt value.
   bool LoadState(std::istream& is)
     requires util::Serializable<value_type>
   {
-    if (!util::ExpectTag(is, util::MakeTag('S', 'D', 'N', '1'), 1)) {
+    uint64_t window = 0, pos = 0, cur = 0, head = 0, end = 0;
+    uint32_t shift = 0;
+    if (!util::ExpectTag(is, kTag, 1) || !util::ReadPod(is, &window) ||
+        !util::ReadPod(is, &pos) || !util::ReadPod(is, &cur) || window < 1 ||
+        pos >= window || cur >= window ||
+        !util::ExpectTag(is, kNodesTag, 1) || !util::ReadPod(is, &shift) ||
+        !util::ReadPod(is, &head) || !util::ReadPod(is, &end) ||
+        shift > 30 || end < head || end - head > window) {
       return false;
     }
-    uint64_t window = 0, pos = 0, cur = 0;
-    if (!util::ReadPod(is, &window) || !util::ReadPod(is, &pos) ||
-        !util::ReadPod(is, &cur) || window < 1 || pos >= window ||
-        cur >= window) {
+    if (head == end ? pos != 0 || cur != 0 : pos != (cur + 1) % window) {
       return false;
     }
-    // Restore into a temporary so a rejected payload leaves this instance
-    // untouched (a caller that ignores the false return keeps a coherent
-    // aggregator instead of a half-committed one).
-    window::ChunkedArrayQueue<Node> restored;
-    if (!restored.LoadState(is)) return false;
-    if (!ValidateRestoredDeque(restored, static_cast<std::size_t>(window),
-                               static_cast<std::size_t>(pos),
-                               static_cast<std::size_t>(cur))) {
-      return false;
+    // The newest node gets slide index n - 1 with n = window + pos: every
+    // age is below window, so every index stays non-negative, and n agrees
+    // with pos and cur modulo window.
+    const uint64_t n = head == end ? 0 : window + pos;
+    std::vector<Node> nodes;
+    uint64_t prev_age = window;  // sentinel: above every legal age
+    for (uint64_t s = head; s != end; ++s) {
+      Node node{};
+      if (!util::ReadVal(is, &node) || node.t >= window) return false;
+      const uint64_t age =
+          cur >= node.t ? cur - node.t : cur + window - node.t;
+      if (age >= prev_age ||
+          (s != head && ops::Absorbs<Op>(node.val, nodes.back().val))) {
+        return false;
+      }
+      prev_age = age;
+      node.t = n - 1 - age;
+      nodes.push_back(std::move(node));
     }
-    deque_ = std::move(restored);
+    if (head != end && prev_age != 0) return false;
+    std::size_t capacity = InitialCapacity(static_cast<std::size_t>(window));
+    while (capacity < nodes.size()) {
+      capacity = GrownCapacity(capacity, static_cast<std::size_t>(window));
+    }
+    std::vector<Node> ring(capacity);
+    std::move(nodes.begin(), nodes.end(), ring.begin());
+    ring_.swap(ring);
     window_ = static_cast<std::size_t>(window);
-    pos_ = static_cast<std::size_t>(pos);
-    cur_ = static_cast<std::size_t>(cur);
-    for (Cursor& c : cursors_) c.seq = deque_.front_seq();
+    head_ = 0;
+    front_seq_ = head;
+    end_seq_ = end;
+    n_ = n;
+    for (Cursor& c : cursors_) c.seq = front_seq_;
     return true;
   }
 
@@ -270,71 +312,81 @@ class SlickDequeNonInv {
   };
 
   struct Node {
-    std::size_t pos;  // circular position in [0, window)
+    uint64_t t;  // absolute slide index (circular position in checkpoints)
     value_type val;
 
-    // util::MemberSerde hooks, used by ChunkedArrayQueue::SaveState when
-    // value_type is not trivially copyable (trivial nodes are written raw,
-    // preserving the PR 1 layout). Only instantiated on use.
+    // util::MemberSerde hooks, used by SaveState/LoadState when value_type
+    // is not trivially copyable (trivial nodes are written raw). Only
+    // instantiated on use.
     void SaveValue(std::ostream& os) const {
-      util::WritePod(os, pos);
+      util::WritePod(os, t);
       util::WriteVal(os, val);
     }
     bool LoadValue(std::istream& is) {
-      return util::ReadPod(is, &pos) && util::ReadVal(is, &val);
+      return util::ReadPod(is, &t) && util::ReadVal(is, &val);
     }
   };
 
-  /// Cross-validates a deque restored by LoadState against Algorithm 2's
-  /// invariants before the header fields are committed. A corrupt payload
-  /// that only passed the header checks would otherwise poison AgeOf() and
-  /// the expiry test on later slides. Accepted states:
-  ///  * empty deque only for a pristine instance (pos == cur == 0);
-  ///  * every node's pos inside [0, window);
-  ///  * ages strictly decreasing head → tail (each circular position at
-  ///    most once, at most `window` nodes, head oldest);
-  ///  * the tail node at position `cur` (slide() always appends the newest
-  ///    partial there);
-  ///  * ⊕-monotonicity: no node absorbed by its newer neighbour — slide()
-  ///    would have popped it, so its presence proves a corrupt value.
-  static bool ValidateRestoredDeque(
-      const window::ChunkedArrayQueue<Node>& deque, std::size_t window,
-      std::size_t pos, std::size_t cur) {
-    if (deque.empty()) return pos == 0 && cur == 0;
-    const auto age_of = [&](std::size_t p) {
-      return cur >= p ? cur - p : cur + window - p;
-    };
-    std::size_t prev_age = window;  // sentinel: above every legal age
-    for (uint64_t s = deque.front_seq(); s != deque.end_seq(); ++s) {
-      const Node& node = deque[s];
-      if (node.pos >= window) return false;
-      const std::size_t age = age_of(node.pos);
-      if (age >= prev_age) return false;
-      if (s != deque.front_seq() &&
-          ops::Absorbs<Op>(node.val, deque[s - 1].val)) {
-        return false;
-      }
-      prev_age = age;
+  static constexpr uint32_t kTag = util::MakeTag('S', 'D', 'N', '1');
+  static constexpr uint32_t kNodesTag = util::MakeTag('C', 'A', 'Q', '1');
+  // The CAQ1 frame's chunk-size field (log2 of 64, the chunk capacity the
+  // format was written with); the ring does not use it.
+  static constexpr uint32_t kNodesShift = 6;
+  // Tail nodes the branch-free prune tests per pass.
+  static constexpr std::size_t kProbe = 8;
+
+  static std::size_t InitialCapacity(std::size_t window) {
+    return std::min<std::size_t>(64, window);
+  }
+  static std::size_t GrownCapacity(std::size_t capacity, std::size_t window) {
+    return std::min(2 * capacity, window);
+  }
+
+  /// Ring slot of deque sequence number `seq` (front_seq_ <= seq <=
+  /// end_seq_).
+  std::size_t Slot(uint64_t seq) const {
+    const std::size_t s = head_ + static_cast<std::size_t>(seq - front_seq_);
+    return s >= ring_.size() ? s - ring_.size() : s;
+  }
+  const Node& At(uint64_t seq) const { return ring_[Slot(seq)]; }
+
+  void PopFront() {
+    ++front_seq_;
+    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
+  }
+
+  SLICK_REALTIME void PushBack(uint64_t t, value_type v) {
+    if (node_count() == ring_.size()) Grow();
+    ring_[Slot(end_seq_)] = Node{t, std::move(v)};
+    ++end_seq_;
+  }
+
+  /// Doubles the ring (at most up to window_ slots), unwrapping the live
+  /// nodes to slot 0.
+  SLICK_REALTIME_ALLOW(
+      "capacity doubles from min(64, window) up to window, the most nodes "
+      "the deque can hold, so an instance grows at most log2(window/64) "
+      "times in its lifetime and never once its deque has reached its "
+      "high-water size")
+  void Grow() {
+    SLICK_DCHECK(ring_.size() < window_, "the deque never exceeds the window");
+    std::vector<Node> grown(GrownCapacity(ring_.size(), window_));
+    for (uint64_t s = front_seq_; s != end_seq_; ++s) {
+      grown[static_cast<std::size_t>(s - front_seq_)] =
+          std::move(ring_[Slot(s)]);
     }
-    return deque.back().pos == cur;
+    ring_.swap(grown);
+    head_ = 0;
   }
 
-  /// Slides-ago of the partial at circular position `pos` (0 = newest).
-  /// Equivalent to Algorithm 2's startPos/boundaryCrossed test: the node is
-  /// within range r iff AgeOf(pos) < r.
-  std::size_t AgeOf(std::size_t pos) const {
-    return cur_ >= pos ? cur_ - pos : cur_ + window_ - pos;
-  }
-
-  /// Admits `m` batch elements whose circular positions start at
-  /// `start_pos`, pruning dominated nodes. Precondition: every head node
-  /// the batch expires is already gone.
+  /// Admits `m` batch elements whose slide indices start at `start_t`,
+  /// pruning dominated nodes. Precondition: every head node the batch
+  /// expires is already gone.
   SLICK_REALTIME_ALLOW(
       "mask_.assign reuses the survivor-bitmap capacity after the first "
       "batch at each high-water size — amortized O(1) per element, no "
       "steady-state allocation")
-  void AppendBatch(const value_type* src, std::size_t m,
-                   std::size_t start_pos) {
+  void AppendBatch(const value_type* src, std::size_t m, uint64_t start_t) {
     if constexpr (ops::TotalOrderSelectiveOp<Op> &&
                   ops::HasSurvivorKernel<Op>) {
       // Vectorized staircase: one right-to-left pass of the survivor-mask
@@ -354,7 +406,7 @@ class SlickDequeNonInv {
           const std::size_t k =
               (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          deque_.push_back(Node{(start_pos + k) % window_, src[k]});
+          PushBack(start_t + k, src[k]);
         }
       }
     } else if constexpr (ops::TotalOrderSelectiveOp<Op>) {
@@ -375,13 +427,13 @@ class SlickDequeNonInv {
       PruneTail(suffix);
       for (std::size_t t = stair_.size(); t-- > 0;) {
         const std::size_t k = stair_[t];
-        deque_.push_back(Node{(start_pos + k) % window_, src[k]});
+        PushBack(start_t + k, src[k]);
       }
     } else {
       // Ad-hoc absorbs predicates get the exact per-element stack loop.
       for (std::size_t k = 0; k < m; ++k) {
         PruneTail(src[k]);
-        deque_.push_back(Node{(start_pos + k) % window_, src[k]});
+        PushBack(start_t + k, src[k]);
       }
     }
   }
@@ -389,16 +441,52 @@ class SlickDequeNonInv {
   /// Pops every tail node `v` absorbs. Popped seqs are reused by the next
   /// push, so cursors past the new end are clamped back to it.
   SLICK_REALTIME void PruneTail(const value_type& v) {
-    if (deque_.empty() || !ops::Absorbs<Op>(v, deque_.back().val)) return;
-    do {
-      deque_.pop_back();
-    } while (!deque_.empty() && ops::Absorbs<Op>(v, deque_.back().val));
-    ClampCursors();
+    if constexpr (ops::HasSurvivorKernel<Op>) {
+      // Branch-free probe of the kProbe newest nodes: bit i is set iff v
+      // absorbs the node i places before the tail, so the leading run of
+      // set bits is what the exact loop would pop; bits past the deque's
+      // size are masked off. Slots before a tail at kProbe or beyond are
+      // read in place (stale ones included); nearer the ring's start,
+      // probes past the size re-read the tail, so each slot needs only one
+      // wrap even when the ring is smaller than the probe. The clamp runs
+      // even when nothing pops: it is cheaper than a 50/50 branch.
+      const std::size_t size = node_count();
+      const std::size_t live = std::min(size, kProbe);
+      const std::size_t cap = ring_.size();
+      const std::size_t end =
+          head_ + size >= cap ? head_ + size - cap : head_ + size;
+      unsigned bits = 0;
+      for (std::size_t i = 0; i < kProbe; ++i) {
+        std::size_t slot = end - 1 - i;
+        if (end < kProbe) {
+          slot = end + cap - 1 - (i < live ? i : 0);
+          slot = slot >= cap ? slot - cap : slot;
+        }
+        bits |= static_cast<unsigned>(ops::Absorbs<Op>(v, ring_[slot].val))
+                << i;
+      }
+      bits &= (1u << live) - 1;
+      end_seq_ -= static_cast<unsigned>(std::countr_one(bits));
+      if (bits == (1u << kProbe) - 1) PopAbsorbed(v);
+      ClampCursors();
+    } else if (end_seq_ != front_seq_ &&
+               ops::Absorbs<Op>(v, At(end_seq_ - 1).val)) {
+      --end_seq_;
+      PopAbsorbed(v);
+      ClampCursors();
+    }
+  }
+
+  /// The exact tail pop loop (Algorithm 2, line 16).
+  void PopAbsorbed(const value_type& v) {
+    while (end_seq_ != front_seq_ &&
+           ops::Absorbs<Op>(v, At(end_seq_ - 1).val)) {
+      --end_seq_;
+    }
   }
 
   SLICK_REALTIME void ClampCursors() {
-    const uint64_t end = deque_.end_seq();
-    for (Cursor& c : cursors_) c.seq = std::min(c.seq, end);
+    for (Cursor& c : cursors_) c.seq = std::min(c.seq, end_seq_);
   }
 
   /// Advances `c` (a pointer into the descending cursors_) past every
@@ -409,27 +497,34 @@ class SlickDequeNonInv {
     return c != end && c->range == range ? c : nullptr;
   }
 
-  /// Seq of the first node at or after `from` (and the cursor, if any)
-  /// whose position lies within the newest `range` positions; moves the
-  /// cursor there. The newest node (age 0) always qualifies, so the walk
+  /// Moves (seq, slot) to the first node at or after both it and the
+  /// cursor, if any, within the newest `range` partials, and moves the
+  /// cursor there. The newest node always qualifies, so the walk
   /// terminates.
-  uint64_t Seek(Cursor* cursor, uint64_t from, std::size_t range) const {
-    uint64_t seq = cursor != nullptr ? std::max(from, cursor->seq) : from;
-    while (AgeOf(deque_[seq].pos) >= range) ++seq;
+  void Seek(Cursor* cursor, std::size_t range, uint64_t& seq,
+            std::size_t& slot) const {
+    if (cursor != nullptr && cursor->seq > seq) {
+      seq = cursor->seq;
+      slot = Slot(seq);
+    }
+    while (ring_[slot].t + range < n_) {
+      ++seq;
+      slot = slot + 1 == ring_.size() ? 0 : slot + 1;
+    }
     if (cursor != nullptr) cursor->seq = seq;
-    return seq;
   }
 
   std::size_t window_;
-  window::ChunkedArrayQueue<Node> deque_;
+  std::vector<Node> ring_;  // ring_.size() slots; seq s at Slot(s)
+  std::size_t head_ = 0;     // slot of front_seq_
+  uint64_t front_seq_ = 0;   // seq of the head (oldest) node
+  uint64_t end_seq_ = 0;     // one past the seq of the tail (newest) node
+  uint64_t n_ = 0;           // slides so far: the next partial's index
   std::vector<std::size_t> stair_;  // BulkSlide scratch: surviving indices
   std::vector<uint64_t> mask_;      // BulkSlide scratch: survivor bitmask
   // Registered ranges, descending, with their answer cursors; mutable so
   // the const query surface can advance them.
   mutable std::vector<Cursor> cursors_;
-  std::size_t pos_ = 0;  // write position of the next partial
-  std::size_t cur_ = 0;  // position of the newest partial
 };
 
 }  // namespace slick::core
-

@@ -2,7 +2,7 @@
 
 // Structural scan kernels (DESIGN.md §16): the SIMD layer behind the
 // TwoStacks flip, SlickDeque (Non-Inv)'s staircase reduction, and the
-// shared multi-query answer walk.
+// Range projection of shared-family answers.
 //
 //  * SuffixAdd/SuffixMax/SuffixMin — out[i] = v[i] ⊕ out[i+1], seeded
 //    out[n-1] = v[n-1] ⊕ carry. This is the flip: it turns a region of
@@ -16,9 +16,6 @@
 //    pass that sets mask bit k iff v[k] strictly dominates the aggregate
 //    of v[k+1..n) (i.e. survives the batch), and returns the whole-batch
 //    aggregate. Callers must zero the mask words first.
-//  * PrefixCountGreater — length of the maximal leading run of a
-//    descending-sorted array strictly greater than a bound: one node of
-//    the multi-query walk answers exactly that many ranges.
 //  * SubtractArrays — out[i] = a[i] - b[i], the Range = Max - Min
 //    projection over a batch of due answers.
 //
@@ -212,19 +209,8 @@ SLICK_REALTIME inline int64_t MinSurvivorsScalar(const int64_t* v,
 }
 
 // ------------------------------------------------------------------
-// Scalar multi-query helpers.
+// Scalar projection helper.
 // ------------------------------------------------------------------
-
-/// Length of the maximal leading run of `v` (sorted descending) with
-/// v[j] > bound. With a descending array this is also the count of all
-/// elements > bound, which is what the multi-query walk needs: the
-/// current deque node answers exactly the ranges still above its age.
-SLICK_REALTIME inline std::size_t PrefixCountGreaterScalar(
-    const std::size_t* v, std::size_t n, std::size_t bound) {
-  std::size_t i = 0;
-  while (i < n && v[i] > bound) ++i;
-  return i;
-}
 
 SLICK_REALTIME inline void SubtractArraysScalar(
     const double* SLICK_RESTRICT a, const double* SLICK_RESTRICT b,
@@ -267,12 +253,6 @@ SLICK_SURVIVOR_DISPATCH(MaxSurvivors, double)
 SLICK_SURVIVOR_DISPATCH(MaxSurvivors, int64_t)
 SLICK_SURVIVOR_DISPATCH(MinSurvivors, double)
 SLICK_SURVIVOR_DISPATCH(MinSurvivors, int64_t)
-
-SLICK_REALTIME inline std::size_t PrefixCountGreater(const std::size_t* v,
-                                                     std::size_t n,
-                                                     std::size_t bound) {
-  SLICK_SIMD_DISPATCH_BODY(PrefixCountGreater, (v, n, bound))
-}
 
 SLICK_REALTIME inline void SubtractArrays(const double* SLICK_RESTRICT a,
                                           const double* SLICK_RESTRICT b,

@@ -1,7 +1,7 @@
 // The one body of every wide kernel (DESIGN.md §16.1): the folds behind
-// ops/kernels.h and the suffix/prefix scans, survivor masks,
-// PrefixCountGreater and SubtractArrays behind ops/scan_kernels.h, each
-// written once over GCC/Clang vector extensions.
+// ops/kernels.h and the suffix/prefix scans, survivor masks and
+// SubtractArrays behind ops/scan_kernels.h, each written once over
+// GCC/Clang vector extensions.
 //
 // ops/simd_dispatch.h includes this file once per target, inside that
 // target's `#pragma GCC target` region and with SLICK_SIMD_TARGET naming
@@ -297,25 +297,6 @@ template <typename T>
 SLICK_REALTIME inline T MinSurvivors(const T* v, std::size_t n,
                                      uint64_t* mask) {
   return Survivors<LaneMin>(v, n, mask);
-}
-
-/// Length of the leading run of the descending array `v` above `bound`.
-/// The lane compare is unsigned: a biased signed compare on AVX2, vpcmpuq
-/// on AVX-512, cmhi on NEON.
-SLICK_REALTIME inline std::size_t PrefixCountGreater(const std::size_t* v,
-                                                     std::size_t n,
-                                                     std::size_t bound) {
-  constexpr unsigned kAllLanes = (1u << kLanes) - 1;
-  const Vec<std::size_t> b = Splat(bound);
-  std::size_t i = 0;
-  for (; i + kLanes <= n; i += kLanes) {
-    const unsigned m = LessBits(b, Load(v + i));
-    if (m != kAllLanes) {
-      return i + static_cast<std::size_t>(std::countr_one(m));
-    }
-  }
-  while (i < n && v[i] > bound) ++i;
-  return i;
 }
 
 SLICK_REALTIME inline void SubtractArrays(const double* SLICK_RESTRICT a,

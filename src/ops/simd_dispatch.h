@@ -8,7 +8,6 @@
 // lives in util/simd_level.h, shared with util/crc32.h; it is re-exported
 // here so the kernels and their callers keep spelling it ops::kernels::.
 
-#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -87,10 +86,8 @@ SLICK_REALTIME inline unsigned LessBits(V a, V b) {
   if constexpr (std::is_floating_point_v<T>) {
     return _mm512_cmp_pd_mask(reinterpret_cast<__m512d>(a),
                               reinterpret_cast<__m512d>(b), _CMP_LT_OQ);
-  } else if constexpr (std::is_signed_v<T>) {
-    return _mm512_cmplt_epi64_mask(ia, ib);
   } else {
-    return _mm512_cmplt_epu64_mask(ia, ib);
+    return _mm512_cmplt_epi64_mask(ia, ib);
   }
 }
 // valignq. GCC lowers a two-input __builtin_shufflevector to vpermt2q,

@@ -93,7 +93,7 @@ constexpr uint32_t MakeTag(char a, char b, char c, char d) {
 // ---------------------------------------------------------------------
 
 /// A type that serializes itself element-wise (used for non-POD structs
-/// like SlickDequeNonInv's (pos, string) node).
+/// like SlickDequeNonInv's (slide index, string) node).
 template <typename T>
 concept MemberSerde = requires(const T& c, T& m, std::ostream& os,
                                std::istream& is) {

@@ -412,8 +412,8 @@ TEST(CheckpointTest, TruncatedStreamRejected) {
 // ---------------------------------------------------------------------------
 // SlickDeque (Non-Inv) payload validation: the header checks alone used to
 // accept a corrupt deque (node pos >= window, non-monotone ages, absorbed
-// values), which later poisons AgeOf()/expiry. LoadState must cross-validate
-// the restored nodes.
+// values), which later poisons the in-range and expiry tests. LoadState must
+// cross-validate the restored nodes.
 //
 // SDN1/CAQ1 byte layout (versioned, so these offsets are stable):
 //   [0]  SDN1 tag+version (8)   [8] window u64   [16] pos u64   [24] cur u64
@@ -500,6 +500,24 @@ TEST_F(NonInvPayloadTest, TailNotAtNewestPositionRejected) {
   corrupt[16] = 0x07;
   corrupt[24] = 0x06;
   EXPECT_FALSE(LoadNonInvMax(corrupt));
+}
+
+TEST_F(NonInvPayloadTest, WritePosNotAfterNewestRejectedTargetUntouched) {
+  // slide() always writes the next partial one past the newest, so a
+  // non-empty frame with pos != (cur + 1) % window is corrupt even when
+  // its nodes are consistent with cur. The target must keep its own state
+  // byte for byte.
+  std::string corrupt = bytes_;
+  corrupt[16] = 0x03;  // pos 0 -> 3 with cur 7
+  core::SlickDequeNonInv<ops::MaxInt> agg(8, {8, 3});
+  for (int64_t v : {7, 3, 5, 1}) agg.slide(v);
+  const std::string before = SaveNonInvMax(agg);
+  std::stringstream ss(corrupt);
+  ASSERT_FALSE(agg.LoadState(ss));
+  EXPECT_EQ(SaveNonInvMax(agg), before);
+  EXPECT_EQ(agg.query(3), 5);
+  agg.slide(9);
+  EXPECT_EQ(agg.query(), 9);
 }
 
 TEST_F(NonInvPayloadTest, EmptyDequeWithNonzeroCursorRejected) {

@@ -364,18 +364,179 @@ void RunRegisteredTwin(std::size_t window, Shape shape) {
   }
 }
 
+// A scripted input segment: its values, and the BulkSlide chunk size used
+// when the script runs batched (0: the whole segment in one call).
+struct Segment {
+  std::vector<int64_t> values;
+  std::size_t chunk;
+};
+
+// Scripted inputs for a registered deque and an unregistered twin, fed
+// by slide() or by BulkSlide() (`bulk`), checked against NaiveWindow over
+// every range after every call:
+//  * descending runs, each followed by a value that pops exactly 7, 8 or
+//    9 tail nodes (the branch-free prune tests 8 nodes per pass);
+//  * a sawtooth that keeps the deque short while its head expires, so the
+//    ring's head leaves slot 0; then a descending run that fills the deque
+//    to the window — above 64 the ring grows while its nodes wrap — and
+//    one value that pops the whole deque; then random values.
+// Windows below 8 hold rings smaller than the probe. For CountingOp the
+// deque's ⊕ count must equal Algorithm 2's exact pop loop replayed on a
+// reference deque: one test per popped node plus one for the node that
+// stops the loop, with BulkSlide's expiry hoisted and its restart empty.
+template <typename Op>
+void RunScriptedTwin(std::size_t window, bool bulk) {
+  using Agg = SlickDequeNonInv<Op>;
+  using Value = typename Op::value_type;
+  std::vector<std::size_t> registered;
+  for (std::size_t r = window; r >= 1; --r) {
+    if (r % 3 != 1 || r == window) registered.push_back(r);
+  }
+  Agg reg(window, registered);
+  Agg twin(window);
+  NaiveWindow<Op> naive(window);
+  std::vector<std::size_t> all_desc;
+  for (std::size_t r = window; r >= 1; --r) all_desc.push_back(r);
+  const auto bytes = [](const Agg& agg) {
+    std::ostringstream os;
+    agg.SaveState(os);
+    return os.str();
+  };
+
+  std::deque<std::pair<uint64_t, Value>> model;  // (slide index, value)
+  uint64_t n = 0, model_ops = 0, deque_ops = 0;
+  const auto model_push = [&](const Value& v, uint64_t t) {
+    while (!model.empty()) {
+      ++model_ops;
+      if (!ops::Absorbs<Op>(v, model.back().second)) break;
+      model.pop_back();
+    }
+    model.emplace_back(t, v);
+  };
+  const auto feed = [&](const std::vector<Value>& vals) {
+    const uint64_t before = ops::OpCounter::combines;
+    if (bulk) {
+      reg.BulkSlide(vals.data(), vals.size());
+    } else {
+      reg.slide(vals[0]);
+    }
+    deque_ops += ops::OpCounter::combines - before;
+    if (bulk) {
+      twin.BulkSlide(vals.data(), vals.size());
+    } else {
+      twin.slide(vals[0]);
+    }
+    for (const Value& v : vals) naive.slide(v);
+    const uint64_t m = vals.size();
+    if (m >= window) {
+      model.clear();
+      for (uint64_t k = m - window; k < m; ++k) model_push(vals[k], n + k);
+    } else {
+      while (!model.empty() && model.front().first + window < n + m) {
+        model.pop_front();
+      }
+      for (uint64_t k = 0; k < m; ++k) model_push(vals[k], n + k);
+    }
+    n += m;
+  };
+  std::vector<typename Op::result_type> out;
+  const auto check = [&] {
+    out.clear();
+    reg.query_multi(all_desc, out);
+    twin.query_multi(all_desc, out);
+    ASSERT_EQ(out.size(), 2 * window);
+    for (std::size_t i = 0; i < window; ++i) {
+      ASSERT_EQ(out[i], naive.query(all_desc[i]))
+          << "registered, range=" << all_desc[i] << " n=" << n;
+      ASSERT_EQ(out[window + i], naive.query(all_desc[i]))
+          << "unregistered, range=" << all_desc[i] << " n=" << n;
+      ASSERT_EQ(reg.query(all_desc[i]), naive.query(all_desc[i]))
+          << "query(range), range=" << all_desc[i] << " n=" << n;
+    }
+    ASSERT_EQ(bytes(reg), bytes(twin)) << "n=" << n;
+  };
+
+  std::vector<Segment> script;
+  int64_t base = 1'000'000;
+  for (const int64_t pops : {7, 8, 9}) {
+    Segment run{{}, 0};
+    for (int64_t i = 0; i < pops + 3; ++i) run.values.push_back(base - 10 * i);
+    const int64_t x = run.values[3] + 5;  // absorbs the newest `pops` nodes
+    script.push_back(std::move(run));
+    script.push_back(Segment{{x}, 0});
+    base -= 100'000;
+  }
+  Segment sawtooth{{}, 7};
+  for (std::size_t i = 0; i < 3 * window; ++i) {
+    sawtooth.values.push_back(base - 10 * static_cast<int64_t>(i / 5) +
+                              static_cast<int64_t>(i % 5));
+  }
+  script.push_back(std::move(sawtooth));
+  Segment fill{{}, 0};
+  for (std::size_t i = 0; i < window + 3; ++i) {
+    fill.values.push_back(base - 100'000 - static_cast<int64_t>(i));
+  }
+  script.push_back(std::move(fill));
+  script.push_back(Segment{{2'000'000}, 1});
+  Segment noise{{}, 5};
+  util::SplitMix64 rng(0x5c1 + window);
+  for (std::size_t i = 0; i < 2 * window + 20; ++i) {
+    noise.values.push_back(GenInt(Shape::kRandom, i, rng));
+  }
+  script.push_back(std::move(noise));
+
+  const std::size_t bytes_before = reg.memory_bytes();
+  std::vector<Value> vals;
+  for (const Segment& seg : script) {
+    const std::size_t chunk =
+        !bulk ? 1 : seg.chunk == 0 ? seg.values.size() : seg.chunk;
+    for (std::size_t i = 0; i < seg.values.size(); i += chunk) {
+      vals.clear();
+      for (std::size_t k = i; k < std::min(i + chunk, seg.values.size());
+           ++k) {
+        vals.push_back(LiftInt<Op>(seg.values[k]));
+      }
+      feed(vals);
+      check();
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  if (window > 64) {
+    EXPECT_GT(reg.memory_bytes(), bytes_before) << "the ring never grew";
+  }
+  if constexpr (requires { typename Op::counter_type; }) {
+    EXPECT_EQ(deque_ops, model_ops) << "window=" << window;
+  }
+}
+
+// The scripted inputs run at window() + the shape's index, so the four
+// shape instances of each grid window cover every window from 1 to 12 and
+// windows above 64, whose rings grow from 64 slots.
+template <typename Op>
+void RunScriptedTwins(std::size_t window, Shape shape) {
+  const std::size_t w = window + static_cast<std::size_t>(shape);
+  RunScriptedTwin<Op>(w, false);
+  if (::testing::Test::HasFatalFailure()) return;
+  RunScriptedTwin<Op>(w, true);
+}
+
 // One op per AppendBatch branch: the survivor-mask staircase (MaxInt), the
 // suffix-scan staircase (ArgMax: total order, no mask kernel) and the
-// per-element stack loop (CountingOp forwards no kAbsorbsTotal).
+// per-element stack loop (CountingOp forwards no kAbsorbsTotal). MaxInt
+// takes the branch-free tail prune; ArgMax and CountingOp the exact loop.
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredMask) {
   RunRegisteredTwin<ops::MaxInt>(window(), shape());
+  RunScriptedTwins<ops::MaxInt>(window(), shape());
 }
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredStaircase) {
   RunRegisteredTwin<ops::ArgMax>(window(), shape());
+  RunScriptedTwins<ops::ArgMax>(window(), shape());
 }
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredPerElement) {
   static_assert(!ops::TotalOrderSelectiveOp<ops::CountingOp<ops::MaxInt>>);
   RunRegisteredTwin<ops::CountingOp<ops::MaxInt>>(window(), shape());
+  RunScriptedTwins<ops::CountingOp<ops::MaxInt>>(window(), shape());
+  RunScriptedTwins<ops::CountingOp<ops::Max>>(window(), shape());
 }
 
 // --------------------------- Windowed adapters ---------------------------

@@ -347,28 +347,6 @@ TEST(ScanKernelsTest, SurvivorMasksMatchScalarStaircase) {
   });
 }
 
-TEST(ScanKernelsTest, PrefixCountGreaterMatchesScalar) {
-  for (std::size_t n : kSizes) {
-    util::SplitMix64 rng(67 + n);
-    std::vector<std::size_t> ranges(n);
-    for (auto& r : ranges) r = 1 + rng.NextBounded(1 << 14);
-    std::sort(ranges.rbegin(), ranges.rend());
-    for (const std::size_t bound :
-         {std::size_t{0}, std::size_t{1}, std::size_t{100},
-          std::size_t{1} << 13, std::size_t{1} << 20}) {
-      std::size_t expect = 0;
-      while (expect < n && ranges[expect] > bound) ++expect;
-      ForEachCompiledLevel([&](kernels::SimdLevel level) {
-        SCOPED_TRACE(std::string("level=") + kernels::SimdLevelName(level) +
-                     " n=" + std::to_string(n) + " bound=" +
-                     std::to_string(bound));
-        EXPECT_EQ(kernels::PrefixCountGreater(ranges.data(), n, bound),
-                  expect);
-      });
-    }
-  }
-}
-
 TEST(ScanKernelsTest, SubtractArraysMatchesScalar) {
   for (std::size_t n : kSizes) {
     const std::vector<double> a = RandomDoubles(n, 71 + n);

@@ -123,7 +123,8 @@ TEST_P(MemorySweep, SlickDequeNonInvFarBelowTwoNOnRandomInput) {
 }
 
 TEST(MemoryShapeTest, SlickDequeNonInvWorstCaseIsTwoN) {
-  // Descending input fills the deque: 2n plus two chunks of slack (§4.2).
+  // Descending input fills the deque: 2n (a node is a value and its slide
+  // index) plus the object (§4.2).
   const std::size_t n = 4096;
   core::SlickDequeNonInv<ops::Max> agg(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -133,6 +134,19 @@ TEST(MemoryShapeTest, SlickDequeNonInvWorstCaseIsTwoN) {
   const std::size_t bytes = agg.memory_bytes();
   EXPECT_GE(bytes, 2 * n * kValue);
   EXPECT_LE(bytes, 2 * n * kValue + 4 * 64 * 2 * kValue + 512);
+}
+
+TEST(MemoryShapeTest, SlickDequeNonInvFullRingIsExactlyTheWindow) {
+  // The node ring doubles from 64 slots but stops at exactly the window,
+  // so a window that is not a power of two (3000: 2048 -> 3000, not 4096)
+  // filled by descending input still costs 2n values plus the object.
+  const std::size_t n = 3000;
+  core::SlickDequeNonInv<ops::Max> agg(n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    agg.slide(static_cast<double>(2 * n - i));
+  }
+  EXPECT_EQ(agg.node_count(), n);
+  EXPECT_LE(agg.memory_bytes(), 2 * n * kValue + 512);
 }
 
 TEST(MemoryShapeTest, SlickDequeNonInvBestCaseIsConstant) {
