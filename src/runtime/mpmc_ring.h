@@ -47,8 +47,8 @@ namespace slick::runtime {
 ///    spans; releases remain single-releaser-in-claim-order (the shard
 ///    worker), as with deferred releases under supervision.
 ///
-/// Parking is std::atomic::wait; wakes use notify_all because several
-/// producers may park on one full ring.
+/// Parking is RingCore's waiter-counted private futex; a wake wakes every
+/// sleeper, because several producers may park on one full ring.
 template <typename T>
 class MpmcRing : public RingCore<MpmcRing<T>, T> {
   using Core = RingCore<MpmcRing<T>, T>;
@@ -99,12 +99,7 @@ class MpmcRing : public RingCore<MpmcRing<T>, T> {
   /// published exactly once, in any per-piece order).
   SLICK_REALTIME void PublishPush(T* span, std::size_t count) {
     if (count == 0) return;
-    const uint64_t pos = this->BeginSlotPublish(span, count);
-    for (std::size_t i = 0; i < count; ++i) {
-      // release: publishes the slot's contents; pairs with the consumer's
-      // acquire load of the same seq word in TryClaimPop.
-      seq_[(pos + i) & mask_].store(pos + i + 1, std::memory_order_release);
-    }
+    CommitPush(span, count);
     this->SignalData();
   }
 
@@ -160,19 +155,26 @@ class MpmcRing : public RingCore<MpmcRing<T>, T> {
   }
 
  private:
+  // The per-slot publish itself, leaving the signal to the caller
+  // (RingCore's coalesced publish bumps the eventcount without always
+  // waking).
+  SLICK_REALTIME void CommitPush(T* span, std::size_t count) {
+    const uint64_t pos = this->BeginSlotPublish(span, count);
+    for (std::size_t i = 0; i < count; ++i) {
+      // release: publishes the slot's contents; pairs with the consumer's
+      // acquire load of the same seq word in TryClaimPop.
+      seq_[(pos + i) & mask_].store(pos + i + 1, std::memory_order_release);
+    }
+  }
+
   bool PopReady() const {
-    // relaxed: claim is effectively the consumer's own cursor here; a
-    // stale value only makes the wake conservative by one slot.
+    // relaxed: claim is effectively the consumer's own cursor here (one
+    // claimer at a time); a stale value only makes the wake conservative.
     const uint64_t claim = cursors_.claim.load(std::memory_order_relaxed);
     // acquire: pairs with PublishPush's seq release (the data-ready edge).
     return seq_[static_cast<std::size_t>(claim) & mask_].load(
                std::memory_order_acquire) == claim + 1;
   }
-
-  static void Park(std::atomic<uint32_t>& event, uint32_t seen) {
-    event.wait(seen, std::memory_order_acquire);
-  }
-  static void Wake(std::atomic<uint32_t>& event) { event.notify_all(); }
 
   RingCursors& cursors() const { return cursors_; }
   T* slots() const { return slots_.get(); }

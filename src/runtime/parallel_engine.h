@@ -75,8 +75,22 @@ inline const char* BackpressureName(Backpressure b) {
 /// reaches its target. At that point each ring is drained, every slide is
 /// visible (acquire/release edge, see ShardWorker), and no worker can touch
 /// its aggregator again until this same thread routes more data — so the
-/// coordinator reads the N local answers race-free and folds them. Workers
-/// park on their rings' eventcounts meanwhile; they are never busy-polled.
+/// coordinator reads the N local answers race-free and folds them.
+///
+/// Caller-runs barrier (DESIGN.md §12, unsupervised engines): the wait
+/// drains on the calling thread. For each shard behind its target that no
+/// thread holds, the coordinator takes the shard's ownership word and
+/// slides the backlog itself; a shard the worker holds has an awake worker,
+/// which finishes it. The router's own batches therefore publish coalesced
+/// (DataWake::kCoalesced): they bump the ring's eventcount but skip the
+/// futex wake while the shard's backlog is below half a ring, because the
+/// next query() drains that backlog here faster than a wake-up would. Half
+/// a ring bounds what one query() may slide, and a full ring always has a
+/// woken worker. Every other producer (MPMC handles, the TCP sink, shm
+/// leases) and close() wake eagerly. Idle workers park on their rings'
+/// futexes; they are never busy-polled. So `stats().processed` for
+/// router-admitted tuples may lag by less than half a ring per shard until
+/// the next query() or stop().
 ///
 /// Supervision (DESIGN.md §12) — when Options::checkpoint_interval > 0 the
 /// engine is *supervised*: workers checkpoint their aggregators into
@@ -98,9 +112,9 @@ inline const char* BackpressureName(Backpressure b) {
 /// ⊕-identity sentinels (±inf, NaN) into selective-op answers, and
 /// SlickDeque (Non-Inv) shards would assert on an empty deque.
 ///
-/// Shutdown — the destructor (or stop()) closes every ring; workers drain
-/// what was already routed, publish their final counts, and join. No
-/// element that push() admitted is ever lost.
+/// Shutdown — the destructor (or stop()) closes every ring, which wakes
+/// every worker; workers drain what was already routed, publish their
+/// final counts, and join. No element that push() admitted is ever lost.
 /// Event-time extension (DESIGN.md §13): instantiating the engine over an
 /// OutOfOrderAggregator (window::OooTree) switches it into EVENT-TIME mode
 /// at compile time. `global_window` is then a TIME RANGE, not a tuple
@@ -148,7 +162,10 @@ class ParallelShardedEngine {
     std::size_t batch = 256;              ///< Router/worker batch size.
     Backpressure backpressure = Backpressure::kBlock;
     /// Tuples a shard processes between checkpoints; 0 disables
-    /// supervision (the PR 4 fast path: per-batch releases, futex parking).
+    /// supervision (the fast path: per-batch releases, futex parking, the
+    /// caller-runs barrier and coalesced router wakes). Supervised engines
+    /// keep worker-only drains and eager wakes: their restart protocol
+    /// owns the consumer role.
     std::size_t checkpoint_interval = 0;
     /// kBlockWithDeadline: how long a flush may wait on a full ring.
     uint64_t deadline_ns = 5'000'000;
@@ -513,6 +530,7 @@ class ParallelShardedEngine {
       s.tuples_out = c.tuples_out.Get();
       s.dropped = c.dropped.Get();
       s.batches = c.batches.Get();
+      s.coordinator_batches = c.coordinator_batches.Get();
       s.idle_polls = c.idle_polls.Get();
       s.in_flight = workers_[i]->ring().unconsumed();
       s.unreleased = workers_[i]->ring().unreleased();
@@ -674,6 +692,10 @@ class ParallelShardedEngine {
   void Admit(std::size_t i, const slot_type* data, std::size_t n,
              bool coordinator) {
     Ring<slot_type>& ring = workers_[i]->ring();
+    // The router's batches skip the wake below half a ring: its own next
+    // query() drains them (caller-runs barrier, see the class comment).
+    const DataWake wake = coordinator && !Supervised() ? DataWake::kCoalesced
+                                                       : DataWake::kEager;
     const auto backoff = [&] {
       if (coordinator) Supervise();
       std::this_thread::yield();
@@ -683,22 +705,22 @@ class ParallelShardedEngine {
       case Backpressure::kBlock:
         if (coordinator && Supervised()) {
           for (;;) {
-            accepted += ring.try_push_n(data + accepted, n - accepted);
+            accepted += ring.try_push_n(data + accepted, n - accepted, wake);
             if (accepted == n) break;
             backoff();
           }
         } else {
-          accepted = ring.push_n(data, n);  // futex-parked blocking push
+          accepted = ring.push_n(data, n, wake);  // futex-parked push
         }
         SLICK_CHECK(accepted == n, "ring closed during push");
         break;
       case Backpressure::kDropNewest:
-        accepted = ring.try_push_n(data, n);
+        accepted = ring.try_push_n(data, n, wake);
         break;
       case Backpressure::kBlockWithDeadline: {
         const uint64_t t0 = util::MonotonicNanos();
         for (;;) {
-          accepted += ring.try_push_n(data + accepted, n - accepted);
+          accepted += ring.try_push_n(data + accepted, n - accepted, wake);
           if (accepted == n ||
               util::MonotonicNanos() - t0 >= options_.deadline_ns) {
             break;
@@ -715,8 +737,8 @@ class ParallelShardedEngine {
         // spans — so shedding happens at the admission edge.)
         std::size_t from = 0;
         while (from + accepted < n) {
-          const std::size_t got =
-              ring.try_push_n(data + from + accepted, n - from - accepted);
+          const std::size_t got = ring.try_push_n(
+              data + from + accepted, n - from - accepted, wake);
           accepted += got;
           if (got == 0) {
             ++from;  // shed data[from-1], the oldest unadmitted element
@@ -726,7 +748,7 @@ class ParallelShardedEngine {
         break;
       }
       case Backpressure::kError:
-        accepted = ring.try_push_n(data, n);
+        accepted = ring.try_push_n(data, n, wake);
         SLICK_CHECK(accepted == n,
                     "shard ring full under Backpressure::kError "
                     "(size the ring for the peak burst, or pick a "
@@ -736,13 +758,19 @@ class ParallelShardedEngine {
     AccountAdmission(i, accepted, n - accepted);
   }
 
-  /// Blocks until every worker has processed exactly what was routed to it,
-  /// supervising (recovering dead workers) while it waits. Rings are
-  /// claim-drained afterwards, so the workers are parked — the quiescent
-  /// cut the combine reads from.
+  /// Blocks until every shard has processed exactly what was routed to it —
+  /// the quiescent cut the combine reads from. Unsupervised engines drain
+  /// on the calling thread (caller-runs): a shard the worker does not hold
+  /// is taken and drained here; one it holds has an awake worker, and the
+  /// loop yields until it finishes. Supervised engines wait for their
+  /// workers, recovering dead ones while they wait.
   void AwaitEpoch() {
     for (std::size_t i = 0; i < workers_.size(); ++i) {
-      while (workers_[i]->processed() < Pushed(i)) {
+      Worker& w = *workers_[i];
+      while (w.processed() < Pushed(i)) {
+        if (!Supervised() && w.DrainOnCaller() && w.processed() >= Pushed(i)) {
+          break;
+        }
         Supervise();
         std::this_thread::yield();
       }

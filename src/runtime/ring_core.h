@@ -1,8 +1,14 @@
 #pragma once
 
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+
 #include <atomic>
+#include <climits>
 #include <cstddef>
 #include <cstdint>
+#include <ctime>
 #include <thread>
 #include <utility>
 
@@ -13,11 +19,85 @@
 
 namespace slick::runtime {
 
+/// The eventcount park/wake pair of every ring (DESIGN.md §7, §17): a raw
+/// futex on the event word, gated by a count of the sleepers on it, so a
+/// publish or release with nobody parked on that ring costs one RMW and no
+/// syscall. std::atomic::wait is not used: libstdc++ 12 hashes waiters into
+/// 16 buckets by `(addr >> 2) % 16`, every 64-byte-aligned event word lands
+/// in bucket 0, and while any thread of the process is parked anywhere,
+/// every notify on every ring then makes a FUTEX_WAKE syscall.
+///
+/// `shared` picks the futex scope: process-shared for the shm ring (its
+/// peers are other processes), FUTEX_PRIVATE_FLAG for in-process rings.
+/// Shared waits are bounded (kWaitBoundNs), so a wake lost to a crashed
+/// peer self-heals into a recheck instead of a hang; in-process peers
+/// cannot vanish mid-protocol, so private waits are unbounded.
+namespace futex {
+
+inline constexpr long kWaitBoundNs = 50'000'000;  // self-healing recheck
+
+SLICK_REALTIME_ALLOW(
+    "idle-only parking: futex wait, entered only when the ring has no work "
+    "for this side — never on the per-tuple path")
+inline void WaitBounded(std::atomic<uint32_t>* word, uint32_t expected,
+                        std::atomic<uint32_t>* waiters, bool shared) {
+  timespec ts{};
+  ts.tv_sec = 0;
+  ts.tv_nsec = kWaitBoundNs;
+  // Advertise BEFORE sleeping, seq_cst: pairs with WakeAll's seq_cst
+  // RMW. Either the waker's event bump precedes the kernel's
+  // word==expected check (we don't sleep), or our increment precedes the
+  // waker's waiters RMW (it issues the wake). A shm waiter that dies here
+  // leaves the count stuck high — that only costs the fast-path skip,
+  // never a hang, and the ring this counter serves is the one built to
+  // survive exactly such deaths.
+  waiters->fetch_add(1, std::memory_order_seq_cst);
+  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word),
+            shared ? FUTEX_WAIT : FUTEX_WAIT_PRIVATE, expected,
+            shared ? &ts : nullptr, nullptr, 0);
+  // relaxed: the decrement publishes nothing — a waker that misses it
+  // merely issues one spurious FUTEX_WAKE on an empty queue.
+  waiters->fetch_sub(1, std::memory_order_relaxed);
+}
+
+SLICK_REALTIME_ALLOW(
+    "eventcount wake: the common nobody-parked case is one RMW on a line "
+    "the waker already owns; the futex syscall fires only for real "
+    "sleepers")
+inline void WakeAll(std::atomic<uint32_t>* word,
+                    std::atomic<uint32_t>* waiters, bool shared) {
+  // A seq_cst read-modify-write, not a load: an RMW reads the latest
+  // value in the waiters' modification order, where it is ordered against
+  // every advertise. Either it follows a waiter's advertise — it reads
+  // nonzero and we issue the wake — or it precedes it; then the waiter's
+  // seq_cst increment reads from this release RMW and synchronizes with
+  // it, so the caller's event-word bump (sequenced before this call)
+  // happens-before the waiter's FUTEX_WAIT, whose word==expected check
+  // fails: the waiter does not sleep. Unlike a fence, ThreadSanitizer
+  // models this pairing.
+  if (waiters->fetch_add(0, std::memory_order_seq_cst) == 0) return;
+  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word),
+            shared ? FUTEX_WAKE : FUTEX_WAKE_PRIVATE, INT_MAX, nullptr,
+            nullptr, 0);
+}
+
+}  // namespace futex
+
+/// How a batch publish signals the consumer (DESIGN.md §12). Every publish
+/// bumps tail_event; kCoalesced skips the futex wake while the unconsumed
+/// backlog after the publish stays below half the ring — for a producer
+/// whose own thread drains the shard at its next epoch barrier (the
+/// engine's router), so a wake would only buy a context switch.
+enum class DataWake : uint8_t {
+  kEager,      ///< wake a parked consumer on every publish
+  kCoalesced,  ///< wake only once the backlog reaches half the ring
+};
+
 /// The cursor/eventcount block RingCore works on (DESIGN.md §7), as
 /// MpmcRing lays it out. RingCore reaches a ring's block by field name, so
 /// SpscRing keeps its cached cursors interleaved in its own block and
-/// ShmControl adds the futex waiter counts and reaper words in the shared
-/// segment; each names these seven fields the same way.
+/// ShmControl adds the reaper words in the shared segment; each names these
+/// nine fields the same way.
 struct RingCursors {
   /// Release cursor (slots at [0, head) are reusable by producers).
   alignas(64) std::atomic<uint64_t> head{0};
@@ -26,9 +106,13 @@ struct RingCursors {
   alignas(64) std::atomic<uint64_t> tail{0};
   /// Consumer claim cursor, with head <= claim <= tail.
   alignas(64) std::atomic<uint64_t> claim{0};
-  /// Eventcounts for parking (bumped per batch, and by close()).
+  /// Eventcounts for parking (bumped per batch, and by close()), each
+  /// sharing its line with the count of sleepers on it: the waker reads
+  /// both together (futex::WakeAll).
   alignas(64) std::atomic<uint32_t> tail_event{0};
+  std::atomic<uint32_t> tail_waiters{0};  // slick-lint: allow(atomic-alignas)
   alignas(64) std::atomic<uint32_t> head_event{0};
+  std::atomic<uint32_t> head_waiters{0};  // slick-lint: allow(atomic-alignas)
   /// Written once at shutdown but polled by all sides; its own line keeps
   /// the poll from false-sharing with the head_event bump traffic.
   alignas(64) std::atomic<uint32_t> closed{0};
@@ -47,9 +131,11 @@ struct RingCursors {
 ///  * storage — `cursors()` (a block with RingCursors' field names) and
 ///    `slots()`;
 ///  * the four primitives — TryClaimPush, PublishPush(span, count),
-///    TryClaimPop, ReleasePop;
+///    TryClaimPop, ReleasePop; the in-process rings also expose
+///    CommitPush(span, count), a publish that leaves the signal to the
+///    caller, which is what DataWake::kCoalesced needs;
 ///  * `PopReady()` — "the slot at the claim cursor can be claimed";
-///  * the park/wake pair — `Park(event, seen)` and `Wake(event)`.
+///  * `kShared` when its peers live in other processes (futex scope).
 ///
 /// Close and shutdown: close() sets `closed` and signals both
 /// eventcounts, so a parked peer always observes shutdown. ClaimPop
@@ -90,15 +176,17 @@ class RingCore {
   /// Copies up to `n` elements from `src` into the ring without blocking.
   /// Returns the number accepted (0 when full or closed). Built on the
   /// claim/publish primitives — at most two segments when the span wraps.
-  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(const T* src,
-                                                        std::size_t n) {
+  /// `wake` picks how each segment's publish signals the consumer; a ring
+  /// without CommitPush (shm) always wakes eagerly.
+  SLICK_NODISCARD SLICK_REALTIME std::size_t try_push_n(
+      const T* src, std::size_t n, DataWake wake = DataWake::kEager) {
     std::size_t done = 0;
     while (done < n) {
       std::size_t k = 0;
       T* span = self().TryClaimPush(n - done, &k);
       if (span == nullptr) break;
       for (std::size_t i = 0; i < k; ++i) span[i] = src[done + i];
-      self().PublishPush(span, k);
+      if (!PublishCoalesced(span, k, wake)) self().PublishPush(span, k);
       done += k;
       // A claim is capped at the array wrap; continue only when this one
       // ended exactly there (a second segment may be free at the front).
@@ -113,11 +201,15 @@ class RingCore {
 
   /// Blocking push: copies all `n` elements, parking when the ring is full
   /// (the runtime's backpressure). Returns the number accepted, which is
-  /// `n` unless the ring is closed mid-wait.
-  std::size_t push_n(const T* src, std::size_t n) {
+  /// `n` unless the ring is closed mid-wait. A coalesced producer never
+  /// parks on a full ring whose consumer was not woken: a full ring holds
+  /// more than half a ring of backlog, and the publish that crossed half
+  /// woke the consumer.
+  std::size_t push_n(const T* src, std::size_t n,
+                     DataWake wake = DataWake::kEager) {
     std::size_t done = 0;
     while (done < n) {
-      const std::size_t k = try_push_n(src + done, n - done);
+      const std::size_t k = try_push_n(src + done, n - done, wake);
       done += k;
       if (done == n) break;
       if (k == 0) {
@@ -174,6 +266,22 @@ class RingCore {
     // makes the wake conservative.
     return cur().tail.load(std::memory_order_acquire) ==
            cur().claim.load(std::memory_order_relaxed);
+  }
+
+  /// DataWake::kCoalesced's wake predicate, evaluated right after a
+  /// publish: the unconsumed backlog has reached half the ring. It bounds
+  /// what an epoch barrier may have to drain on the calling thread.
+  bool coalesced_wake_due() const {
+    return unconsumed() >= capacity() / 2;
+  }
+
+  /// Threads currently parked (or about to park) on the data and space
+  /// eventcounts — the sleeper counts futex::WakeAll gates on.
+  uint32_t data_waiters() const {
+    return cur().tail_waiters.load(std::memory_order_acquire);
+  }
+  uint32_t space_waiters() const {
+    return cur().head_waiters.load(std::memory_order_acquire);
   }
 
   /// The producer wake condition: a slot below head + capacity is free,
@@ -242,20 +350,29 @@ class RingCore {
   /// Callers process the span in place and then ReleasePop(*count).
   SLICK_NODISCARD T* ClaimPop(std::size_t max, std::size_t* count) {
     Derived& ring = self();
-    while (true) {
+    for (;;) {
       T* span = ring.TryClaimPop(max, count);
       if (span != nullptr) return span;
-      if (closed()) {
-        // Re-check: elements published before close() must still drain.
-        span = ring.TryClaimPop(max, count);
-        if (span != nullptr) return span;
-        // relaxed: own cursor (single logical consumer).
-        if (cur().tail.load(std::memory_order_acquire) ==
-            cur().claim.load(std::memory_order_relaxed)) {
-          return nullptr;
-        }
-        // Reserved-but-unpublished slots remain: park on tail_event
-        // until the in-flight publish bumps it.
+      // Elements published before close() still drain; reserved-but-
+      // unpublished slots keep AwaitPop parked until their publish.
+      if (!AwaitPop()) return nullptr;
+    }
+  }
+
+  /// Non-claiming wait: blocks (spin, then park) until an unclaimed element
+  /// is ready, and returns true; returns false once the ring is closed and
+  /// settled (every reservation published and claimed). Claims nothing, so
+  /// a consumer may wait here without holding the right to claim — another
+  /// claimer may take what woke it, and the caller then simply waits again
+  /// (ShardWorker's ownership protocol).
+  bool AwaitPop() {
+    for (;;) {
+      if (self().PopReady()) return true;
+      // relaxed: the consumer's own cursor; a stale value only delays the
+      // settle verdict by one wait.
+      if (closed() && cur().tail.load(std::memory_order_acquire) ==
+                          cur().claim.load(std::memory_order_relaxed)) {
+        return false;
       }
       WaitForData();
     }
@@ -438,14 +555,19 @@ class RingCore {
   /// Eventcount signals: bump, then wake whoever parked on the word. Once
   /// per publish (data) or release (space) batch, never per element; also
   /// by close() and by shm repair. release: orders the caller's cursor or
-  /// seq stores before the bump a waiter snapshots.
-  SLICK_REALTIME void SignalData() {
+  /// seq stores before the bump a waiter snapshots. `wake == false` (a
+  /// coalesced publish) bumps only: a waiter between its snapshot and its
+  /// futex wait still sees the bump and does not sleep, and a sleeper
+  /// stays asleep until a later publish, close() or its own barrier.
+  SLICK_REALTIME void SignalData(bool wake = true) {
     cur().tail_event.fetch_add(1, std::memory_order_release);
-    self().Wake(cur().tail_event);
+    if (wake) {
+      futex::WakeAll(&cur().tail_event, &cur().tail_waiters, ProcessShared());
+    }
   }
   SLICK_REALTIME void SignalSpace() {
     cur().head_event.fetch_add(1, std::memory_order_release);
-    self().Wake(cur().head_event);
+    futex::WakeAll(&cur().head_event, &cur().head_waiters, ProcessShared());
   }
 
   std::size_t mask_;
@@ -457,6 +579,31 @@ class RingCore {
   Derived& self() { return static_cast<Derived&>(*this); }
   const Derived& self() const { return static_cast<const Derived&>(*this); }
   decltype(auto) cur() const { return self().cursors(); }
+
+  // Futex scope: process-shared only for a ring whose peers are other
+  // processes (ShmRing declares kShared). A function, so it is evaluated
+  // where Derived is complete.
+  static constexpr bool ProcessShared() {
+    return requires { Derived::kShared; };
+  }
+
+  // Publishes one segment coalesced when `wake` asks for it and the ring
+  // has a signal-free publish primitive; returns false, publishing nothing,
+  // otherwise (the caller then publishes eagerly). The shm ring has none:
+  // its producers are other processes, and they always wake.
+  SLICK_REALTIME bool PublishCoalesced(T* span, std::size_t k,
+                                       DataWake wake) {
+    if constexpr (requires(Derived& d, T* s, std::size_t c) {
+                    d.CommitPush(s, c);
+                  }) {
+      if (wake == DataWake::kCoalesced) {
+        self().CommitPush(span, k);
+        SignalData(coalesced_wake_due());
+        return true;
+      }
+    }
+    return false;
+  }
 
   // Briefly spin/yield, then park on the eventcount. The snapshot/recheck
   // ordering makes the park race-free: if the peer publishes (or releases)
@@ -472,7 +619,8 @@ class RingCore {
     }
     const uint32_t e = cur().tail_event.load(std::memory_order_acquire);
     if (pop_ready_or_settled()) return;
-    self().Park(cur().tail_event, e);
+    futex::WaitBounded(&cur().tail_event, e, &cur().tail_waiters,
+                       ProcessShared());
   }
 
   SLICK_REALTIME_ALLOW(
@@ -485,7 +633,8 @@ class RingCore {
     }
     const uint32_t e = cur().head_event.load(std::memory_order_acquire);
     if (push_space_or_closed()) return;
-    self().Park(cur().head_event, e);
+    futex::WaitBounded(&cur().head_event, e, &cur().head_waiters,
+                       ProcessShared());
   }
 
   // On an oversubscribed host a yield hands the core to the peer almost for

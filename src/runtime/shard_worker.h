@@ -41,19 +41,27 @@ enum class KillPoint : uint32_t {
 };
 
 /// One shard of the parallel runtime: a dedicated thread that drains its
-/// SPSC ring in batches and drives any FixedWindowAggregator (SlickDeque
+/// ring in batches and drives any FixedWindowAggregator (SlickDeque
 /// Inv/Non-Inv, TwoStacks-via-Windowed, DABA-via-Windowed, Naive, ...).
 ///
-/// Synchronization contract with the coordinator:
-///  * Only the worker thread touches `aggregator()` while running. After
-///    every drained batch the worker release-stores its cumulative count
-///    into `processed()`; a coordinator that acquire-loads `processed()`
-///    and sees it equal to the number of elements it routed here therefore
-///    observes all slides, and — being the only producer — knows the worker
-///    cannot slide again until the coordinator itself pushes more. That
-///    quiescent read is the runtime's epoch-snapshot edge.
+/// Synchronization contract with the coordinator (DESIGN.md §12):
+///  * Shard ownership: one atomic word on its own cache line. Only its
+///    holder may claim from the ring or touch `aggregator()`. The worker
+///    takes it with one CAS per drained batch and never holds it while it
+///    waits for data (RingCore::AwaitPop claims nothing). On unsupervised
+///    engines the coordinator takes it too, at its epoch barrier
+///    (DrainOnCaller): it drains everything claimable on its own thread and
+///    hands the shard back. Both holders run the same per-batch body
+///    (DrainBatch). The acquire CAS and the release hand-back order every
+///    holder's slides before the next holder's.
+///  * After every drained batch the holder release-stores the cumulative
+///    count into `processed()`; a coordinator that acquire-loads
+///    `processed()` and sees it equal to the number of elements routed here
+///    therefore observes all slides, and knows no holder can slide again
+///    until more is pushed. That quiescent read is the runtime's
+///    epoch-snapshot edge.
 ///  * The coordinator's post-snapshot pushes release-publish the ring tail,
-///    and the worker acquire-loads it before sliding, so snapshot reads and
+///    and the holder acquire-loads it before sliding, so snapshot reads and
 ///    later slides never race (the edge the TSan CI job machine-checks).
 ///
 /// Fault tolerance (DESIGN.md §12) — active when `checkpoint_interval > 0`:
@@ -159,6 +167,22 @@ class ShardWorker {
     return processed_.load(std::memory_order_acquire);
   }
 
+  /// Caller-runs drain, the engine's epoch barrier on unsupervised engines:
+  /// if no thread holds the shard, takes it, drains everything claimable on
+  /// the calling thread, and hands it back. Returns false when the worker
+  /// holds the shard — it is awake then and finishes the backlog itself.
+  /// Supervised engines never call this: their restart protocol owns the
+  /// consumer role.
+  bool DrainOnCaller() {
+    SLICK_DCHECK(!Supervised(), "caller-runs drain on a supervised shard");
+    if (!TryOwn(Holder::kCaller)) return false;
+    uint64_t batches = 0;
+    while (DrainBatch(Holder::kCaller) == Drained::kBatch) ++batches;
+    Disown();
+    counters_.coordinator_batches.Add(batches);
+    return true;
+  }
+
   /// Worker lifecycle, for the supervisor (acquire pairs with the worker's
   /// release store at its exit edges).
   WorkerState state() const {
@@ -221,7 +245,11 @@ class ShardWorker {
       }
       ring_.ResetClaims();
       last_ckpt_processed_ = restored;
-      resume_processed_ = restored;
+      pending_release_ = 0;  // the rewound claims replay that span
+      // relaxed: the dead thread was joined above and the respawn below
+      // orders this store before the successor's first CAS.
+      owner_.store(static_cast<uint32_t>(Holder::kNone),
+                   std::memory_order_relaxed);
       processed_.store(restored, std::memory_order_release);
       counters_.tuples_out.Set(restored);
       counters_.replayed.Add(replayed);
@@ -304,112 +332,157 @@ class ShardWorker {
     return fault::Fire(point, shard_index_);
   }
 
-  SLICK_REALTIME void Run() {
-    uint64_t done = resume_processed_;
-    std::size_t pending_release = 0;
-    uint64_t seen_combines = 0, seen_inverses = 0;
-    if constexpr (kCountedOp) {
-      // The thread-local tallies are per OS thread: a respawned worker
-      // starts from this thread's base line, not zero.
-      seen_combines = ops::ThreadLocalOpCounter::combines;
-      seen_inverses = ops::ThreadLocalOpCounter::inverses;
+  /// Who holds the shard's ownership word.
+  enum class Holder : uint32_t { kNone = 0, kWorker, kCaller };
+
+  /// What one DrainBatch call did.
+  enum class Drained { kEmpty, kBatch, kDied };
+
+  SLICK_NODISCARD SLICK_REALTIME bool TryOwn(Holder who) {
+    auto none = static_cast<uint32_t>(Holder::kNone);
+    // acquire on success: the previous holder's slides, releases and
+    // processed publish happen-before ours. relaxed on failure: nothing
+    // is read on its strength.
+    return owner_.compare_exchange_strong(none, static_cast<uint32_t>(who),
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed);
+  }
+
+  SLICK_REALTIME void Disown() {
+    // release: hands this holder's aggregator writes to the next holder.
+    owner_.store(static_cast<uint32_t>(Holder::kNone),
+                 std::memory_order_release);
+  }
+
+  SLICK_REALTIME_ALLOW(
+      "contended ownership only: the coordinator is draining this shard at "
+      "its epoch barrier; the worker yields until it hands the shard back")
+  static void AwaitHandBack() { std::this_thread::yield(); }
+
+  /// The per-batch body, run by whichever thread holds the shard: claim a
+  /// contiguous ring span and feed it straight into the aggregator's batch
+  /// entry point (no bounce buffer), release, publish `processed`, then the
+  /// counters and histograms. Injected kills fire on the worker only.
+  SLICK_REALTIME Drained DrainBatch(Holder who) {
+    std::size_t n = 0;
+    slot_type* span = ring_.TryClaimPop(batch_, &n);
+    if (span == nullptr) return Drained::kEmpty;
+    const bool worker = who == Holder::kWorker;
+    ++batches_drained_;
+    if (worker && ShouldDie(kill_before_, batches_drained_,
+                            fault::Point::kWorkerKillBeforeSlide)) {
+      Die();
+      return Drained::kDied;
     }
+    // The thread-local ⊕/⊖ tallies are per OS thread, so fold this batch's
+    // delta on whichever thread drained it: op counts stay exact.
+    using Tally = ops::ThreadLocalOpCounter;
+    uint64_t combines0 = 0, inverses0 = 0;
+    if constexpr (kCountedOp) {
+      combines0 = Tally::combines;
+      inverses0 = Tally::inverses;
+    }
+    const uint64_t t0 = util::MonotonicNanos();
+    if constexpr (kEventTime) {
+      agg_.BulkInsert(span, n);
+      // Advance the shard low watermark: the max event ts drained so
+      // far. Published AFTER the insert (relaxed gauge, but ordered for
+      // the coordinator by the processed() release below), so a
+      // watermark the coordinator trusts always covers inserted data.
+      uint64_t wm = counters_.watermark.Get();
+      for (std::size_t k = 0; k < n; ++k) {
+        if (span[k].t > wm) wm = span[k].t;
+      }
+      counters_.watermark.Set(wm);
+      // Lazy watermark-driven eviction: expire this shard's dead prefix
+      // HERE, in parallel across workers, so the coordinator's serial
+      // BulkEvict at query time finds an already-trimmed tree. The probe
+      // floor is conservative (<= any future quiescent query's eviction
+      // point), so this only ever removes entries the next query would
+      // discard anyway — tree content at a quiescent point stays a pure
+      // function of the routed stream, which is what keeps supervised
+      // recovery bit-identical.
+      if (evict_floor_probe_) {
+        const uint64_t floor = evict_floor_probe_();
+        if (floor > 0) agg_.BulkEvict(floor);
+      }
+    } else {
+      window::BulkSlide(agg_, span, n);
+    }
+    batch_latency_.Record(util::MonotonicNanos() - t0);
+    if (worker && ShouldDie(kill_after_, batches_drained_,
+                            fault::Point::kWorkerKillAfterSlide)) {
+      Die();
+      return Drained::kDied;
+    }
+    // relaxed: only the holder writes processed_, and the ownership word
+    // orders successive holders.
+    const uint64_t done = processed_.load(std::memory_order_relaxed) + n;
+    if (Supervised()) {
+      // Slots stay claimed until a validated checkpoint covers them; the
+      // unreleased span is the crash-replay log. The capacity backstop
+      // forces a checkpoint attempt before the ring can wedge on
+      // unreleased slots alone.
+      pending_release_ += n;
+      if (done - last_ckpt_processed_ >= checkpoint_interval_ ||
+          pending_release_ + batch_ >= ring_.capacity()) {
+        if (TakeCheckpoint(done)) {
+          ring_.ReleasePop(pending_release_);
+          pending_release_ = 0;
+        }
+      }
+    } else {
+      // Release only after the slide: the moment the head cursor moves
+      // the router may overwrite the span.
+      ring_.ReleasePop(n);
+    }
+    batch_sizes_.Record(n);
+    processed_.store(done, std::memory_order_release);
+    counters_.tuples_out.Add(n);
+    counters_.batches.Add(1);
+    if constexpr (kCountedOp) {
+      counters_.combines.Add(Tally::combines - combines0);
+      counters_.inverses.Add(Tally::inverses - inverses0);
+    }
+    return Drained::kBatch;
+  }
+
+  /// The worker loop: take the shard, drain one batch, hand it back; when
+  /// nothing is claimable, wait for data without holding the shard.
+  SLICK_REALTIME void Run() {
     for (;;) {
       heartbeat_.Set(util::MonotonicNanos());
-      // Retry a due-but-failed checkpoint before a claim that might park:
+      // Retry a due-but-failed checkpoint before a wait that might park:
       // a transient failure (alloc, corruption) must not strand the
       // unreleased span until the next batch happens to arrive.
-      if (Supervised() && pending_release > 0 &&
-          done - last_ckpt_processed_ >= checkpoint_interval_) {
-        if (TakeCheckpoint(done)) {
-          ring_.ReleasePop(pending_release);
-          pending_release = 0;
+      if (Supervised() && pending_release_ > 0) {
+        // relaxed: a supervised shard's only holder is this thread.
+        const uint64_t done = processed_.load(std::memory_order_relaxed);
+        if (done - last_ckpt_processed_ >= checkpoint_interval_ &&
+            TakeCheckpoint(done)) {
+          ring_.ReleasePop(pending_release_);
+          pending_release_ = 0;
         }
       }
-      // Zero-copy drain: claim a contiguous ring span and feed it straight
-      // into the aggregator's batch entry point — no bounce buffer. An
-      // empty poll is counted as an idle poll instead of polluting the
+      if (!TryOwn(Holder::kWorker)) {
+        AwaitHandBack();
+        continue;
+      }
+      const Drained drained = DrainBatch(Holder::kWorker);
+      Disown();
+      if (drained == Drained::kDied) return;
+      if (drained == Drained::kBatch) continue;
+      // An empty poll is counted as an idle poll instead of polluting the
       // batch-size distribution with zero-length entries (ingest benches
       // spend most polls idle at low producer counts).
-      std::size_t n = 0;
-      slot_type* span = ring_.TryClaimPop(batch_, &n);
-      if (span == nullptr) {
-        counters_.idle_polls.Add(1);
-        span = ring_.ClaimPop(batch_, &n);
-        if (span == nullptr) break;  // closed and fully drained
-      }
-      ++batches_drained_;
-      if (ShouldDie(kill_before_, batches_drained_,
-                    fault::Point::kWorkerKillBeforeSlide)) {
-        Die();
-        return;
-      }
-      const uint64_t t0 = util::MonotonicNanos();
-      if constexpr (kEventTime) {
-        agg_.BulkInsert(span, n);
-        // Advance the shard low watermark: the max event ts drained so
-        // far. Published AFTER the insert (relaxed gauge, but ordered for
-        // the coordinator by the processed() release below), so a
-        // watermark the coordinator trusts always covers inserted data.
-        uint64_t wm = counters_.watermark.Get();
-        for (std::size_t k = 0; k < n; ++k) {
-          if (span[k].t > wm) wm = span[k].t;
-        }
-        counters_.watermark.Set(wm);
-        // Lazy watermark-driven eviction: expire this shard's dead prefix
-        // HERE, in parallel across workers, so the coordinator's serial
-        // BulkEvict at query time finds an already-trimmed tree. The probe
-        // floor is conservative (<= any future quiescent query's eviction
-        // point), so this only ever removes entries the next query would
-        // discard anyway — tree content at a quiescent point stays a pure
-        // function of the routed stream, which is what keeps supervised
-        // recovery bit-identical.
-        if (evict_floor_probe_) {
-          const uint64_t floor = evict_floor_probe_();
-          if (floor > 0) agg_.BulkEvict(floor);
-        }
-      } else {
-        window::BulkSlide(agg_, span, n);
-      }
-      batch_latency_.Record(util::MonotonicNanos() - t0);
-      if (ShouldDie(kill_after_, batches_drained_,
-                    fault::Point::kWorkerKillAfterSlide)) {
-        Die();
-        return;
-      }
-      done += n;
-      if (Supervised()) {
-        // Slots stay claimed until a validated checkpoint covers them; the
-        // unreleased span is the crash-replay log. The capacity backstop
-        // forces a checkpoint attempt before the ring can wedge on
-        // unreleased slots alone.
-        pending_release += n;
-        if (done - last_ckpt_processed_ >= checkpoint_interval_ ||
-            pending_release + batch_ >= ring_.capacity()) {
-          if (TakeCheckpoint(done)) {
-            ring_.ReleasePop(pending_release);
-            pending_release = 0;
-          }
-        }
-      } else {
-        // Release only after the slide: the moment the head cursor moves
-        // the router may overwrite the span.
-        ring_.ReleasePop(n);
-      }
-      batch_sizes_.Record(n);
-      processed_.store(done, std::memory_order_release);
-      counters_.tuples_out.Add(n);
-      counters_.batches.Add(1);
-      if constexpr (kCountedOp) {
-        using Tally = ops::ThreadLocalOpCounter;
-        counters_.combines.Add(Tally::combines - seen_combines);
-        counters_.inverses.Add(Tally::inverses - seen_inverses);
-        seen_combines = Tally::combines;
-        seen_inverses = Tally::inverses;
-      }
+      counters_.idle_polls.Add(1);
+      if (!ring_.AwaitPop()) break;  // closed and fully drained
     }
     // Clean close: everything drained is final — hand the replay log back.
-    if (pending_release > 0) ring_.ReleasePop(pending_release);
+    if (pending_release_ > 0) {
+      ring_.ReleasePop(pending_release_);
+      pending_release_ = 0;
+    }
     state_.store(static_cast<uint32_t>(WorkerState::kStopped),
                  std::memory_order_release);
   }
@@ -496,6 +569,9 @@ class ShardWorker {
   const std::size_t shard_index_;          // fault-injection lane
   const std::size_t window_;               // for fresh-aggregator recovery
   Agg agg_;
+  // Shard ownership (see the class comment): kNone, kWorker or kCaller.
+  alignas(64) std::atomic<uint32_t> owner_{
+      static_cast<uint32_t>(Holder::kNone)};
   alignas(64) std::atomic<uint64_t> processed_{0};
   // Cold supervisor-facing control words; they share processed_'s padding
   // region rather than burning a cache line each (all are written at most
@@ -506,14 +582,15 @@ class ShardWorker {
   std::atomic<uint64_t> kill_before_{0};  // batch ordinal to die at; 0 = off
   // slick-lint: allow(atomic-alignas)
   std::atomic<uint64_t> kill_after_{0};
-  // Worker-thread-owned recovery bookkeeping. Accessed by the supervisor
-  // only between join and respawn (ordered by the thread lifecycle).
+  // Holder-owned drain bookkeeping (guarded by owner_). Accessed by the
+  // supervisor only between join and respawn (ordered by the thread
+  // lifecycle).
   uint64_t batches_drained_ = 0;      // cumulative across restarts
   // Event-time only: polled once per drained batch (worker thread). Set
   // before Start(), immutable afterwards — no synchronization needed.
   std::function<uint64_t()> evict_floor_probe_;
   uint64_t last_ckpt_processed_ = 0;  // processed count in last_good_
-  uint64_t resume_processed_ = 0;     // where a respawned Run() resumes
+  std::size_t pending_release_ = 0;   // supervised: claimed, not released
   std::string last_good_;             // last validated checkpoint frame
   telemetry::Gauge heartbeat_;
   telemetry::ShardCounters counters_;

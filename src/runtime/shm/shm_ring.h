@@ -1,18 +1,14 @@
 #pragma once
 
-#include <linux/futex.h>
 #include <signal.h>
-#include <sys/syscall.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <climits>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <ctime>
 #include <deque>
 #include <new>
 #include <string>
@@ -31,65 +27,6 @@
 #include "util/shm.h"
 
 namespace slick::runtime {
-
-/// Cross-process eventcount primitives (DESIGN.md §17). libstdc++'s
-/// std::atomic::wait/notify lowers to FUTEX_PRIVATE_FLAG operations, which
-/// the kernel scopes to one mm — a producer process would never wake a
-/// consumer parked in another process. The shm ring therefore parks on raw
-/// *shared* futexes over its eventcount words. Every wait is bounded (50ms)
-/// so a wake lost to a crashed peer self-heals into a recheck instead of a
-/// hang — parking is an idle-path optimization here, never a correctness
-/// dependency.
-namespace shm_futex {
-
-inline constexpr long kWaitBoundNs = 50'000'000;  // self-healing recheck
-
-SLICK_REALTIME_ALLOW(
-    "idle-only parking: bounded shared-futex wait, entered only when the "
-    "ring has no work for this side — never on the per-tuple path")
-inline void WaitBounded(std::atomic<uint32_t>* word, uint32_t expected,
-                        std::atomic<uint32_t>* waiters) {
-  timespec ts{};
-  ts.tv_sec = 0;
-  ts.tv_nsec = kWaitBoundNs;
-  // Advertise BEFORE sleeping, seq_cst: pairs with WakeAll's seq_cst
-  // RMW. Either the waker's event bump precedes the kernel's
-  // word==expected check (we don't sleep), or our increment precedes the
-  // waker's waiters RMW (it issues the wake). A waiter that dies here
-  // leaves the count stuck high — that only costs the fast-path skip,
-  // never a hang, and the ring this counter serves is the one built to
-  // survive exactly such deaths.
-  waiters->fetch_add(1, std::memory_order_seq_cst);
-  // FUTEX_WAIT without FUTEX_PRIVATE_FLAG: shared across processes.
-  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAIT,
-            expected, &ts, nullptr, 0);
-  // relaxed: the decrement publishes nothing — a waker that misses it
-  // merely issues one spurious FUTEX_WAKE on an empty queue.
-  waiters->fetch_sub(1, std::memory_order_relaxed);
-}
-
-SLICK_REALTIME_ALLOW(
-    "eventcount wake: the common nobody-parked case is one shared load; "
-    "the futex syscall fires only for real sleepers — cheaper than the "
-    "in-process ring's notify_all, which is the same shape")
-inline void WakeAll(std::atomic<uint32_t>* word,
-                    std::atomic<uint32_t>* waiters) {
-  // A seq_cst read-modify-write, not a load: an RMW reads the latest
-  // value in the waiters' modification order, where it is ordered against
-  // every advertise. Either it follows a waiter's advertise — it reads
-  // nonzero and we issue the wake — or it precedes it; then the waiter's
-  // seq_cst increment reads from this release RMW and synchronizes with
-  // it, so the caller's event-word bump (sequenced before this call)
-  // happens-before the waiter's FUTEX_WAIT, whose word==expected check
-  // fails: the waiter does not sleep. Unlike a fence, ThreadSanitizer
-  // models this pairing. Even a lost race costs at most one kWaitBoundNs
-  // recheck, by design.
-  if (waiters->fetch_add(0, std::memory_order_seq_cst) == 0) return;
-  ::syscall(SYS_futex, reinterpret_cast<uint32_t*>(word), FUTEX_WAKE,
-            INT_MAX, nullptr, nullptr, 0);
-}
-
-}  // namespace shm_futex
 
 /// In-flight claim state a lease record advertises (DESIGN.md §17 lease
 /// state machine). The distinction carries *crash attribution*: kOwned
@@ -314,7 +251,7 @@ class ShmRing : public RingCore<ShmRing<T>, T> {
   /// Trait the engine keys producer-handle support on.
   static constexpr bool kMultiProducer = true;
   /// Trait marking cross-process residency (conformance suite naming,
-  /// engine reaper detection).
+  /// engine reaper detection, and RingCore's process-shared futex scope).
   static constexpr bool kShared = true;
 
   static constexpr std::size_t kDefaultMaxProducers = 16;
@@ -1153,19 +1090,6 @@ class ShmRing : public RingCore<ShmRing<T>, T> {
     return (seq_[static_cast<std::size_t>(claim) & mask_].load(
                 std::memory_order_acquire) &
             ~kSeqDead) == claim + 1;
-  }
-
-  // Cross-process parking: the bounded shared-futex eventcount above,
-  // gated by the sleeper count beside each event word.
-  std::atomic<uint32_t>& WaitersOf(const std::atomic<uint32_t>& event) const {
-    return &event == &ctl_->tail_event ? ctl_->tail_waiters
-                                       : ctl_->head_waiters;
-  }
-  void Park(std::atomic<uint32_t>& event, uint32_t seen) const {
-    shm_futex::WaitBounded(&event, seen, &WaitersOf(event));
-  }
-  void Wake(std::atomic<uint32_t>& event) const {
-    shm_futex::WakeAll(&event, &WaitersOf(event));
   }
 
   ShmControl& cursors() const { return *ctl_; }

@@ -39,10 +39,9 @@ namespace slick::runtime {
 ///
 /// Everything above the four primitives — the copying and blocking loops,
 /// close/settle, the backlog views and the spin-then-park waits — is
-/// RingCore's. Parking is std::atomic::wait on the eventcount words; the
-/// other side bumps + notifies once per *batch*, not per element, and
-/// libstdc++'s waiter pool makes the notify a no-op syscall-wise when
-/// nobody is parked.
+/// RingCore's. Parking is RingCore's waiter-counted private futex on the
+/// eventcount words; the other side bumps once per *batch*, not per
+/// element, and makes the wake syscall only when a sleeper is counted.
 template <typename T>
 class SpscRing : public RingCore<SpscRing<T>, T> {
   using Core = RingCore<SpscRing<T>, T>;
@@ -70,7 +69,7 @@ class SpscRing : public RingCore<SpscRing<T>, T> {
   /// writing, without blocking: returns the span start and sets *count to
   /// its length (capped at the array wrap, so a full claim may take two
   /// calls). Returns nullptr with *count == 0 when the ring is full or
-  /// closed. Nothing is visible to the consumer until PublishPush(count) —
+  /// closed. Nothing is visible to the consumer until PublishPush —
   /// one acquire refresh at most per claim, zero per element.
   SLICK_NODISCARD SLICK_REALTIME T* TryClaimPush(std::size_t max,
                                                  std::size_t* count) {
@@ -94,34 +93,13 @@ class SpscRing : public RingCore<SpscRing<T>, T> {
 
   /// Publishes `count` slots previously claimed with TryClaimPush (count
   /// may be less than the claim; unpublished slots are simply re-claimed
-  /// next time). One cursor store and one event bump per batch.
-  SLICK_REALTIME void PublishPush(std::size_t count) {
-    this->InjectPublishDelay();
-    // relaxed: tail is this thread's own cursor (single producer).
-    const uint64_t tail = cursors_.tail.load(std::memory_order_relaxed);
-    // Telemetry: occupancy right after this publish, measured against the
-    // producer's (possibly stale) view of head — an upper bound, so the
-    // high-water mark never under-reports.
-    this->RaiseHighwater(tail + count - cursors_.head_cache);
-    // release: publishes the claimed slots' contents; pairs with the
-    // consumer's acquire refresh of tail in TryClaimPop.
-    cursors_.tail.store(tail + count, std::memory_order_release);
+  /// next time). One cursor store and one event bump per batch. The span
+  /// names the claim in the shared producer API with MpmcRing (where
+  /// concurrent claims make the pointer the claim's only name); here the
+  /// count alone suffices and the span is only sanity-checked.
+  SLICK_REALTIME void PublishPush(T* span, std::size_t count) {
+    CommitPush(span, count);
     this->SignalData();
-  }
-
-  /// Span-addressed publish — the shared producer API with MpmcRing (where
-  /// concurrent claims make the span pointer the claim's only name). For
-  /// the SPSC ring the count alone suffices; the span is only sanity-checked.
-  SLICK_REALTIME void PublishPush([[maybe_unused]] T* span,
-                                  std::size_t count) {
-    // relaxed: tail is this thread's own cursor (single producer).
-    SLICK_DCHECK(
-        span == slots_.get() +
-                    (static_cast<std::size_t>(
-                         cursors_.tail.load(std::memory_order_relaxed)) &
-                     mask_),
-        "span-addressed publish must start at the claim cursor");
-    PublishPush(count);
   }
 
   // ------------------------------------------------------------------
@@ -138,8 +116,9 @@ class SpscRing : public RingCore<SpscRing<T>, T> {
   SLICK_NODISCARD SLICK_REALTIME T* TryClaimPop(std::size_t max,
                                                 std::size_t* count) {
     *count = 0;
-    // relaxed: claim is this thread's own cursor (single consumer); other
-    // threads only read it through the backlog views.
+    // relaxed: claim is the consumer's own cursor (one claimer at a time —
+    // ShardWorker's ownership word orders successive claimers); other
+    // threads only read it through the backlog views and wait predicates.
     const uint64_t claim = cursors_.claim.load(std::memory_order_relaxed);
     std::size_t avail = static_cast<std::size_t>(cursors_.tail_cache - claim);
     if (avail == 0) {
@@ -166,23 +145,36 @@ class SpscRing : public RingCore<SpscRing<T>, T> {
   }
 
  private:
+  // The publish itself, leaving the signal to the caller (RingCore's
+  // coalesced publish bumps the eventcount without always waking).
+  SLICK_REALTIME void CommitPush([[maybe_unused]] T* span,
+                                 std::size_t count) {
+    this->InjectPublishDelay();
+    // relaxed: tail is this thread's own cursor (single producer).
+    const uint64_t tail = cursors_.tail.load(std::memory_order_relaxed);
+    SLICK_DCHECK(
+        span == slots_.get() + (static_cast<std::size_t>(tail) & mask_),
+        "span-addressed publish must start at the claim cursor");
+    // Telemetry: occupancy right after this publish, measured against the
+    // producer's (possibly stale) view of head — an upper bound, so the
+    // high-water mark never under-reports.
+    this->RaiseHighwater(tail + count - cursors_.head_cache);
+    // release: publishes the claimed slots' contents; pairs with the
+    // consumer's acquire refresh of tail in TryClaimPop.
+    cursors_.tail.store(tail + count, std::memory_order_release);
+  }
+
   // Wake condition "unclaimed data exists" (tail != claim), not tail !=
   // head: with releases deferred past a claim, head can lag while
   // everything published is already claimed — waiting on head would spin
   // forever without a single claimable element.
   bool PopReady() const {
     // acquire: pairs with PublishPush's tail release. relaxed: claim is
-    // the consumer's own cursor.
+    // the consumer's own cursor; a stale value (another claimer moved it)
+    // can only report ready early, and the claim itself re-checks.
     return cursors_.tail.load(std::memory_order_acquire) !=
            cursors_.claim.load(std::memory_order_relaxed);
   }
-
-  // Each event word has at most one waiter (the consumer on tail_event,
-  // the producer on head_event), so notify_one also covers close().
-  static void Park(std::atomic<uint32_t>& event, uint32_t seen) {
-    event.wait(seen, std::memory_order_acquire);
-  }
-  static void Wake(std::atomic<uint32_t>& event) { event.notify_one(); }
 
   static constexpr std::size_t kCacheLine = 64;
 
@@ -200,8 +192,11 @@ class SpscRing : public RingCore<SpscRing<T>, T> {
     // Deliberately shares the consumer-owned cache line with tail_cache:
     // only the consumer writes either. slick-lint: allow(atomic-alignas)
     std::atomic<uint64_t> claim{0};
+    // Each eventcount shares its line with its sleeper count (RingCursors).
     alignas(kCacheLine) std::atomic<uint32_t> tail_event{0};
+    std::atomic<uint32_t> tail_waiters{0};  // slick-lint: allow(atomic-alignas)
     alignas(kCacheLine) std::atomic<uint32_t> head_event{0};
+    std::atomic<uint32_t> head_waiters{0};  // slick-lint: allow(atomic-alignas)
     alignas(kCacheLine) std::atomic<uint32_t> closed{0};
     alignas(kCacheLine) std::atomic<uint64_t> highwater{0};
   };

@@ -62,7 +62,9 @@ struct ShardCounters {
   Counter tuples_in;   ///< admitted into the shard ring (router)
   Counter tuples_out;  ///< slid into the shard aggregator (worker)
   Counter dropped;     ///< shed by a backpressure policy (router)
-  Counter batches;     ///< worker drain batches (worker)
+  Counter batches;     ///< drain batches, by either holder (worker)
+  Counter coordinator_batches;  ///< of those, drained on the query thread
+                                ///< by the caller-runs epoch barrier
   Counter idle_polls;  ///< zero-length drain polls — ring empty when the
                        ///< worker looked; kept out of the batch-size
                        ///< histogram so it reflects real batches (worker)

@@ -89,18 +89,22 @@ class NaiveWindow {
     util::WritePod<uint64_t>(os, pos_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. Transactional:
+  /// the frame is parsed into temporaries and committed by swap only once
+  /// it validates, so a rejected frame leaves this window untouched.
   bool LoadState(std::istream& is)
     requires util::Serializable<value_type>
   {
     if (!util::ExpectTag(is, util::MakeTag('N', 'A', 'I', '1'), 1)) {
       return false;
     }
+    std::vector<value_type> partials;
     uint64_t pos = 0;
-    if (!util::ReadValVec(is, &partials_) || !util::ReadPod(is, &pos)) {
+    if (!util::ReadValVec(is, &partials) || !util::ReadPod(is, &pos)) {
       return false;
     }
-    if (partials_.empty() || pos >= partials_.size()) return false;
+    if (partials.empty() || pos >= partials.size()) return false;
+    partials_.swap(partials);
     pos_ = static_cast<std::size_t>(pos);
     return true;
   }

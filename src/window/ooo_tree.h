@@ -271,11 +271,14 @@ class OooTree {
     });
   }
 
+  /// Transactional: the entries are rebuilt into a temporary tree, which
+  /// is committed by swap only once the whole frame validates, so a
+  /// rejected frame leaves this tree untouched.
   bool LoadState(std::istream& is) {
     if (!util::ExpectTag(is, kTag, 1)) return false;
     uint64_t n = 0;
     if (!util::ReadPod(is, &n)) return false;
-    Clear();
+    OooTree fresh;
     time_type prev = 0;
     for (uint64_t i = 0; i < n; ++i) {
       time_type t = 0;
@@ -283,9 +286,11 @@ class OooTree {
       if (!util::ReadPod(is, &t) || !util::ReadVal(is, &v)) return false;
       if (i > 0 && t <= prev) return false;  // corrupt: must be sorted
       prev = t;
-      Insert(t, std::move(v));  // strictly ascending: O(1) appends
+      fresh.Insert(t, std::move(v));  // strictly ascending: O(1) appends
     }
-    return size_ == n;
+    if (fresh.size_ != n) return false;
+    std::swap(*this, fresh);
+    return true;
   }
 
   std::size_t memory_bytes() const { return NodeBytes(root_.get()); }

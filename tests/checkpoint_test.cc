@@ -28,6 +28,7 @@
 #include "window/flat_fat.h"
 #include "window/flat_fit.h"
 #include "window/naive.h"
+#include "window/ooo_tree.h"
 #include "window/two_stacks.h"
 
 namespace slick {
@@ -217,6 +218,65 @@ TEST(CheckpointTest, SlickDequeInvBadFramesRejectedTargetUntouched) {
       ASSERT_EQ(target.query(r), twin.query(r)) << "v=" << v << " r=" << r;
     }
   }
+}
+
+template <typename Agg>
+std::string SaveBytes(const Agg& agg) {
+  std::stringstream ss;
+  agg.SaveState(ss);
+  return ss.str();
+}
+
+// Offers every frame to `target` and expects each to be rejected with the
+// target's SaveState bytes unchanged (the transactional LoadState contract).
+template <typename Agg>
+void ExpectRejectedUntouched(Agg& target,
+                             const std::vector<std::string>& frames) {
+  const std::string before = SaveBytes(target);
+  for (std::size_t f = 0; f < frames.size(); ++f) {
+    std::stringstream ss(frames[f]);
+    EXPECT_FALSE(target.LoadState(ss)) << "frame " << f;
+    EXPECT_EQ(SaveBytes(target), before) << "frame " << f;
+  }
+}
+
+TEST(CheckpointTest, NaiveWindowBadFramesRejectedTargetUntouched) {
+  window::NaiveWindow<ops::SumInt> target(8);
+  for (int64_t v = 1; v <= 20; ++v) target.slide(v);
+  // A write position past the frame's own partials.
+  std::stringstream pos_past_end;
+  util::WriteTag(pos_past_end, util::MakeTag('N', 'A', 'I', '1'), 1);
+  util::WriteValVec(pos_past_end, std::vector<int64_t>{1, 2, 3, 4});
+  util::WritePod<uint64_t>(pos_past_end, 4);
+  // Another stream's valid frame, truncated before its write position.
+  window::NaiveWindow<ops::SumInt> other(5);
+  for (int64_t v = 100; v <= 107; ++v) other.slide(v);
+  const std::string whole = SaveBytes(other);
+  ExpectRejectedUntouched(
+      target, {pos_past_end.str(), whole.substr(0, whole.size() - 3)});
+  EXPECT_EQ(target.query(), 13 + 14 + 15 + 16 + 17 + 18 + 19 + 20);
+}
+
+TEST(CheckpointTest, OooTreeBadFramesRejectedTargetUntouched) {
+  using Tree = window::OooTree<ops::SumInt>;
+  Tree target;
+  for (uint64_t t : {4u, 9u, 2u, 7u}) target.Insert(t, static_cast<int64_t>(t));
+  const uint32_t tag = util::MakeTag('O', 'O', 'T', '1');
+  // Keys out of order: the rebuild appends and requires ascending keys.
+  std::stringstream unsorted;
+  util::WriteTag(unsorted, tag, 1);
+  util::WritePod<uint64_t>(unsorted, 3);
+  for (uint64_t t : {5u, 3u, 8u}) {
+    util::WritePod<uint64_t>(unsorted, t);
+    util::WriteVal(unsorted, static_cast<int64_t>(t));
+  }
+  // A frame truncated right after its entry count.
+  std::stringstream truncated;
+  util::WriteTag(truncated, tag, 1);
+  util::WritePod<uint64_t>(truncated, 3);
+  ExpectRejectedUntouched(target, {unsorted.str(), truncated.str()});
+  EXPECT_TRUE(target.CheckInvariants());
+  EXPECT_EQ(target.query(), 4 + 9 + 2 + 7);
 }
 
 TEST(CheckpointTest, SlickDequeInvRestoreAdoptsNewRangeSet) {

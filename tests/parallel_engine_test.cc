@@ -4,8 +4,10 @@
 // answers must agree at every epoch (slide barrier). The CI ThreadSanitizer job runs this file to
 // machine-check the runtime's ring protocol and epoch-snapshot handshake.
 
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -15,6 +17,7 @@
 #include "core/slick_deque_noninv.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
+#include "runtime/mpmc_ring.h"
 #include "runtime/parallel_engine.h"
 #include "stream/synthetic.h"
 #include "window/naive.h"
@@ -144,6 +147,78 @@ TEST(ParallelEngineTest, IdleEngineShutsDownCleanly) {
   runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>> eng(8, 4);
   EXPECT_EQ(eng.shard_count(), 4u);
   EXPECT_FALSE(eng.ready());
+}
+
+// Caller-runs barrier and coalesced router wakes (DESIGN.md §12). The
+// router's batches below half a ring wake nobody; query() drains them on
+// the calling thread and must still answer exactly.
+using SumEngine =
+    runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>>;
+
+/// Polls `stats().processed` (no query) until it reaches `want` or the
+/// deadline passes; returns the last value read.
+template <typename Engine>
+uint64_t AwaitProcessed(const Engine& eng, uint64_t want) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  uint64_t got = eng.stats().processed;
+  while (got < want && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    got = eng.stats().processed;
+  }
+  return got;
+}
+
+TEST(ParallelEngineTest, BelowHalfRingBacklogIsDrainedByQuery) {
+  SumEngine eng(64, 2, {.ring_capacity = 1024, .batch = 16});
+  window::NaiveWindow<ops::SumInt> oracle(64);
+  int64_t next = 1;
+  // Each round stays far below half a ring per shard (256 < 512).
+  for (int round = 0; round < 50; ++round) {
+    for (int i = 0; i < 256; ++i, ++next) {
+      eng.push(next);
+      oracle.slide(next);
+    }
+    ASSERT_EQ(eng.query(), oracle.query()) << "round " << round;
+    const auto stats = eng.stats();
+    ASSERT_EQ(stats.processed, stats.admitted) << "round " << round;
+    ASSERT_EQ(stats.processed, static_cast<uint64_t>(next - 1));
+  }
+  const telemetry::RuntimeSnapshot snap = eng.snapshot();
+  for (const auto& shard : snap.shards) {
+    EXPECT_LE(shard.coordinator_batches, shard.batches);
+  }
+}
+
+TEST(ParallelEngineTest, BelowHalfRingBacklogIsDrainedByStop) {
+  SumEngine eng(64, 2, {.ring_capacity = 1024, .batch = 16});
+  for (int64_t i = 0; i < 300; ++i) eng.push(i);
+  eng.stop();
+  const auto stats = eng.stats();
+  EXPECT_EQ(stats.admitted, 300u);
+  EXPECT_EQ(stats.processed, 300u);
+  EXPECT_EQ(eng.snapshot().total_in_flight(), 0u);
+}
+
+TEST(ParallelEngineTest, HalfRingBacklogIsProcessedWithoutQuery) {
+  SumEngine eng(8, 2, {.ring_capacity = 64, .batch = 8});
+  // Half a ring per shard: the publish that reaches it wakes the worker.
+  for (int64_t i = 0; i < 64; ++i) eng.push(i);
+  eng.flush();
+  EXPECT_EQ(AwaitProcessed(eng, 64), 64u);
+}
+
+TEST(ParallelEngineTest, ProducerHandlePushesAreProcessedWithoutQuery) {
+  runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>,
+                                 runtime::MpmcRing>
+      eng(8, 2, {.ring_capacity = 1024, .batch = 8});
+  {
+    auto producer = eng.MakeProducer();
+    // Far below half a ring: only the handle's eager wakes get it drained.
+    for (int64_t i = 0; i < 20; ++i) producer.push(i);
+  }  // destroyed: flushed
+  EXPECT_EQ(AwaitProcessed(eng, 20), 20u);
+  EXPECT_EQ(eng.snapshot().shards[0].coordinator_batches, 0u);
 }
 
 TEST(ParallelEngineTest, InvalidConfigsDie) {

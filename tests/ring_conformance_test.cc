@@ -4,8 +4,9 @@
 // and MpmcRing. Covers the producer/consumer API shape, close semantics
 // (drain-then-signal, wakeups), and the PR 5 claim-cursor regressions
 // (disjoint sequential claims, close with a held unreleased claim,
-// ResetClaims replay) — any future ring must pass this suite verbatim to
-// be selectable in ParallelShardedEngine.
+// ResetClaims replay), and the park/wake round trip of the waiter-counted
+// futex pair — any future ring must pass this suite verbatim to be
+// selectable in ParallelShardedEngine.
 
 #include <atomic>
 #include <chrono>
@@ -226,6 +227,71 @@ TYPED_TEST(RingConformanceTest, ConsumerReleasesBlockedProducer) {
     const std::size_t n = ring.pop_n(out, 8);
     for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(out[i], expected++);
   }
+  producer.join();
+}
+
+// Spins until `cond` holds; each park/wake test first waits for the
+// waiter count, so the wake under test really reaches a sleeper.
+template <typename Cond>
+void AwaitTrue(Cond cond) {
+  while (!cond()) std::this_thread::yield();
+}
+
+// Park/wake round trip over the waiter-counted futex pair: a publish wakes
+// a consumer parked on an empty ring.
+TYPED_TEST(RingConformanceTest, PublishWakesParkedConsumer) {
+  TypeParam ring(16);
+  std::thread consumer([&ring] {
+    int out[4];
+    ASSERT_EQ(ring.pop_n(out, 4), 1u);
+    EXPECT_EQ(out[0], 42);
+  });
+  AwaitTrue([&] { return ring.data_waiters() == 1; });
+  ASSERT_TRUE(ring.try_push(42));
+  consumer.join();
+  EXPECT_EQ(ring.data_waiters(), 0u);
+  ring.close();
+}
+
+// A release wakes a producer parked on a full ring.
+TYPED_TEST(RingConformanceTest, ReleaseWakesProducerParkedOnFullRing) {
+  TypeParam ring(4);
+  const int fill[4] = {0, 1, 2, 3};
+  ASSERT_EQ(ring.try_push_n(fill, 4), 4u);
+  std::thread producer([&ring] {
+    const int more = 4;
+    EXPECT_EQ(ring.push_n(&more, 1), 1u);
+  });
+  AwaitTrue([&] { return ring.space_waiters() == 1; });
+  int out[4];
+  ASSERT_EQ(ring.try_pop_n(out, 2), 2u);
+  producer.join();
+  EXPECT_EQ(ring.space_waiters(), 0u);
+  EXPECT_EQ(ring.try_pop_n(out, 4), 3u);
+  EXPECT_EQ(out[2], 4);
+}
+
+// close() wakes both sides: a consumer parked on an empty ring and a
+// producer parked on a full one.
+TYPED_TEST(RingConformanceTest, CloseWakesParkedConsumerAndProducer) {
+  TypeParam empty(16);
+  TypeParam full(2);
+  const int fill[2] = {0, 1};
+  ASSERT_EQ(full.try_push_n(fill, 2), 2u);
+  std::thread consumer([&empty] {
+    int out[4];
+    EXPECT_EQ(empty.pop_n(out, 4), 0u);
+  });
+  std::thread producer([&full] {
+    const int more = 2;
+    EXPECT_EQ(full.push_n(&more, 1), 0u);
+  });
+  AwaitTrue([&] {
+    return empty.data_waiters() == 1 && full.space_waiters() == 1;
+  });
+  empty.close();
+  full.close();
+  consumer.join();
   producer.join();
 }
 

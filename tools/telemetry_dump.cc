@@ -27,6 +27,12 @@
 // identity: admitted == processed + in_flight at every epoch cut, and the
 // final snapshot reports worker_restarts / checkpoints / replayed so the
 // JSONL stream doubles as a smoke test for the recovery telemetry.
+//
+// Every shard object carries `coordinator_batches`, the drain batches the
+// query thread ran itself (the caller-runs epoch barrier, DESIGN.md §12.6)
+// out of `batches`; the final line adds the run's totals of both, so an
+// operator sees how much drain work ran on the query thread. Supervised
+// runs never drain on the query thread, and the tool asserts it.
 
 #include <cinttypes>
 #include <cstdint>
@@ -175,6 +181,15 @@ int Run(const bench::Flags& flags) {
                       final_snap.total_staged() ==
                   fed,
               "admitted + dropped + staged != fed");
+  uint64_t batches = 0, coordinator_batches = 0;
+  for (const auto& s : final_snap.shards) {
+    SLICK_CHECK(s.coordinator_batches <= s.batches,
+                "coordinator drained more batches than the shard did");
+    batches += s.batches;
+    coordinator_batches += s.coordinator_batches;
+  }
+  SLICK_CHECK(!supervised || coordinator_batches == 0,
+              "supervised run drained on the query thread");
   if (supervised) {
     // Each shard saw tuples/shards >> interval tuples, so every worker
     // must have committed at least one checkpoint; with no injected
@@ -186,7 +201,10 @@ int Run(const bench::Flags& flags) {
                     final_snap.total_replayed() == 0,
                 "fault-free run reported restarts or replay");
   }
-  std::printf("{\"final\":%s}\n", telemetry::ToJson(final_snap).c_str());
+  std::printf("{\"final\":%s,\"batches\":%" PRIu64
+              ",\"coordinator_batches\":%" PRIu64 "}\n",
+              telemetry::ToJson(final_snap).c_str(), batches,
+              coordinator_batches);
   return 0;
 }
 
