@@ -29,11 +29,11 @@
 #include "util/rng.h"
 #include "util/simd_level.h"
 #include "window/b_int.h"
-#include "window/chunked_array_queue.h"
 #include "window/daba.h"
 #include "window/flat_fat.h"
 #include "window/flat_fit.h"
 #include "window/naive.h"
+#include "window/seq_ring.h"
 #include "window/two_stacks.h"
 
 namespace slick::bench {
@@ -82,8 +82,8 @@ BENCHMARK_TEMPLATE(BM_SlideQuery, core::SlickDequeNonInv<Max>)
     ->Arg(64)
     ->Arg(1024);
 
-void BM_ChunkedQueuePushPop(benchmark::State& state) {
-  window::ChunkedArrayQueue<double> q(static_cast<std::size_t>(state.range(0)));
+void BM_SeqRingPushPop(benchmark::State& state) {
+  window::SeqRing<double> q;
   for (int i = 0; i < 1024; ++i) q.push_back(i);
   for (auto _ : state) {
     q.push_back(1.0);
@@ -91,7 +91,7 @@ void BM_ChunkedQueuePushPop(benchmark::State& state) {
     benchmark::DoNotOptimize(q.front());
   }
 }
-BENCHMARK(BM_ChunkedQueuePushPop)->Arg(16)->Arg(64)->Arg(256);
+BENCHMARK(BM_SeqRingPushPop);
 
 // ---------------------------------------------------------------------
 // Telemetry overhead: the acceptance bar is that an engine compiled with

@@ -6,10 +6,11 @@
 #include <utility>
 #include <vector>
 
+#include "core/slick_deque_noninv.h"
 #include "ops/traits.h"
 #include "util/check.h"
 #include "util/serde.h"
-#include "window/chunked_array_queue.h"
+#include "window/seq_ring.h"
 
 namespace slick::core {
 
@@ -25,9 +26,6 @@ class MonotonicDeque {
   using op_type = Op;
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
-
-  explicit MonotonicDeque(std::size_t chunk_capacity = 64)
-      : deque_(chunk_capacity) {}
 
   void insert(value_type v) {
     while (!deque_.empty() && ops::Absorbs<Op>(v, deque_.back().val)) {
@@ -47,22 +45,16 @@ class MonotonicDeque {
     }
   }
 
-  /// Batch insert (DESIGN.md §11): same staircase reduction as SlickDeque
-  /// (Non-Inv)'s BulkSlide — for total-order absorbs the batch survivors
-  /// are found right-to-left with one test per element and the existing
-  /// tail is pruned once against the whole-batch aggregate; other
-  /// selective ops run the exact per-element loop. Final deque state is
-  /// identical to n sequential insert() calls.
+  /// Batch insert (DESIGN.md §11): the staircase SlickDeque (Non-Inv)'s
+  /// BulkSlide uses — for total-order absorbs the batch survivors are
+  /// found right-to-left with one test per element (core::BatchStaircase)
+  /// and the existing tail is pruned once against the whole-batch
+  /// aggregate; other selective ops run the exact per-element loop. Final
+  /// deque state is identical to n sequential insert() calls.
   void BulkInsert(const value_type* src, std::size_t n) {
     if (n == 0) return;
     if constexpr (ops::TotalOrderSelectiveOp<Op>) {
-      stair_.clear();
-      stair_.push_back(n - 1);
-      value_type suffix = src[n - 1];
-      for (std::size_t k = n - 1; k-- > 0;) {
-        if (!ops::Absorbs<Op>(suffix, src[k])) stair_.push_back(k);
-        suffix = Op::combine(src[k], suffix);
-      }
+      const value_type suffix = BatchStaircase<Op>(src, n, stair_);
       while (!deque_.empty() &&
              ops::Absorbs<Op>(suffix, deque_.back().val)) {
         deque_.pop_back();
@@ -108,7 +100,7 @@ class MonotonicDeque {
   std::size_t node_count() const { return deque_.size(); }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + deque_.memory_bytes();
+    return sizeof(*this) + deque_.buffer_bytes();
   }
 
   /// Checkpoints the deque and sequence counters (DSMS fault tolerance).
@@ -122,20 +114,44 @@ class MonotonicDeque {
     util::WritePod<uint64_t>(os, live_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. The frame is
+  /// parsed and validated into temporaries and committed by move, so a
+  /// rejected frame leaves this instance untouched. Accepted states:
+  ///  * live == next_seq - oldest_seq;
+  ///  * node seqs strictly increasing head → tail, inside
+  ///    [oldest_seq, next_seq);
+  ///  * the tail node is the newest element when the window is not empty
+  ///    (insert() always appends it);
+  ///  * ⊕-monotonicity: no node absorbed by its newer neighbour — insert()
+  ///    would have popped it.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
-    if (!util::ExpectTag(is, util::MakeTag('M', 'O', 'N', '1'), 1)) {
+    window::SeqRing<Node> deque;
+    uint64_t next = 0, oldest = 0, live = 0;
+    if (!util::ExpectTag(is, util::MakeTag('M', 'O', 'N', '1'), 1) ||
+        !deque.LoadState(is) || !util::ReadPod(is, &next) ||
+        !util::ReadPod(is, &oldest) || !util::ReadPod(is, &live) ||
+        oldest > next || live != next - oldest) {
       return false;
     }
-    uint64_t live = 0;
-    if (!deque_.LoadState(is) || !util::ReadPod(is, &next_seq_) ||
-        !util::ReadPod(is, &oldest_seq_) || !util::ReadPod(is, &live)) {
+    for (uint64_t s = deque.front_seq(); s != deque.end_seq(); ++s) {
+      const Node& node = deque[s];
+      if (node.seq < oldest || node.seq >= next) return false;
+      if (s != deque.front_seq() &&
+          (node.seq <= deque[s - 1].seq ||
+           ops::Absorbs<Op>(node.val, deque[s - 1].val))) {
+        return false;
+      }
+    }
+    if (live != 0 && (deque.empty() || deque.back().seq != next - 1)) {
       return false;
     }
+    deque_ = std::move(deque);
+    next_seq_ = next;
+    oldest_seq_ = oldest;
     live_ = static_cast<std::size_t>(live);
-    return oldest_seq_ <= next_seq_ && live_ <= next_seq_ - oldest_seq_;
+    return true;
   }
 
  private:
@@ -144,7 +160,7 @@ class MonotonicDeque {
     value_type val;
   };
 
-  window::ChunkedArrayQueue<Node> deque_;
+  window::SeqRing<Node> deque_;
   std::vector<std::size_t> stair_;  // BulkInsert scratch: surviving indices
   uint64_t next_seq_ = 0;    // sequence of the next insert
   uint64_t oldest_seq_ = 0;  // sequence of the oldest live element

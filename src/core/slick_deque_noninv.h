@@ -14,8 +14,31 @@
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/serde.h"
+#include "window/seq_ring.h"
 
 namespace slick::core {
+
+/// The batch "staircase" of a total-order selective op (DESIGN.md §11),
+/// found right-to-left with one absorbs test per element: element k of
+/// src[0..m) survives the batch iff no later element absorbs it, which for
+/// an order-induced absorbs is one test against the aggregate of
+/// src[k+1..m). Fills `stair` with the survivors' indices, newest first
+/// (the newest element always survives), and returns the whole-batch
+/// aggregate. Requires m >= 1. SlickDeque (Non-Inv) without a survivor
+/// kernel and MonotonicDeque admit their batches through it.
+template <ops::TotalOrderSelectiveOp Op>
+typename Op::value_type BatchStaircase(const typename Op::value_type* src,
+                                       std::size_t m,
+                                       std::vector<std::size_t>& stair) {
+  stair.clear();
+  stair.push_back(m - 1);
+  typename Op::value_type suffix = src[m - 1];
+  for (std::size_t k = m - 1; k-- > 0;) {
+    if (!ops::Absorbs<Op>(suffix, src[k])) stair.push_back(k);
+    suffix = Op::combine(src[k], suffix);
+  }
+  return suffix;
+}
 
 /// SlickDeque (Non-Inv) — the paper's Algorithm 2: final aggregation for
 /// *non-invertible* (selective) operations. The window is represented by a
@@ -32,15 +55,13 @@ namespace slick::core {
 /// window followed by a large value, probability 1/n! under uniform input)
 /// costs n — see §4.1.
 ///
-/// Storage (EXPERIMENTS.md, deviations): one contiguous ring of nodes
-/// instead of §4.2's chunked array. Nodes are addressed by deque sequence
-/// numbers (front_seq_ is the head's, end_seq_ one past the tail's; pops
-/// at the tail hand their seqs to the next push); seq s lives in slot
-/// head_ + (s - front_seq_), wrapped by one compare. The ring starts at
-/// min(64, window) slots and doubles up to exactly `window`, the most
-/// nodes the deque can hold, so the worst case stays n nodes. `t` is the
-/// node's absolute slide index and n_ counts slides: a node expires when
-/// t + window == n_ and lies within range r iff t + r >= n_.
+/// Storage (EXPERIMENTS.md, deviations): a window::SeqRing of nodes
+/// instead of §4.2's chunked array, addressed by deque sequence numbers
+/// (pops at the tail hand their seqs to the next push). The ring starts at
+/// min(64, window) slots and doubles up to exactly `window`, its bound and
+/// the most nodes the deque can hold, so the worst case stays n nodes. `t`
+/// is the node's absolute slide index and n_ counts slides: a node expires
+/// when t + window == n_ and lies within range r iff t + r >= n_.
 ///
 /// Tail prune: for ops with a registered survivor kernel (Max/Min over
 /// double/int64) one unrolled pass tests the 8 newest nodes and pops the
@@ -58,12 +79,12 @@ namespace slick::core {
 ///  * each answer starts at max(cursor, previous answer node) and advances
 ///    while the node is older than the range, then stores the node's seq
 ///    back into the cursor. Nodes only age and pops at the head only raise
-///    front_seq_, so a cursor stays a lower bound across slides without
+///    the front seq, so a cursor stays a lower bound across slides without
 ///    any upkeep;
 ///  * tail pops reuse seqs, so every tail pop-run in slide()/BulkSlide()
-///    clamps the cursors to the post-pop end_seq_ before the new node is
+///    clamps the cursors to the post-pop end seq before the new node is
 ///    pushed there (nodes older than that seq were not touched);
-///  * LoadState() resets every cursor to front_seq_.
+///  * LoadState() resets every cursor to the front seq.
 /// A cursor advances over each node at most once per push, so a registered
 /// range costs amortized O(1) and zero ⊕ per answer instead of the head
 /// walk's O(nodes older than the range) (EXPERIMENTS.md, deviations). An
@@ -89,9 +110,9 @@ class SlickDequeNonInv {
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
 
-  explicit SlickDequeNonInv(std::size_t window)
-      : window_(window), ring_(InitialCapacity(window)) {
+  explicit SlickDequeNonInv(std::size_t window) : ring_(window) {
     SLICK_CHECK(window >= 1, "window must hold at least one partial");
+    ring_.reserve(kInitialCapacity);
   }
 
   /// Registers `ranges` (the Preparation phase's answers map keys, as for
@@ -111,9 +132,11 @@ class SlickDequeNonInv {
   /// Admits the newest partial: expire the head, evict dominated tail
   /// nodes, append.
   SLICK_REALTIME void slide(value_type v) {
-    if (end_seq_ != front_seq_ && ring_[head_].t + window_ == n_) PopFront();
+    if (!ring_.empty() && ring_.front().t + window_size() == n_) {
+      ring_.pop_front();
+    }
     PruneTail(v);
-    PushBack(n_, std::move(v));
+    ring_.push_back(Node{n_, std::move(v)});
     ++n_;
   }
 
@@ -130,17 +153,18 @@ class SlickDequeNonInv {
   /// Both leave the deque identical to n sequential slide() calls.
   SLICK_REALTIME void BulkSlide(const value_type* src, std::size_t n) {
     if (n == 0) return;
-    if (n >= window_) {
-      // Only the trailing window_ elements can survive: restart empty.
-      end_seq_ = front_seq_;
+    const std::size_t window = window_size();
+    if (n >= window) {
+      // Only the trailing window elements can survive: restart empty.
+      ring_.clear();
       ClampCursors();
-      AppendBatch(src + (n - window_), window_, n_ + (n - window_));
+      AppendBatch(src + (n - window), window, n_ + (n - window));
     } else {
       // The batch expires exactly the head prefix older than its last
       // partial's window (nodes age strictly head -> tail, so the loop
       // stops at the first survivor).
-      while (end_seq_ != front_seq_ && ring_[head_].t + window_ < n_ + n) {
-        PopFront();
+      while (!ring_.empty() && ring_.front().t + window < n_ + n) {
+        ring_.pop_front();
       }
       AppendBatch(src, n, n_);
     }
@@ -150,20 +174,21 @@ class SlickDequeNonInv {
   /// Aggregate of the whole window: the head node's value. O(1), zero
   /// aggregate operations.
   SLICK_REALTIME result_type query() const {
-    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
-    return Op::lower(ring_[head_].val);
+    SLICK_CHECK(!ring_.empty(), "query before the first slide");
+    return Op::lower(ring_.front().val);
   }
 
   /// Aggregate of the newest `range` partials: first in-range node from the
   /// head, or from the range's cursor when it is registered.
   SLICK_REALTIME result_type query(std::size_t range) const {
-    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
-    SLICK_CHECK(range >= 1 && range <= window_, "query range out of bounds");
+    SLICK_CHECK(!ring_.empty(), "query before the first slide");
+    SLICK_CHECK(range >= 1 && range <= window_size(),
+                "query range out of bounds");
     Cursor* c = cursors_.data();
-    uint64_t seq = front_seq_;
-    std::size_t slot = head_;
+    uint64_t seq = ring_.front_seq();
+    std::size_t slot = ring_.head_slot();
     Seek(CursorFor(c, range), range, seq, slot);
-    return Op::lower(ring_[slot].val);
+    return Op::lower(ring_.at_slot(slot).val);
   }
 
   /// Answers several ranges with one walk towards the tail. `ranges_desc`
@@ -180,11 +205,11 @@ class SlickDequeNonInv {
       "no-op; the walk itself allocates nothing")
   void query_multi(const std::vector<std::size_t>& ranges_desc,
                    std::vector<result_type>& out) const {
-    SLICK_CHECK(end_seq_ != front_seq_, "query before the first slide");
+    SLICK_CHECK(!ring_.empty(), "query before the first slide");
     const std::size_t n = ranges_desc.size();
 #if !defined(NDEBUG)
     for (std::size_t i = 0; i < n; ++i) {
-      SLICK_DCHECK(ranges_desc[i] >= 1 && ranges_desc[i] <= window_,
+      SLICK_DCHECK(ranges_desc[i] >= 1 && ranges_desc[i] <= window_size(),
                    "query range out of bounds");
       SLICK_DCHECK(i == 0 || ranges_desc[i] <= ranges_desc[i - 1],
                    "ranges must be sorted descending");
@@ -195,23 +220,22 @@ class SlickDequeNonInv {
     // Cursors are sorted descending like ranges_desc, so one forward
     // pointer finds every range's cursor.
     Cursor* c = cursors_.data();
-    uint64_t seq = front_seq_;
-    std::size_t slot = head_;
+    uint64_t seq = ring_.front_seq();
+    std::size_t slot = ring_.head_slot();
     for (std::size_t i = 0; i < n; ++i) {
       Seek(CursorFor(c, ranges_desc[i]), ranges_desc[i], seq, slot);
-      out[base + i] = Op::lower(ring_[slot].val);
+      out[base + i] = Op::lower(ring_.at_slot(slot).val);
     }
   }
 
-  std::size_t window_size() const { return window_; }
+  /// The window: also the ring's bound.
+  std::size_t window_size() const { return ring_.bound(); }
 
   /// Number of live deque nodes (the paper's input-dependent space term).
-  std::size_t node_count() const {
-    return static_cast<std::size_t>(end_seq_ - front_seq_);
-  }
+  std::size_t node_count() const { return ring_.size(); }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + ring_.capacity() * sizeof(Node) +
+    return sizeof(*this) + ring_.buffer_bytes() +
            stair_.capacity() * sizeof(std::size_t) +
            mask_.capacity() * sizeof(uint64_t) +
            cursors_.capacity() * sizeof(Cursor);
@@ -219,29 +243,25 @@ class SlickDequeNonInv {
 
   /// Checkpoints the deque (DSMS fault tolerance) in the SDN1 layout: the
   /// window, the circular write position and newest position, then the
-  /// nodes as a CAQ1 chunked-queue frame (shift, head and end seq, nodes
-  /// with their circular positions). Trivially copyable values are
-  /// written raw; other value types (AlphaMax's std::string) serialize
-  /// node-wise through util::WriteVal.
+  /// nodes as the ring's CAQ1 frame, each node's slide index written as
+  /// its circular position. Trivially copyable values are written raw;
+  /// other value types (AlphaMax's std::string) serialize node-wise through
+  /// util::WriteVal.
   void SaveState(std::ostream& os) const
     requires util::Serializable<value_type>
   {
+    const std::size_t window = window_size();
     util::WriteTag(os, kTag, 1);
-    util::WritePod<uint64_t>(os, window_);
-    util::WritePod<uint64_t>(os, n_ % window_);
-    util::WritePod<uint64_t>(os, n_ == 0 ? 0 : (n_ - 1) % window_);
-    util::WriteTag(os, kNodesTag, 1);
-    util::WritePod<uint32_t>(os, kNodesShift);
-    util::WritePod<uint64_t>(os, front_seq_);
-    util::WritePod<uint64_t>(os, end_seq_);
-    for (uint64_t s = front_seq_; s != end_seq_; ++s) {
-      const Node& node = At(s);
-      util::WriteVal(os, Node{node.t % window_, node.val});
-    }
+    util::WritePod<uint64_t>(os, window);
+    util::WritePod<uint64_t>(os, n_ % window);
+    util::WritePod<uint64_t>(os, n_ == 0 ? 0 : (n_ - 1) % window);
+    ring_.SaveState(os, [window](const Node& node) {
+      return Node{node.t % window, node.val};
+    });
   }
 
   /// Restores a checkpoint, replacing the current state. The frame is
-  /// parsed and validated into temporaries and committed by swap, so a
+  /// parsed and validated into temporaries and committed by move, so a
   /// rejected frame leaves this instance untouched. Accepted states:
   ///  * an empty deque only with write and newest position 0 (pristine);
   ///  * otherwise the write position one past the newest position;
@@ -255,52 +275,39 @@ class SlickDequeNonInv {
   bool LoadState(std::istream& is)
     requires util::Serializable<value_type>
   {
-    uint64_t window = 0, pos = 0, cur = 0, head = 0, end = 0;
-    uint32_t shift = 0;
+    uint64_t window = 0, pos = 0, cur = 0;
     if (!util::ExpectTag(is, kTag, 1) || !util::ReadPod(is, &window) ||
         !util::ReadPod(is, &pos) || !util::ReadPod(is, &cur) || window < 1 ||
-        pos >= window || cur >= window ||
-        !util::ExpectTag(is, kNodesTag, 1) || !util::ReadPod(is, &shift) ||
-        !util::ReadPod(is, &head) || !util::ReadPod(is, &end) ||
-        shift > 30 || end < head || end - head > window) {
+        pos >= window || cur >= window) {
       return false;
     }
-    if (head == end ? pos != 0 || cur != 0 : pos != (cur + 1) % window) {
+    window::SeqRing<Node> ring(static_cast<std::size_t>(window));
+    ring.reserve(kInitialCapacity);
+    if (!ring.LoadState(is)) return false;
+    if (ring.empty() ? pos != 0 || cur != 0 : pos != (cur + 1) % window) {
       return false;
     }
     // The newest node gets slide index n - 1 with n = window + pos: every
     // age is below window, so every index stays non-negative, and n agrees
     // with pos and cur modulo window.
-    const uint64_t n = head == end ? 0 : window + pos;
-    std::vector<Node> nodes;
+    const uint64_t n = ring.empty() ? 0 : window + pos;
     uint64_t prev_age = window;  // sentinel: above every legal age
-    for (uint64_t s = head; s != end; ++s) {
-      Node node{};
-      if (!util::ReadVal(is, &node) || node.t >= window) return false;
+    for (uint64_t s = ring.front_seq(); s != ring.end_seq(); ++s) {
+      Node& node = ring[s];
+      if (node.t >= window) return false;
       const uint64_t age =
           cur >= node.t ? cur - node.t : cur + window - node.t;
-      if (age >= prev_age ||
-          (s != head && ops::Absorbs<Op>(node.val, nodes.back().val))) {
+      if (age >= prev_age || (s != ring.front_seq() &&
+                              ops::Absorbs<Op>(node.val, ring[s - 1].val))) {
         return false;
       }
       prev_age = age;
       node.t = n - 1 - age;
-      nodes.push_back(std::move(node));
     }
-    if (head != end && prev_age != 0) return false;
-    std::size_t capacity = InitialCapacity(static_cast<std::size_t>(window));
-    while (capacity < nodes.size()) {
-      capacity = GrownCapacity(capacity, static_cast<std::size_t>(window));
-    }
-    std::vector<Node> ring(capacity);
-    std::move(nodes.begin(), nodes.end(), ring.begin());
-    ring_.swap(ring);
-    window_ = static_cast<std::size_t>(window);
-    head_ = 0;
-    front_seq_ = head;
-    end_seq_ = end;
+    if (!ring.empty() && prev_age != 0) return false;
+    ring_ = std::move(ring);
     n_ = n;
-    for (Cursor& c : cursors_) c.seq = front_seq_;
+    for (Cursor& c : cursors_) c.seq = ring_.front_seq();
     return true;
   }
 
@@ -328,56 +335,10 @@ class SlickDequeNonInv {
   };
 
   static constexpr uint32_t kTag = util::MakeTag('S', 'D', 'N', '1');
-  static constexpr uint32_t kNodesTag = util::MakeTag('C', 'A', 'Q', '1');
-  // The CAQ1 frame's chunk-size field (log2 of 64, the chunk capacity the
-  // format was written with); the ring does not use it.
-  static constexpr uint32_t kNodesShift = 6;
+  // Slots the ring starts with (fewer when the window is smaller).
+  static constexpr std::size_t kInitialCapacity = 64;
   // Tail nodes the branch-free prune tests per pass.
   static constexpr std::size_t kProbe = 8;
-
-  static std::size_t InitialCapacity(std::size_t window) {
-    return std::min<std::size_t>(64, window);
-  }
-  static std::size_t GrownCapacity(std::size_t capacity, std::size_t window) {
-    return std::min(2 * capacity, window);
-  }
-
-  /// Ring slot of deque sequence number `seq` (front_seq_ <= seq <=
-  /// end_seq_).
-  std::size_t Slot(uint64_t seq) const {
-    const std::size_t s = head_ + static_cast<std::size_t>(seq - front_seq_);
-    return s >= ring_.size() ? s - ring_.size() : s;
-  }
-  const Node& At(uint64_t seq) const { return ring_[Slot(seq)]; }
-
-  void PopFront() {
-    ++front_seq_;
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-  }
-
-  SLICK_REALTIME void PushBack(uint64_t t, value_type v) {
-    if (node_count() == ring_.size()) Grow();
-    ring_[Slot(end_seq_)] = Node{t, std::move(v)};
-    ++end_seq_;
-  }
-
-  /// Doubles the ring (at most up to window_ slots), unwrapping the live
-  /// nodes to slot 0.
-  SLICK_REALTIME_ALLOW(
-      "capacity doubles from min(64, window) up to window, the most nodes "
-      "the deque can hold, so an instance grows at most log2(window/64) "
-      "times in its lifetime and never once its deque has reached its "
-      "high-water size")
-  void Grow() {
-    SLICK_DCHECK(ring_.size() < window_, "the deque never exceeds the window");
-    std::vector<Node> grown(GrownCapacity(ring_.size(), window_));
-    for (uint64_t s = front_seq_; s != end_seq_; ++s) {
-      grown[static_cast<std::size_t>(s - front_seq_)] =
-          std::move(ring_[Slot(s)]);
-    }
-    ring_.swap(grown);
-    head_ = 0;
-  }
 
   /// Admits `m` batch elements whose slide indices start at `start_t`,
   /// pruning dominated nodes. Precondition: every head node the batch
@@ -406,34 +367,23 @@ class SlickDequeNonInv {
           const std::size_t k =
               (w << 6) + static_cast<std::size_t>(std::countr_zero(bits));
           bits &= bits - 1;
-          PushBack(start_t + k, src[k]);
+          ring_.push_back(Node{start_t + k, src[k]});
         }
       }
     } else if constexpr (ops::TotalOrderSelectiveOp<Op>) {
-      // Right-to-left suffix scan: element k survives the batch iff no
-      // later batch element absorbs it, which for an order-induced absorbs
-      // is one test against the aggregate of src[k+1..m).
-      stair_.clear();
-      stair_.push_back(m - 1);  // the newest element always survives
-      value_type suffix = src[m - 1];
-      for (std::size_t k = m - 1; k-- > 0;) {
-        if (!ops::Absorbs<Op>(suffix, src[k])) stair_.push_back(k);
-        suffix = Op::combine(src[k], suffix);
-      }
-      // suffix now aggregates the whole batch; prune the existing tail
-      // against it once — sequential processing pops exactly the tail
-      // nodes some batch element absorbs, and ages keep the survivors'
-      // relative order unchanged.
-      PruneTail(suffix);
+      // Prune the existing tail once against the whole-batch aggregate —
+      // sequential processing pops exactly the tail nodes some batch
+      // element absorbs, and ages keep the survivors' relative order.
+      PruneTail(BatchStaircase<Op>(src, m, stair_));
       for (std::size_t t = stair_.size(); t-- > 0;) {
         const std::size_t k = stair_[t];
-        PushBack(start_t + k, src[k]);
+        ring_.push_back(Node{start_t + k, src[k]});
       }
     } else {
       // Ad-hoc absorbs predicates get the exact per-element stack loop.
       for (std::size_t k = 0; k < m; ++k) {
         PruneTail(src[k]);
-        PushBack(start_t + k, src[k]);
+        ring_.push_back(Node{start_t + k, src[k]});
       }
     }
   }
@@ -450,11 +400,12 @@ class SlickDequeNonInv {
       // probes past the size re-read the tail, so each slot needs only one
       // wrap even when the ring is smaller than the probe. The clamp runs
       // even when nothing pops: it is cheaper than a 50/50 branch.
-      const std::size_t size = node_count();
+      const std::size_t size = ring_.size();
       const std::size_t live = std::min(size, kProbe);
-      const std::size_t cap = ring_.size();
+      const std::size_t cap = ring_.capacity();
+      const std::size_t head = ring_.head_slot();
       const std::size_t end =
-          head_ + size >= cap ? head_ + size - cap : head_ + size;
+          head + size >= cap ? head + size - cap : head + size;
       unsigned bits = 0;
       for (std::size_t i = 0; i < kProbe; ++i) {
         std::size_t slot = end - 1 - i;
@@ -462,16 +413,16 @@ class SlickDequeNonInv {
           slot = end + cap - 1 - (i < live ? i : 0);
           slot = slot >= cap ? slot - cap : slot;
         }
-        bits |= static_cast<unsigned>(ops::Absorbs<Op>(v, ring_[slot].val))
+        bits |= static_cast<unsigned>(
+                    ops::Absorbs<Op>(v, ring_.at_slot(slot).val))
                 << i;
       }
       bits &= (1u << live) - 1;
-      end_seq_ -= static_cast<unsigned>(std::countr_one(bits));
+      ring_.pop_back(static_cast<unsigned>(std::countr_one(bits)));
       if (bits == (1u << kProbe) - 1) PopAbsorbed(v);
       ClampCursors();
-    } else if (end_seq_ != front_seq_ &&
-               ops::Absorbs<Op>(v, At(end_seq_ - 1).val)) {
-      --end_seq_;
+    } else if (!ring_.empty() && ops::Absorbs<Op>(v, ring_.back().val)) {
+      ring_.pop_back();
       PopAbsorbed(v);
       ClampCursors();
     }
@@ -479,14 +430,13 @@ class SlickDequeNonInv {
 
   /// The exact tail pop loop (Algorithm 2, line 16).
   void PopAbsorbed(const value_type& v) {
-    while (end_seq_ != front_seq_ &&
-           ops::Absorbs<Op>(v, At(end_seq_ - 1).val)) {
-      --end_seq_;
+    while (!ring_.empty() && ops::Absorbs<Op>(v, ring_.back().val)) {
+      ring_.pop_back();
     }
   }
 
   SLICK_REALTIME void ClampCursors() {
-    for (Cursor& c : cursors_) c.seq = std::min(c.seq, end_seq_);
+    for (Cursor& c : cursors_) c.seq = std::min(c.seq, ring_.end_seq());
   }
 
   /// Advances `c` (a pointer into the descending cursors_) past every
@@ -505,20 +455,16 @@ class SlickDequeNonInv {
             std::size_t& slot) const {
     if (cursor != nullptr && cursor->seq > seq) {
       seq = cursor->seq;
-      slot = Slot(seq);
+      slot = ring_.slot(seq);
     }
-    while (ring_[slot].t + range < n_) {
+    while (ring_.at_slot(slot).t + range < n_) {
       ++seq;
-      slot = slot + 1 == ring_.size() ? 0 : slot + 1;
+      slot = ring_.next_slot(slot);
     }
     if (cursor != nullptr) cursor->seq = seq;
   }
 
-  std::size_t window_;
-  std::vector<Node> ring_;  // ring_.size() slots; seq s at Slot(s)
-  std::size_t head_ = 0;     // slot of front_seq_
-  uint64_t front_seq_ = 0;   // seq of the head (oldest) node
-  uint64_t end_seq_ = 0;     // one past the seq of the tail (newest) node
+  window::SeqRing<Node> ring_;  // the deque, head oldest; bound = window
   uint64_t n_ = 0;           // slides so far: the next partial's index
   std::vector<std::size_t> stair_;  // BulkSlide scratch: surviving indices
   std::vector<uint64_t> mask_;      // BulkSlide scratch: survivor bitmask

@@ -8,7 +8,7 @@
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/serde.h"
-#include "window/chunked_array_queue.h"
+#include "window/seq_ring.h"
 
 namespace slick::core {
 
@@ -23,9 +23,6 @@ class SubtractOnEvict {
   using op_type = Op;
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
-
-  explicit SubtractOnEvict(std::size_t chunk_capacity = 64)
-      : values_(chunk_capacity) {}
 
   SLICK_REALTIME void insert(value_type v) {
     running_ = Op::combine(running_, v);
@@ -66,7 +63,7 @@ class SubtractOnEvict {
   std::size_t size() const { return values_.size(); }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + values_.memory_bytes();
+    return sizeof(*this) + values_.buffer_bytes();
   }
 
   /// Checkpoints the window and running aggregate (DSMS fault tolerance).
@@ -78,18 +75,25 @@ class SubtractOnEvict {
     util::WritePod(os, running_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. The frame is
+  /// parsed into temporaries and committed by move, so a rejected frame
+  /// leaves this instance untouched.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
-    if (!util::ExpectTag(is, util::MakeTag('S', 'O', 'E', '1'), 1)) {
+    window::SeqRing<value_type> values;
+    value_type running = Op::identity();
+    if (!util::ExpectTag(is, util::MakeTag('S', 'O', 'E', '1'), 1) ||
+        !values.LoadState(is) || !util::ReadPod(is, &running)) {
       return false;
     }
-    return values_.LoadState(is) && util::ReadPod(is, &running_);
+    values_ = std::move(values);
+    running_ = running;
+    return true;
   }
 
  private:
-  window::ChunkedArrayQueue<value_type> values_;
+  window::SeqRing<value_type> values_;
   value_type running_ = Op::identity();
 };
 

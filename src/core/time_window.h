@@ -5,7 +5,7 @@
 
 #include "util/check.h"
 #include "window/aggregator.h"
-#include "window/chunked_array_queue.h"
+#include "window/seq_ring.h"
 
 namespace slick::core {
 
@@ -59,7 +59,7 @@ class TimeWindow {
   uint64_t range() const { return range_; }
 
   std::size_t memory_bytes() const {
-    return sizeof(*this) + agg_.memory_bytes() + timestamps_.memory_bytes();
+    return sizeof(*this) + agg_.memory_bytes() + timestamps_.buffer_bytes();
   }
 
  private:
@@ -72,7 +72,7 @@ class TimeWindow {
   }
 
   A agg_;
-  window::ChunkedArrayQueue<uint64_t> timestamps_;
+  window::SeqRing<uint64_t> timestamps_;
   uint64_t range_;
   uint64_t now_ = 0;
 };

@@ -87,7 +87,8 @@ constexpr uint32_t MakeTag(char a, char b, char c, char d) {
 // Generalized value serde: WriteVal/ReadVal extend the POD helpers to
 // std::string (length-prefixed) and to types that provide their own
 // SaveValue/LoadValue members — which is what lets string-valued ops
-// (AlphaMax) checkpoint through ChunkedArrayQueue and SlickDequeNonInv.
+// (AlphaMax) checkpoint through window::SeqRing's CAQ1 frame and
+// SlickDequeNonInv.
 // Trivially copyable types keep the raw WritePod layout, so every stream
 // written by the PR 1 format is byte-identical under WriteVal.
 // ---------------------------------------------------------------------

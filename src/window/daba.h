@@ -8,7 +8,7 @@
 #include "util/annotations.h"
 #include "util/check.h"
 #include "util/serde.h"
-#include "window/chunked_array_queue.h"
+#include "window/seq_ring.h"
 
 namespace slick::window {
 
@@ -17,7 +17,7 @@ namespace slick::window {
 /// worst-case-constant number of aggregate operations per slide at the cost
 /// of a higher amortized count (Table 1: amortized 5, worst case 8).
 ///
-/// Layout: one chunked-array queue of (val, agg) entries, logically split by
+/// Layout: one window::SeqRing of (val, agg) entries, logically split by
 /// sequence pointers  front ≤ l ≤ r ≤ a ≤ b ≤ end  into
 ///
 ///   F = [front, b)  — the "front stack":   target  agg[i] = Σ val[i..b)
@@ -51,8 +51,6 @@ class Daba {
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
 
-  explicit Daba(std::size_t chunk_capacity = 64) : q_(chunk_capacity) {}
-
   SLICK_REALTIME void insert(value_type v) {
     value_type agg = BackEmpty() ? v : Op::combine(q_.back().agg, v);
     q_.push_back(Entry{std::move(v), std::move(agg)});
@@ -70,8 +68,10 @@ class Daba {
   /// fall behind the front pointer — so the batch entry points are tight
   /// loops over insert()/evict(); the saving is call/dispatch overhead
   /// only, which is exactly what Table 1's worst-case-O(1) design trades
-  /// throughput for.
+  /// throughput for. BulkInsert reserves the ring first, so Windowed's
+  /// identity pre-fill sizes it exactly once, to the window.
   SLICK_REALTIME void BulkInsert(const value_type* src, std::size_t n) {
+    q_.reserve(q_.size() + n);
     for (std::size_t i = 0; i < n; ++i) insert(src[i]);
   }
 
@@ -89,7 +89,7 @@ class Daba {
 
   std::size_t size() const { return q_.size(); }
 
-  std::size_t memory_bytes() const { return sizeof(*this) + q_.memory_bytes(); }
+  std::size_t memory_bytes() const { return sizeof(*this) + q_.buffer_bytes(); }
 
   /// Checkpoints the window, including the fix-up region pointers (DSMS
   /// fault tolerance).
@@ -105,21 +105,31 @@ class Daba {
     util::WritePod(os, delta_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. The frame is
+  /// parsed into temporaries, its region pointers checked to be ordered
+  /// inside the queue's seqs, and committed by move, so a rejected frame
+  /// leaves this instance untouched.
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
-    if (!util::ExpectTag(is, util::MakeTag('D', 'A', 'B', '1'), 1)) {
+    SeqRing<Entry> q;
+    uint64_t l = 0, r = 0, a = 0, b = 0;
+    value_type delta = Op::identity();
+    if (!util::ExpectTag(is, util::MakeTag('D', 'A', 'B', '1'), 1) ||
+        !q.LoadState(is) || !util::ReadPod(is, &l) ||
+        !util::ReadPod(is, &r) || !util::ReadPod(is, &a) ||
+        !util::ReadPod(is, &b) || !util::ReadPod(is, &delta) ||
+        !(q.front_seq() <= l && l <= r && r <= a && a <= b &&
+          b <= q.end_seq())) {
       return false;
     }
-    if (!q_.LoadState(is)) return false;
-    if (!util::ReadPod(is, &l_) || !util::ReadPod(is, &r_) ||
-        !util::ReadPod(is, &a_) || !util::ReadPod(is, &b_) ||
-        !util::ReadPod(is, &delta_)) {
-      return false;
-    }
-    return q_.front_seq() <= l_ && l_ <= r_ && r_ <= a_ && a_ <= b_ &&
-           b_ <= q_.end_seq();
+    q_ = std::move(q);
+    l_ = l;
+    r_ = r;
+    a_ = a;
+    b_ = b;
+    delta_ = delta;
+    return true;
   }
 
   /// Validates every region invariant by brute force. O(n·combine); meant
@@ -175,7 +185,7 @@ class Daba {
     b_ = q_.end_seq();
   }
 
-  ChunkedArrayQueue<Entry> q_;
+  SeqRing<Entry> q_;
   uint64_t l_ = 0, r_ = 0, a_ = 0, b_ = 0;
   value_type delta_ = Op::identity();  // Σ val[r..b), captured at flip
   value_type zero_ = Op::identity();

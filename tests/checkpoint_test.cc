@@ -23,7 +23,6 @@
 #include "ops/string_ops.h"
 #include "util/rng.h"
 #include "util/serde.h"
-#include "window/chunked_array_queue.h"
 #include "window/daba.h"
 #include "window/flat_fat.h"
 #include "window/flat_fit.h"
@@ -74,28 +73,6 @@ TEST(SerdeTest, CorruptVecCountRejected) {
   util::WritePod<uint64_t>(ss, UINT64_MAX);  // absurd element count
   std::vector<double> v;
   EXPECT_FALSE(util::ReadPodVec(ss, &v));
-}
-
-// ---------------------------------------------------------------------------
-// Queue round trip, including sequence numbering.
-// ---------------------------------------------------------------------------
-
-TEST(CheckpointTest, ChunkedArrayQueuePreservesSequences) {
-  window::ChunkedArrayQueue<int64_t> q(8);
-  for (int64_t i = 0; i < 100; ++i) q.push_back(i);
-  for (int i = 0; i < 37; ++i) q.pop_front();
-  std::stringstream ss;
-  q.SaveState(ss);
-  window::ChunkedArrayQueue<int64_t> r(64);  // different chunking: replaced
-  ASSERT_TRUE(r.LoadState(ss));
-  EXPECT_EQ(r.front_seq(), q.front_seq());
-  EXPECT_EQ(r.end_seq(), q.end_seq());
-  EXPECT_EQ(r.chunk_capacity(), q.chunk_capacity());
-  for (uint64_t s = q.front_seq(); s < q.end_seq(); ++s) {
-    ASSERT_EQ(r[s], q[s]);
-  }
-  r.push_back(12345);
-  EXPECT_EQ(r.back(), 12345);
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +429,205 @@ TEST(CheckpointTest, DabaRestoresRegionPointers) {
 }
 
 // ---------------------------------------------------------------------------
+// Pinned checkpoint bytes. Each hex string is the SaveState of one short
+// fixed stream, made with the chunked-array queue these frames were first
+// written by; the CAQ1 frame (now window::SeqRing's) must keep every byte.
+// Loading the pinned frame and saving it again must also give it back.
+// ---------------------------------------------------------------------------
+
+std::string Hex(const std::string& bytes) {
+  static const char* kDigits = "0123456789abcdef";
+  std::string out;
+  for (const unsigned char c : bytes) {
+    out += kDigits[c >> 4];
+    out += kDigits[c & 15];
+  }
+  return out;
+}
+
+// insert 9, 4, 7; BulkInsert {3, 8, 1, 6}; evict; BulkEvict(2); insert 5.
+template <typename Agg>
+void RunGoldenFifoStream(Agg& agg) {
+  using V = typename Agg::value_type;
+  for (const int64_t v : {9, 4, 7}) agg.insert(static_cast<V>(v));
+  const std::vector<V> batch = {3, 8, 1, 6};
+  agg.BulkInsert(batch.data(), batch.size());
+  agg.evict();
+  agg.BulkEvict(2);
+  agg.insert(5);
+}
+
+template <typename Agg>
+void ExpectGoldenBytes(const Agg& agg, const std::string& golden_hex,
+                       Agg restored) {
+  const std::string bytes = SaveBytes(agg);
+  EXPECT_EQ(Hex(bytes), golden_hex);
+  std::stringstream ss(bytes);
+  ASSERT_TRUE(restored.LoadState(ss));
+  EXPECT_EQ(Hex(SaveBytes(restored)), golden_hex);
+}
+
+TEST(CheckpointGoldenTest, Dab1) {
+  window::Daba<ops::SumInt> agg;
+  RunGoldenFifoStream(agg);
+  ExpectGoldenBytes(agg,
+      "4441423101000000434151310100000006000000030000000000000008000000"
+      "000000000300000000000000120000000000000008000000000000000f000000"
+      "0000000001000000000000000700000000000000060000000000000006000000"
+      "0000000005000000000000000500000000000000050000000000000005000000"
+      "00000000050000000000000007000000000000000f00000000000000",
+      window::Daba<ops::SumInt>());
+}
+
+TEST(CheckpointGoldenTest, Mon1) {
+  core::MonotonicDeque<ops::MaxInt> agg;
+  RunGoldenFifoStream(agg);
+  ExpectGoldenBytes(agg,
+      "4d4f4e3101000000434151310100000006000000010000000000000004000000"
+      "0000000004000000000000000800000000000000060000000000000006000000"
+      "0000000007000000000000000500000000000000080000000000000003000000"
+      "000000000500000000000000",
+      core::MonotonicDeque<ops::MaxInt>());
+}
+
+TEST(CheckpointGoldenTest, Soe1) {
+  core::SubtractOnEvict<ops::SumInt> agg;
+  RunGoldenFifoStream(agg);
+  ExpectGoldenBytes(agg,
+      "534f453101000000434151310100000006000000030000000000000008000000"
+      "0000000003000000000000000800000000000000010000000000000006000000"
+      "0000000005000000000000001700000000000000",
+      core::SubtractOnEvict<ops::SumInt>());
+}
+
+TEST(CheckpointGoldenTest, Sdn1Max) {
+  // window 6: slide 9, 4, 7; BulkSlide {3, 8, 1, 6}; slide 5;
+  // BulkSlide {2, 2}.
+  core::SlickDequeNonInv<ops::Max> agg(6);
+  for (const double v : {9.0, 4.0, 7.0}) agg.slide(v);
+  const std::vector<double> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.slide(5);
+  const std::vector<double> pair = {2, 2};
+  agg.BulkSlide(pair.data(), pair.size());
+  ExpectGoldenBytes(agg,
+      "53444e3101000000060000000000000004000000000000000300000000000000"
+      "4341513101000000060000000100000000000000050000000000000004000000"
+      "0000000000000000000020400000000000000000000000000000184001000000"
+      "00000000000000000000144003000000000000000000000000000040",
+      core::SlickDequeNonInv<ops::Max>(3));
+}
+
+TEST(CheckpointGoldenTest, Sdn1AlphaMax) {
+  // window 4: slide pear, fig, kiwi; BulkSlide {apple, lime, fig};
+  // slide date.
+  core::SlickDequeNonInv<ops::AlphaMax> agg(4);
+  for (const char* v : {"pear", "fig", "kiwi"}) agg.slide(v);
+  const std::vector<std::string> batch = {"apple", "lime", "fig"};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.slide("date");
+  ExpectGoldenBytes(agg,
+      "53444e3101000000040000000000000003000000000000000200000000000000"
+      "4341513101000000060000000100000000000000040000000000000000000000"
+      "0000000004000000000000006c696d6501000000000000000300000000000000"
+      "6669670200000000000000040000000000000064617465",
+      core::SlickDequeNonInv<ops::AlphaMax>(9));
+}
+
+// ---------------------------------------------------------------------------
+// FIFO frames rejected with the target untouched.
+// ---------------------------------------------------------------------------
+
+TEST(CheckpointTest, DabaBadFramesRejectedTargetUntouched) {
+  window::Daba<ops::SumInt> target;
+  for (int64_t v = 1; v <= 30; ++v) {
+    if (target.size() >= 9) target.evict();
+    target.insert(v);
+  }
+  window::Daba<ops::SumInt> other;
+  RunGoldenFifoStream(other);
+  const std::string whole = SaveBytes(other);
+  // DAB1 tag (8), CAQ1 frame (28 + 16 per entry), then l, r, a, b, delta.
+  const std::size_t pointers = 8 + 28 + 16 * other.size();
+  ASSERT_EQ(whole.size(), pointers + 5 * 8);
+  uint64_t r = 0;
+  std::memcpy(&r, whole.data() + pointers + 8, sizeof r);
+  std::string l_past_r = whole;
+  const uint64_t l = r + 1;
+  std::memcpy(l_past_r.data() + pointers, &l, sizeof l);
+  ExpectRejectedUntouched(target, {l_past_r, whole.substr(0, pointers)});
+  EXPECT_TRUE(target.CheckInvariants());
+  EXPECT_EQ(target.query(), 22 + 23 + 24 + 25 + 26 + 27 + 28 + 29 + 30);
+}
+
+// A MON1 frame for MaxInt from its parts: nodes are (arrival seq, value).
+std::string MonFrame(const std::vector<std::pair<uint64_t, int64_t>>& nodes,
+                     uint64_t next, uint64_t oldest, uint64_t live) {
+  std::stringstream ss;
+  util::WriteTag(ss, util::MakeTag('M', 'O', 'N', '1'), 1);
+  util::WriteTag(ss, util::MakeTag('C', 'A', 'Q', '1'), 1);
+  util::WritePod<uint32_t>(ss, 6);
+  util::WritePod<uint64_t>(ss, 40);
+  util::WritePod<uint64_t>(ss, 40 + nodes.size());
+  for (const auto& [seq, val] : nodes) {
+    util::WritePod(ss, seq);
+    util::WritePod(ss, val);
+  }
+  util::WritePod(ss, next);
+  util::WritePod(ss, oldest);
+  util::WritePod(ss, live);
+  return ss.str();
+}
+
+TEST(CheckpointTest, MonotonicDequeBadFramesRejectedTargetUntouched) {
+  using Agg = core::MonotonicDeque<ops::MaxInt>;
+  // Window seqs [10, 15): 90 at 11, 50 at 13, 20 at 14 (the newest).
+  const std::string valid =
+      MonFrame({{11, 90}, {13, 50}, {14, 20}}, 15, 10, 5);
+  {
+    Agg fresh;
+    std::stringstream ss(valid);
+    ASSERT_TRUE(fresh.LoadState(ss));
+    EXPECT_EQ(fresh.query(), 90);
+    EXPECT_EQ(fresh.size(), 5u);
+  }
+  Agg target;
+  for (const int64_t v : {7, 3, 5, 1}) target.insert(v);
+  target.evict();
+  ExpectRejectedUntouched(
+      target,
+      {// seqs not strictly increasing
+       MonFrame({{11, 90}, {11, 50}, {14, 20}}, 15, 10, 5),
+       MonFrame({{13, 90}, {11, 50}, {14, 20}}, 15, 10, 5),
+       // a seq below oldest_seq, a seq at next_seq
+       MonFrame({{9, 90}, {13, 50}, {14, 20}}, 15, 10, 5),
+       MonFrame({{11, 90}, {13, 50}, {15, 20}}, 15, 10, 5),
+       // the tail is not the newest element
+       MonFrame({{11, 90}, {13, 50}}, 15, 10, 5),
+       // 95 absorbs its older neighbour 90: insert() would have popped it
+       MonFrame({{11, 90}, {13, 95}, {14, 20}}, 15, 10, 5),
+       // live != next_seq - oldest_seq, below and above
+       MonFrame({{11, 90}, {13, 50}, {14, 20}}, 15, 10, 4),
+       MonFrame({{11, 90}, {13, 50}, {14, 20}}, 15, 10, 6),
+       // truncated inside the counters and inside the queue
+       valid.substr(0, valid.size() - 1), valid.substr(0, 50)});
+  EXPECT_EQ(target.query(), 5);
+  EXPECT_EQ(target.size(), 3u);
+}
+
+TEST(CheckpointTest, SubtractOnEvictBadFramesRejectedTargetUntouched) {
+  core::SubtractOnEvict<ops::SumInt> target;
+  for (const int64_t v : {7, 3, 5}) target.insert(v);
+  core::SubtractOnEvict<ops::SumInt> other;
+  RunGoldenFifoStream(other);
+  const std::string whole = SaveBytes(other);
+  // Truncated before `running`, and inside the queue.
+  ExpectRejectedUntouched(target, {whole.substr(0, whole.size() - 8),
+                                   whole.substr(0, whole.size() - 12)});
+  EXPECT_EQ(target.query(), 15);
+}
+
+// ---------------------------------------------------------------------------
 // Corruption handling.
 // ---------------------------------------------------------------------------
 
@@ -774,8 +950,8 @@ TEST(FramedSerdeTest, LegacyUnframedStreamStillLoads) {
 // ---------------------------------------------------------------------------
 // Non-POD checkpoint values: AlphaMax aggregates are std::string, so its
 // SlickDeque (Non-Inv) checkpoint exercises the length-prefixed WriteVal
-// path through both the node deque (ChunkedArrayQueue) and the Node
-// pos/value pairs.
+// path through both the node ring's CAQ1 frame and the Node pos/value
+// pairs.
 // ---------------------------------------------------------------------------
 
 TEST(CheckpointTest, AlphaMaxStringStateRoundTrips) {

@@ -356,21 +356,47 @@ TEST(DabaTest, RandomInterleaving) {
 }
 TEST(DabaTest, DrainCycles) { RunDrainCycles<Daba<ops::SumInt>>(23); }
 
-TEST(DabaTest, SmallChunksExerciseChunkBoundaries) {
-  using SmallChunkDaba = Daba<ops::SumInt>;
-  SmallChunkDaba agg(/*chunk_capacity=*/2);
+TEST(DabaTest, RingGrowsAcrossWrapThenShrinks) {
+  // Two inserts per evict grow the window from 1 to 200 while the ring's
+  // head moves off slot 0, so every growth unwraps a wrapped ring; then
+  // two evicts per insert shrink it to 17, and it slides there.
+  Daba<ops::SumInt> agg;
   ReferenceAggregator<ops::SumInt> ref;
   util::SplitMix64 rng(31);
-  for (int i = 0; i < 3000; ++i) {
-    if (ref.size() >= 17) {
-      agg.evict();
-      ref.evict();
-    }
+  auto insert = [&] {
     const int64_t v = static_cast<int64_t>(rng.NextBounded(1000));
     agg.insert(v);
     ref.insert(v);
+  };
+  auto evict = [&] {
+    agg.evict();
+    ref.evict();
+  };
+  auto check = [&] {
     ASSERT_TRUE(agg.CheckInvariants());
     ASSERT_EQ(agg.query(), ref.query());
+  };
+  insert();
+  while (ref.size() < 200) {
+    insert();
+    ASSERT_NO_FATAL_FAILURE(check());
+    insert();
+    ASSERT_NO_FATAL_FAILURE(check());
+    evict();
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+  while (ref.size() > 17) {
+    evict();
+    ASSERT_NO_FATAL_FAILURE(check());
+    evict();
+    ASSERT_NO_FATAL_FAILURE(check());
+    insert();
+    ASSERT_NO_FATAL_FAILURE(check());
+  }
+  for (int i = 0; i < 500; ++i) {
+    evict();
+    insert();
+    ASSERT_NO_FATAL_FAILURE(check());
   }
 }
 
