@@ -186,6 +186,10 @@ void IngestServer::ReadAndPump(Loop& loop, Connection& c) {
       c.last_bytes_ns = util::MonotonicNanos();
       Pump(loop, c);
       if (c.fd < 0 || c.paused) return;
+      // A short read drained the socket: skip the read that would fail
+      // with EAGAIN. The registration is level-triggered, so bytes (or an
+      // EOF) arriving later are reported by the next epoll_wait.
+      if (static_cast<std::size_t>(r) < sizeof(buf)) return;
       continue;
     }
     if (r < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;

@@ -86,11 +86,22 @@ inline const char* BackpressureName(Backpressure b) {
 /// futex wake while the shard's backlog is below half a ring, because the
 /// next query() drains that backlog here faster than a wake-up would. Half
 /// a ring bounds what one query() may slide, and a full ring always has a
-/// woken worker. Every other producer (MPMC handles, the TCP sink, shm
-/// leases) and close() wake eagerly. Idle workers park on their rings'
-/// futexes; they are never busy-polled. So `stats().processed` for
-/// router-admitted tuples may lag by less than half a ring per shard until
-/// the next query() or stop().
+/// woken worker. So `stats().processed` for router-admitted tuples may lag
+/// by less than half a ring per shard until the next query() or stop().
+///
+/// Producer-runs admission (DESIGN.md §12.6, unsupervised MPMC engines):
+/// a producer handle (MakeProducer(), the TCP sink) has no later barrier
+/// of its own, so it settles each batch right after publishing it
+/// coalesced. If the shard's worker is parked and no thread holds the
+/// shard, the producer drains it on its own thread — at most the backlog
+/// it found when it took the shard — and hands it back; otherwise it wakes
+/// the worker (no syscall when nobody sleeps). Its tuples are therefore
+/// processed without a query(). The router keeps its coalesced-until-
+/// query() rule: draining after every router batch measured slower on the
+/// in-process pipeline. Supervised engines and shm rings (whose producers
+/// are other processes, with no signal-free publish) wake eagerly, as does
+/// close(). Idle workers park on their rings' futexes; they are never
+/// busy-polled.
 ///
 /// Supervision (DESIGN.md §12) — when Options::checkpoint_interval > 0 the
 /// engine is *supervised*: workers checkpoint their aggregators into
@@ -163,9 +174,9 @@ class ParallelShardedEngine {
     Backpressure backpressure = Backpressure::kBlock;
     /// Tuples a shard processes between checkpoints; 0 disables
     /// supervision (the fast path: per-batch releases, futex parking, the
-    /// caller-runs barrier and coalesced router wakes). Supervised engines
-    /// keep worker-only drains and eager wakes: their restart protocol
-    /// owns the consumer role.
+    /// caller-runs barrier, coalesced router wakes and producer-runs
+    /// admission). Supervised engines keep worker-only drains and eager
+    /// wakes: their restart protocol owns the consumer role.
     std::size_t checkpoint_interval = 0;
     /// kBlockWithDeadline: how long a flush may wait on a full ring.
     uint64_t deadline_ns = 5'000'000;
@@ -292,6 +303,9 @@ class ParallelShardedEngine {
   /// handles compose. The engine's own push()/flush() run on one (the
   /// router); MakeProducer() hands out more on MPMC rings, so N handles on
   /// N threads feed the shard rings directly with no shared mutable state.
+  /// On an unsupervised engine a handle's batch is settled before its
+  /// admission returns: drained on the handle's thread, or left to a woken
+  /// worker (producer-runs, see the class comment).
   ///
   /// Contract: a Producer must be flushed (flush(), or just destroyed) and
   /// its thread joined BEFORE the engine's query()/stop() — the epoch
@@ -531,6 +545,7 @@ class ParallelShardedEngine {
       s.dropped = c.dropped.Get();
       s.batches = c.batches.Get();
       s.coordinator_batches = c.coordinator_batches.Get();
+      s.producer_batches = c.producer_batches.Get();
       s.idle_polls = c.idle_polls.Get();
       s.in_flight = workers_[i]->ring().unconsumed();
       s.unreleased = workers_[i]->ring().unreleased();
@@ -683,19 +698,25 @@ class ParallelShardedEngine {
 
   /// Admits `n` staged elements into shard `i`'s ring under the
   /// backpressure policy — the one admission function behind the router
-  /// and every Producer handle. Only the coordinator (the engine's router)
-  /// supervises between full-ring retries, and under kBlock on a supervised
-  /// engine it polls instead of parking, since a parked router could never
-  /// restart the dead worker it waits on (DESIGN.md §12.4). A handle parked
-  /// on a dead worker's ring waits for the coordinator's next poll. Counter
-  /// updates are relaxed atomics, so any number of handles compose.
+  /// and every Producer handle — then, for a producer-runs handle, settles
+  /// the batch (ShardWorker::DrainOnProducer). Only the coordinator (the
+  /// engine's router) supervises between full-ring retries, and under
+  /// kBlock on a supervised engine it polls instead of parking, since a
+  /// parked router could never restart the dead worker it waits on
+  /// (DESIGN.md §12.4). A handle parked on a dead worker's ring waits for
+  /// the coordinator's next poll. Counter updates are relaxed atomics, so
+  /// any number of handles compose.
   void Admit(std::size_t i, const slot_type* data, std::size_t n,
              bool coordinator) {
     Ring<slot_type>& ring = workers_[i]->ring();
-    // The router's batches skip the wake below half a ring: its own next
-    // query() drains them (caller-runs barrier, see the class comment).
-    const DataWake wake = coordinator && !Supervised() ? DataWake::kCoalesced
-                                                       : DataWake::kEager;
+    // Unsupervised publishes skip the wake below half a ring: the router's
+    // own next query() drains its batches (caller-runs barrier), and a
+    // producer handle drains or wakes right after admitting (producer-runs,
+    // class comment). A ring without a signal-free publish (shm) wakes.
+    const DataWake wake =
+        Supervised() ? DataWake::kEager : DataWake::kCoalesced;
+    const bool producer_runs = !coordinator && !Supervised() &&
+                               Ring<slot_type>::signal_free_publish();
     const auto backoff = [&] {
       if (coordinator) Supervise();
       std::this_thread::yield();
@@ -756,6 +777,7 @@ class ParallelShardedEngine {
         break;
     }
     AccountAdmission(i, accepted, n - accepted);
+    if (producer_runs && accepted > 0) workers_[i]->DrainOnProducer();
   }
 
   /// Blocks until every shard has processed exactly what was routed to it —

@@ -86,8 +86,9 @@ inline void WakeAll(std::atomic<uint32_t>* word,
 /// How a batch publish signals the consumer (DESIGN.md §12). Every publish
 /// bumps tail_event; kCoalesced skips the futex wake while the unconsumed
 /// backlog after the publish stays below half the ring — for a producer
-/// whose own thread drains the shard at its next epoch barrier (the
-/// engine's router), so a wake would only buy a context switch.
+/// whose own thread drains the shard (the engine's router at its next
+/// epoch barrier, or a producer handle right after the publish), so a wake
+/// would only buy a context switch.
 enum class DataWake : uint8_t {
   kEager,      ///< wake a parked consumer on every publish
   kCoalesced,  ///< wake only once the backlog reaches half the ring
@@ -273,6 +274,25 @@ class RingCore {
   /// what an epoch barrier may have to drain on the calling thread.
   bool coalesced_wake_due() const {
     return unconsumed() >= capacity() / 2;
+  }
+
+  /// True when the ring has a signal-free publish (CommitPush): only then
+  /// does DataWake::kCoalesced skip a wake, and only then may a producer
+  /// leave the consumer's signal to a later WakeConsumer(). The shm ring
+  /// has none.
+  static constexpr bool signal_free_publish() {
+    return requires(Derived& d, T* s, std::size_t c) { d.CommitPush(s, c); };
+  }
+
+  /// The futex half of a data signal, for a producer that published
+  /// coalesced and then decided to wake after all: wakes every thread
+  /// parked on tail_event, behind futex::WakeAll's seq_cst gate (no
+  /// syscall when nobody sleeps). It bumps nothing — the publish already
+  /// did: a consumer that snapshotted the word before that bump fails its
+  /// FUTEX_WAIT, one that snapshotted it after sees the data on its
+  /// recheck, and one asleep is woken here.
+  SLICK_REALTIME void WakeConsumer() {
+    futex::WakeAll(&cur().tail_event, &cur().tail_waiters, ProcessShared());
   }
 
   /// Threads currently parked (or about to park) on the data and space
@@ -593,9 +613,7 @@ class RingCore {
   // its producers are other processes, and they always wake.
   SLICK_REALTIME bool PublishCoalesced(T* span, std::size_t k,
                                        DataWake wake) {
-    if constexpr (requires(Derived& d, T* s, std::size_t c) {
-                    d.CommitPush(s, c);
-                  }) {
+    if constexpr (signal_free_publish()) {
       if (wake == DataWake::kCoalesced) {
         self().CommitPush(span, k);
         SignalData(coalesced_wake_due());

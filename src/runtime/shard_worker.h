@@ -49,11 +49,13 @@ enum class KillPoint : uint32_t {
 ///    holder may claim from the ring or touch `aggregator()`. The worker
 ///    takes it with one CAS per drained batch and never holds it while it
 ///    waits for data (RingCore::AwaitPop claims nothing). On unsupervised
-///    engines the coordinator takes it too, at its epoch barrier
-///    (DrainOnCaller): it drains everything claimable on its own thread and
-///    hands the shard back. Both holders run the same per-batch body
-///    (DrainBatch). The acquire CAS and the release hand-back order every
-///    holder's slides before the next holder's.
+///    engines callers take it too: the coordinator at its epoch barrier
+///    (DrainOnCaller), which drains everything claimable on its own thread,
+///    and a producer handle right after its publish when the worker sleeps
+///    (DrainOnProducer), which drains the backlog it found. Every holder
+///    runs the same per-batch body (DrainBatch) and hands the shard back.
+///    The acquire CAS and the release hand-back order every holder's slides
+///    before the next holder's.
 ///  * After every drained batch the holder release-stores the cumulative
 ///    count into `processed()`; a coordinator that acquire-loads
 ///    `processed()` and sees it equal to the number of elements routed here
@@ -176,11 +178,36 @@ class ShardWorker {
   bool DrainOnCaller() {
     SLICK_DCHECK(!Supervised(), "caller-runs drain on a supervised shard");
     if (!TryOwn(Holder::kCaller)) return false;
-    uint64_t batches = 0;
-    while (DrainBatch(Holder::kCaller) == Drained::kBatch) ++batches;
+    const uint64_t batches = DrainHeld(SIZE_MAX);
     Disown();
     counters_.coordinator_batches.Add(batches);
     return true;
+  }
+
+  /// Producer-runs admission (DESIGN.md §12.6), called by a producer handle
+  /// of an unsupervised engine right after it published to this shard's
+  /// ring with DataWake::kCoalesced. When the worker is parked and no
+  /// thread holds the shard, the producer takes it and drains, on its own
+  /// thread, at most the backlog it found when it took it, then hands it
+  /// back — a batch slid here costs less than the wake-up it replaces.
+  /// Every other case wakes the worker: one that is awake (the gate makes
+  /// no syscall), a shard another thread holds (that holder's bound may
+  /// exclude this publish), and backlog left beyond the bound, so one
+  /// producer is never held draining other producers' streams.
+  void DrainOnProducer() {
+    SLICK_DCHECK(!Supervised(), "producer-runs drain on a supervised shard");
+    if (ring_.data_waiters() > 0 && TryOwn(Holder::kCaller)) {
+      const std::size_t bound = ring_.unconsumed();
+      const uint64_t batches = DrainHeld(bound);
+      // Checked before the hand-back. A publish after this check belongs to
+      // its own producer: that producer drains it once the shard is back,
+      // or finds the shard still held and wakes the worker.
+      const bool more = ring_.pop_ready_or_settled();
+      Disown();
+      counters_.producer_batches.Add(batches);
+      if (!more) return;
+    }
+    ring_.WakeConsumer();
   }
 
   /// Worker lifecycle, for the supervisor (acquire pairs with the worker's
@@ -332,7 +359,8 @@ class ShardWorker {
     return fault::Fire(point, shard_index_);
   }
 
-  /// Who holds the shard's ownership word.
+  /// Who holds the shard's ownership word: nobody, the worker, or a caller
+  /// (the coordinator's epoch barrier or a producer handle).
   enum class Holder : uint32_t { kNone = 0, kWorker, kCaller };
 
   /// What one DrainBatch call did.
@@ -355,17 +383,33 @@ class ShardWorker {
   }
 
   SLICK_REALTIME_ALLOW(
-      "contended ownership only: the coordinator is draining this shard at "
-      "its epoch barrier; the worker yields until it hands the shard back")
+      "contended ownership only: the coordinator or a producer is draining "
+      "this shard; the worker yields until it hands the shard back")
   static void AwaitHandBack() { std::this_thread::yield(); }
 
+  /// Drains up to `bound` elements on the calling thread, which holds the
+  /// shard; returns the batches drained.
+  SLICK_REALTIME uint64_t DrainHeld(std::size_t bound) {
+    // relaxed: only the holder writes processed_ (see DrainBatch).
+    const uint64_t start = processed_.load(std::memory_order_relaxed);
+    uint64_t batches = 0;
+    for (std::size_t done = 0; done < bound;
+         done = static_cast<std::size_t>(
+             processed_.load(std::memory_order_relaxed) - start)) {
+      if (DrainBatch(Holder::kCaller, bound - done) != Drained::kBatch) break;
+      ++batches;
+    }
+    return batches;
+  }
+
   /// The per-batch body, run by whichever thread holds the shard: claim a
-  /// contiguous ring span and feed it straight into the aggregator's batch
-  /// entry point (no bounce buffer), release, publish `processed`, then the
-  /// counters and histograms. Injected kills fire on the worker only.
-  SLICK_REALTIME Drained DrainBatch(Holder who) {
+  /// contiguous ring span of at most `max` elements and feed it straight
+  /// into the aggregator's batch entry point (no bounce buffer), release,
+  /// publish `processed`, then the counters and histograms. Injected kills
+  /// fire on the worker only.
+  SLICK_REALTIME Drained DrainBatch(Holder who, std::size_t max = SIZE_MAX) {
     std::size_t n = 0;
-    slot_type* span = ring_.TryClaimPop(batch_, &n);
+    slot_type* span = ring_.TryClaimPop(max < batch_ ? max : batch_, &n);
     if (span == nullptr) return Drained::kEmpty;
     const bool worker = who == Holder::kWorker;
     ++batches_drained_;

@@ -65,6 +65,8 @@ struct ShardCounters {
   Counter batches;     ///< drain batches, by either holder (worker)
   Counter coordinator_batches;  ///< of those, drained on the query thread
                                 ///< by the caller-runs epoch barrier
+  Counter producer_batches;  ///< of those, drained on a producer handle's
+                             ///< thread while the worker slept
   Counter idle_polls;  ///< zero-length drain polls — ring empty when the
                        ///< worker looked; kept out of the batch-size
                        ///< histogram so it reflects real batches (worker)

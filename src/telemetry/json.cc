@@ -58,6 +58,7 @@ std::string ToJson(const ShardSnapshot& s) {
   AppendU64(out, "dropped", s.dropped, true);
   AppendU64(out, "batches", s.batches, true);
   AppendU64(out, "coordinator_batches", s.coordinator_batches, true);
+  AppendU64(out, "producer_batches", s.producer_batches, true);
   AppendU64(out, "idle_polls", s.idle_polls, true);
   AppendU64(out, "in_flight", s.in_flight, true);
   AppendU64(out, "unreleased", s.unreleased, true);

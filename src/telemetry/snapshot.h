@@ -20,8 +20,9 @@ struct ShardSnapshot {
   uint64_t tuples_in = 0;       ///< admitted into the shard ring
   uint64_t tuples_out = 0;      ///< slid into the shard aggregator
   uint64_t dropped = 0;         ///< shed by backpressure (never admitted)
-  uint64_t batches = 0;         ///< drain batches (worker + coordinator)
+  uint64_t batches = 0;         ///< drain batches, by any holder
   uint64_t coordinator_batches = 0;  ///< batches the query thread drained
+  uint64_t producer_batches = 0;  ///< batches producer threads drained
   uint64_t idle_polls = 0;      ///< zero-length drain polls (ring empty)
   uint64_t in_flight = 0;       ///< published, not yet claimed by the worker
   uint64_t unreleased = 0;      ///< claimed replay log, pre-checkpoint

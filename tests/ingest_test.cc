@@ -389,6 +389,71 @@ TEST(IngestServerTest, FramesSplitAcrossManyWritesReassemble) {
   }
 }
 
+TEST(IngestServerTest, BurstLargerThanOneReadFullyDecodes) {
+  AdversarialIngest rig;
+  ASSERT_TRUE(rig.started());
+
+  // 48 frames of 128 tuples (~100 KiB) in one write: more than one 64 KiB
+  // read, so the loop must keep reading after a full buffer and decode the
+  // tail from the same readiness report.
+  constexpr std::size_t kFrames = 48;
+  constexpr std::size_t kPerFrame = 128;
+  std::vector<WireTuple> batch(kPerFrame);
+  std::string burst;
+  for (std::size_t f = 0; f < kFrames; ++f) {
+    for (std::size_t i = 0; i < kPerFrame; ++i) {
+      const std::size_t seq = f * kPerFrame + i;
+      batch[i] = {seq, static_cast<double>(seq)};
+    }
+    net::EncodeBatch(batch.data(), kPerFrame, &burst);
+  }
+  ASSERT_GT(burst.size(), std::size_t{64} << 10);
+
+  IngestClient client;
+  ASSERT_TRUE(client.Connect(kHost, rig.server().port()));
+  ASSERT_TRUE(client.SendRaw(burst.data(), burst.size()));
+  ASSERT_TRUE(WaitFor([&rig] {
+    return rig.server().snapshot().tuples_accepted == kFrames * kPerFrame;
+  }));
+  const telemetry::IngestSnapshot snap = rig.server().snapshot();
+  EXPECT_EQ(snap.frames, kFrames);
+  EXPECT_EQ(snap.frame_errors, 0u);
+  rig.server().Stop();
+  ASSERT_EQ(rig.sunk().size(), kFrames * kPerFrame);
+  for (std::size_t i = 0; i < rig.sunk().size(); ++i) {
+    ASSERT_EQ(rig.sunk()[i].ts, i);
+  }
+}
+
+TEST(IngestServerTest, EofAfterShortReadClosesCleanly) {
+  AdversarialIngest rig;
+  ASSERT_TRUE(rig.started());
+
+  // One small frame, then EOF: the frame arrives in a short read, after
+  // which the loop returns to epoll_wait; the EOF must still be reported
+  // and close the connection without an error.
+  const WireTuple t[2] = {{1, 2.5}, {2, 4.5}};
+  std::string frame;
+  net::EncodeBatch(t, 2, &frame);
+  IngestClient client;
+  ASSERT_TRUE(client.Connect(kHost, rig.server().port()));
+  ASSERT_TRUE(client.SendRaw(frame.data(), frame.size()));
+  client.CloseSend();
+
+  ASSERT_TRUE(WaitFor([&rig] {
+    const telemetry::IngestSnapshot s = rig.server().snapshot();
+    return s.connections_opened == 1 && s.connections_open == 0;
+  }));
+  const telemetry::IngestSnapshot snap = rig.server().snapshot();
+  EXPECT_EQ(snap.tuples_accepted, 2u);
+  EXPECT_EQ(snap.frames, 1u);
+  EXPECT_EQ(snap.frame_errors, 0u);
+  EXPECT_EQ(snap.connections_closed_on_error, 0u);
+  rig.server().Stop();
+  ASSERT_EQ(rig.sunk().size(), 2u);
+  EXPECT_EQ(rig.sunk()[1].v, 4.5);
+}
+
 // ---------------------------------------------------------------------
 // Backpressure policies at the connection edge.
 // ---------------------------------------------------------------------

@@ -2,7 +2,8 @@
 // ownership handoff, and the epoch-snapshot quiescence edge (tests/model/,
 // DESIGN.md §9 and §12).
 //
-// Virtual threads over one real SpscRing + SlickDequeInv:
+// Virtual threads over one real ring + SlickDequeInv (an SpscRing under
+// the router, an MpmcRing under producer handles):
 //   * router      — the coordinator's routing half: pushes values 1..N
 //                   (try_push_n + the WaitForSpace park), either eagerly
 //                   waking the consumer or coalesced (DataWake::kCoalesced:
@@ -19,7 +20,17 @@
 //                   AwaitEpoch + ShardWorker::DrainOnCaller): once routing
 //                   is done it takes the shard whenever the worker does not
 //                   hold it, drains everything claimable itself, reads the
-//                   answer at processed == N, then closes the ring (stop()).
+//                   answer at processed == N, then closes the ring (stop());
+//   * producers   — two producer handles (ParallelShardedEngine::Admit +
+//                   ShardWorker::DrainOnProducer), one element per
+//                   admission: publish coalesced, then, if the worker is
+//                   parked and the shard is free, take it, drain at most the
+//                   backlog found, check for more, hand it back and wake if
+//                   there was more; otherwise wake. Two, because a second
+//                   holder racing a producer's ownership CAS is what the
+//                   wake on a failed CAS is for. Their coordinator first
+//                   waits for processed == N without draining (a producer's
+//                   tuples are processed without a query()), then queries.
 //
 // The futex is modeled, not called: a sleeper leaves the sleep only when a
 // waker that saw a nonzero waiter count wakes it. A coalesced publish that
@@ -28,10 +39,10 @@
 //
 // Checked on EVERY explored schedule: processed is monotone and never runs
 // ahead of the slides; every routed element is slid exactly once and in
-// routing order; the snapshot fires only at true quiescence and equals the
-// sequential oracle (sum of the last `window` routed values); and no
-// terminal state leaves a waiter parked on a sleeping worker with backlog
-// (the explorer's deadlock check).
+// its producer's order; the snapshot fires only at true quiescence and
+// equals the sequential oracle (sum of the last `window` routed values);
+// and no terminal state leaves a waiter parked on a sleeping worker with
+// backlog (the explorer's deadlock check).
 
 #include <cstddef>
 #include <cstdint>
@@ -44,6 +55,7 @@
 #include "core/slick_deque_inv.h"
 #include "model/virtual_scheduler.h"
 #include "ops/arith.h"
+#include "runtime/mpmc_ring.h"
 #include "runtime/spsc_ring.h"
 
 namespace slick::model {
@@ -51,22 +63,30 @@ namespace {
 
 using core::SlickDequeInv;
 using runtime::DataWake;
+using runtime::MpmcRing;
 using runtime::SpscRing;
 
-/// Models ShardWorker::owner_.
+/// Models ShardWorker::owner_ (a producer holds it as a caller too).
 enum class Owner { kNone, kWorker, kCaller };
 
+/// Producer p routes the values p * kProducerStride + 1, + 2, ...; the
+/// router is producer 0, routing 1..N.
+constexpr int64_t kProducerStride = 100;
+
+template <typename Ring>
 struct ShardWorld {
   ShardWorld(std::size_t window, std::size_t min_capacity)
       : ring(min_capacity), agg(window) {}
 
-  SpscRing<int64_t> ring;
+  Ring ring;
   SlickDequeInv<ops::SumInt> agg;
   int64_t routed = 0;     ///< elements accepted by push (router-side count)
   int64_t processed = 0;  ///< models ShardWorker::processed_ (SC step model)
   int64_t slides = 0;     ///< ground truth: slide() invocations
-  bool out_of_order = false;  ///< a slide that was not value slides + 1
-  bool routing_done = false;  ///< router finished pushing (query may start)
+  bool out_of_order = false;  ///< a slide out of its producer's order
+  int64_t next_value[2] = {1, kProducerStride + 1};  ///< per producer
+  int producers_done = 0;  ///< producer handles finished admitting
+  bool routing_done = false;  ///< every producer finished (query may start)
   Owner owner = Owner::kNone;
   // The modeled data-side futex: the consumer's advertised waiter count
   // and whether it is asleep in the kernel.
@@ -82,58 +102,91 @@ struct ShardWorld {
     if (data_waiters > 0) worker_asleep = false;
   }
 
-  /// One slide into the aggregator, checked for routing order.
+  /// One slide into the aggregator, checked for its producer's order.
   void Slide(int64_t v) {
-    if (v != slides + 1) out_of_order = true;
+    int64_t& want = next_value[v > kProducerStride ? 1 : 0];
+    if (v != want) out_of_order = true;
+    ++want;
     agg.slide(v);
     ++slides;
   }
 };
 
-/// Router: pushes 1..N with the WaitForSpace snapshot/recheck/park
-/// protocol on a full ring. Each accepted publish is one step: the real
-/// try_push_n (tail store, event bump, wake decision) and the wake (the
-/// waiter-count RMW and FUTEX_WAKE). Splitting the bump from the wake adds
-/// no outcome, because the worker's advertise and word check are one step
-/// too: it either sees the bump and does not sleep, or sleeps and counts
-/// as a waiter before the wake reads the count. With `close_at_end` the
-/// router also closes the ring (the snapshot scenarios' shutdown);
-/// otherwise the coordinator does.
+using SpscWorld = ShardWorld<SpscRing<int64_t>>;
+using MpmcWorld = ShardWorld<MpmcRing<int64_t>>;
+
+/// One element's admission as RingCore::push_n runs it, for the router
+/// and the producer handles alike: the push, and on a full ring the
+/// WaitForSpace snapshot/recheck/park. Each accepted publish is one step:
+/// the real try_push_n (tail store, event bump, wake decision) and the wake
+/// (the waiter-count RMW and FUTEX_WAKE). Splitting the bump from the wake
+/// adds no outcome, because the worker's advertise and word check are one
+/// step too: it either sees the bump and does not sleep, or sleeps and
+/// counts as a waiter before the wake reads the count.
+class ParkingPush {
+ public:
+  /// One step; true once `v` is published.
+  template <typename W>
+  bool Step(W* w, int64_t v, DataWake wake) {
+    switch (state_) {
+      case State::kTryPush:
+        if (w->ring.try_push_n(&v, 1, wake) != 1) {
+          state_ = State::kSnapshotEvent;
+          return false;
+        }
+        ++w->routed;
+        // The decision RingCore's coalesced publish takes right after it.
+        if (wake == DataWake::kEager || w->ring.coalesced_wake_due()) {
+          w->WakeData();
+        }
+        return true;
+      case State::kSnapshotEvent:
+        event_snapshot_ = w->ring.head_event_word();
+        state_ = State::kRecheck;
+        return false;
+      case State::kRecheck:
+        state_ = w->ring.push_space_or_closed() ? State::kTryPush
+                                                : State::kParked;
+        return false;
+      case State::kParked:
+        state_ = State::kTryPush;
+        return false;
+    }
+    return false;
+  }
+
+  // Releases always wake eagerly, so the space side parks value-based.
+  template <typename W>
+  bool Parked(const W* w) const {
+    return state_ == State::kParked &&
+           w->ring.head_event_word() == event_snapshot_;
+  }
+
+ private:
+  enum class State { kTryPush, kSnapshotEvent, kRecheck, kParked };
+  State state_ = State::kTryPush;
+  uint32_t event_snapshot_ = 0;
+};
+
+/// Router: pushes 1..N, eagerly waking the consumer or coalesced. With
+/// `close_at_end` the router also closes the ring (the snapshot scenarios'
+/// shutdown); otherwise the coordinator does.
+template <typename W>
 class RouterThread : public VirtualThread {
  public:
-  RouterThread(ShardWorld* w, int64_t n, DataWake wake, bool close_at_end)
+  RouterThread(W* w, int64_t n, DataWake wake, bool close_at_end)
       : w_(w), n_(n), wake_(wake), close_at_end_(close_at_end) {}
 
   void Step() override {
     switch (state_) {
-      case State::kTryPush: {
-        const int64_t v = next_ + 1;  // route 1..N so sums are non-trivial
-        if (w_->ring.try_push_n(&v, 1, wake_) != 1) {
-          state_ = State::kSnapshotEvent;
-          return;
-        }
-        ++w_->routed;
+      case State::kPush:
+        // Route 1..N so sums are non-trivial.
+        if (!push_.Step(w_, next_ + 1, wake_)) return;
         ++next_;
-        // The decision RingCore's coalesced publish takes right after it.
-        if (wake_ == DataWake::kEager || w_->ring.coalesced_wake_due()) {
-          w_->WakeData();
-        }
         if (next_ == n_) {
           w_->routing_done = true;
           state_ = close_at_end_ ? State::kClose : State::kDone;
         }
-        return;
-      }
-      case State::kSnapshotEvent:
-        event_snapshot_ = w_->ring.head_event_word();
-        state_ = State::kRecheck;
-        return;
-      case State::kRecheck:
-        state_ = w_->ring.push_space_or_closed() ? State::kTryPush
-                                                 : State::kParked;
-        return;
-      case State::kParked:
-        state_ = State::kTryPush;
         return;
       case State::kClose:
         w_->ring.close();
@@ -145,28 +198,19 @@ class RouterThread : public VirtualThread {
     }
   }
   bool Done() const override { return state_ == State::kDone; }
-  // Releases always wake eagerly, so the space side parks value-based.
   bool Parked() const override {
-    return state_ == State::kParked &&
-           w_->ring.head_event_word() == event_snapshot_;
+    return state_ == State::kPush && push_.Parked(w_);
   }
 
  private:
-  enum class State {
-    kTryPush,
-    kSnapshotEvent,
-    kRecheck,
-    kParked,
-    kClose,
-    kDone,
-  };
-  ShardWorld* w_;
+  enum class State { kPush, kClose, kDone };
+  W* w_;
   const int64_t n_;
   const DataWake wake_;
   const bool close_at_end_;
-  State state_ = State::kTryPush;
+  State state_ = State::kPush;
   int64_t next_ = 0;
-  uint32_t event_snapshot_ = 0;
+  ParkingPush push_;
 };
 
 /// The per-batch body both holders run (ShardWorker::DrainBatch): the
@@ -179,7 +223,8 @@ class RouterThread : public VirtualThread {
 class BatchDrain {
  public:
   /// Claim step: false when nothing was claimable.
-  bool Claim(ShardWorld* w, std::size_t batch) {
+  template <typename W>
+  bool Claim(W* w, std::size_t batch) {
     std::size_t k = 0;
     const int64_t* span = w->ring.TryClaimPop(batch, &k);
     if (span == nullptr) return false;
@@ -192,7 +237,8 @@ class BatchDrain {
 
   /// One slide step, or the release + publish step; false once the batch
   /// is done.
-  bool Step(ShardWorld* w) {
+  template <typename W>
+  bool Step(W* w) {
     if (slid_ < pending_.size()) {
       w->Slide(pending_[slid_++]);
       return true;
@@ -205,6 +251,9 @@ class BatchDrain {
     return false;
   }
 
+  /// Elements in the current batch.
+  std::size_t size() const { return pending_.size(); }
+
  private:
   std::vector<int64_t> pending_;
   std::size_t slid_ = 0;
@@ -214,9 +263,10 @@ class BatchDrain {
 /// futex park is advertise + word check in one step (a waker bumps the
 /// word before it reads the waiter count, so splitting them adds no
 /// outcome), then the sleep, left only through a wake.
+template <typename W>
 class WorkerThread : public VirtualThread {
  public:
-  WorkerThread(ShardWorld* w, std::size_t batch) : w_(w), batch_(batch) {}
+  WorkerThread(W* w, std::size_t batch) : w_(w), batch_(batch) {}
 
   void Step() override {
     switch (state_) {
@@ -292,7 +342,7 @@ class WorkerThread : public VirtualThread {
     kAsleep,
     kDone,
   };
-  ShardWorld* w_;
+  W* w_;
   const std::size_t batch_;
   State state_ = State::kTryOwn;
   BatchDrain drain_;
@@ -302,9 +352,10 @@ class WorkerThread : public VirtualThread {
 /// Snapshot: the supervised barrier's quiescent read. Parked until the
 /// worker has published processed == N (the acquire-load spin), then reads
 /// the aggregate once.
+template <typename W>
 class SnapshotThread : public VirtualThread {
  public:
-  SnapshotThread(ShardWorld* w, int64_t n) : w_(w), n_(n) {}
+  SnapshotThread(W* w, int64_t n) : w_(w), n_(n) {}
 
   void Step() override {
     w_->snapshot_taken = true;
@@ -316,7 +367,7 @@ class SnapshotThread : public VirtualThread {
   bool Parked() const override { return w_->processed != n_; }
 
  private:
-  ShardWorld* w_;
+  W* w_;
   const int64_t n_;
   bool done_ = false;
 };
@@ -325,14 +376,22 @@ class SnapshotThread : public VirtualThread {
 /// take the shard unless the worker holds it, drain everything claimable
 /// (DrainOnCaller), hand it back, re-check processed; a shard the worker
 /// holds is waited out (the yield). Then the snapshot read and close().
+/// With `await_processed` it first polls processed == N without draining
+/// (stats().processed), which only terminates if the producers left no
+/// backlog behind a sleeping worker.
+template <typename W>
 class CoordinatorThread : public VirtualThread {
  public:
-  CoordinatorThread(ShardWorld* w, int64_t n, std::size_t batch)
-      : w_(w), n_(n), batch_(batch) {}
+  CoordinatorThread(W* w, int64_t n, std::size_t batch,
+                    bool await_processed = false)
+      : w_(w), n_(n), batch_(batch), await_processed_(await_processed) {}
 
   void Step() override {
     switch (state_) {
       case State::kAwaitRouting:
+        state_ = await_processed_ ? State::kAwaitProcessed : State::kCheck;
+        return;
+      case State::kAwaitProcessed:
         state_ = State::kCheck;
         return;
       case State::kCheck:
@@ -377,6 +436,7 @@ class CoordinatorThread : public VirtualThread {
   bool Done() const override { return state_ == State::kDone; }
   bool Parked() const override {
     if (state_ == State::kAwaitRouting) return !w_->routing_done;
+    if (state_ == State::kAwaitProcessed) return w_->processed != n_;
     // The yield loop, folded: it can only make progress once the worker
     // hands the shard back or finishes the backlog itself.
     return state_ == State::kYield && w_->owner == Owner::kWorker &&
@@ -386,6 +446,7 @@ class CoordinatorThread : public VirtualThread {
  private:
   enum class State {
     kAwaitRouting,
+    kAwaitProcessed,
     kCheck,
     kYield,
     kClaim,
@@ -394,15 +455,127 @@ class CoordinatorThread : public VirtualThread {
     kClose,
     kDone,
   };
-  ShardWorld* w_;
+  W* w_;
   const int64_t n_;
   const std::size_t batch_;
+  const bool await_processed_;
   State state_ = State::kAwaitRouting;
   BatchDrain drain_;
 };
 
+/// A producer handle: one admission per element (ParallelShardedEngine::
+/// Admit, then ShardWorker::DrainOnProducer). The publish is coalesced
+/// (ParkingPush); the waiter-count read, the
+/// ownership CAS, each claim and slide, the check for more, the hand-back
+/// and the wake are separate steps, as they are separate atomic operations
+/// in the runtime.
+template <typename W>
+class ProducerThread : public VirtualThread {
+ public:
+  ProducerThread(W* w, int index, int64_t n, std::size_t batch, int producers)
+      : w_(w), index_(index), n_(n), batch_(batch), producers_(producers) {}
+
+  void Step() override {
+    switch (state_) {
+      case State::kPush:
+        if (!push_.Step(w_, index_ * kProducerStride + next_ + 1,
+                        DataWake::kCoalesced)) {
+          return;
+        }
+        ++next_;
+        state_ = State::kCheckWaiters;
+        return;
+      case State::kCheckWaiters:  // data_waiters() > 0: the worker sleeps
+        state_ = w_->data_waiters > 0 ? State::kTryOwn : State::kWake;
+        return;
+      case State::kTryOwn:
+        if (w_->owner != Owner::kNone) {
+          state_ = State::kWake;  // held elsewhere: its bound may miss us
+          return;
+        }
+        w_->owner = Owner::kCaller;
+        bound_ = w_->ring.unconsumed();
+        drained_ = 0;
+        state_ = State::kClaim;
+        return;
+      case State::kClaim:
+        if (drained_ < bound_ && drain_.Claim(w_, std::min(batch_, bound_ -
+                                                                  drained_))) {
+          state_ = State::kDrain;
+        } else {
+          state_ = State::kCheckMore;
+        }
+        return;
+      case State::kDrain:
+        if (!drain_.Step(w_)) {
+          drained_ += drain_.size();
+          state_ = State::kClaim;
+        }
+        return;
+      case State::kCheckMore:  // still holding the shard
+        more_ = w_->ring.pop_ready_or_settled();
+        state_ = State::kDisown;
+        return;
+      case State::kDisown:
+        w_->owner = Owner::kNone;
+        if (more_) {
+          state_ = State::kWake;
+        } else {
+          NextAdmission();
+        }
+        return;
+      case State::kWake:  // futex::WakeAll behind its waiter-count gate
+        w_->WakeData();
+        NextAdmission();
+        return;
+      case State::kDone:
+        return;
+    }
+  }
+  bool Done() const override { return state_ == State::kDone; }
+  bool Parked() const override {
+    return state_ == State::kPush && push_.Parked(w_);
+  }
+
+ private:
+  enum class State {
+    kPush,
+    kCheckWaiters,
+    kTryOwn,
+    kClaim,
+    kDrain,
+    kCheckMore,
+    kDisown,
+    kWake,
+    kDone,
+  };
+
+  void NextAdmission() {
+    if (next_ < n_) {
+      state_ = State::kPush;
+      return;
+    }
+    state_ = State::kDone;
+    if (++w_->producers_done == producers_) w_->routing_done = true;
+  }
+
+  W* w_;
+  const int index_;
+  const int64_t n_;
+  const std::size_t batch_;
+  const int producers_;
+  State state_ = State::kPush;
+  int64_t next_ = 0;
+  ParkingPush push_;
+  std::size_t bound_ = 0;
+  std::size_t drained_ = 0;
+  bool more_ = false;
+  BatchDrain drain_;
+};
+
+template <typename W>
 struct OwnedShardWorld {
-  std::unique_ptr<ShardWorld> state;
+  std::unique_ptr<W> state;
   std::vector<std::unique_ptr<VirtualThread>> threads;
   World world;
 };
@@ -418,9 +591,11 @@ int64_t OracleWindowSum(int64_t n, std::size_t window) {
   return sum;
 }
 
-void WireOracles(OwnedShardWorld* ow, int64_t n, std::size_t window) {
-  ShardWorld* s = ow->state.get();
-  const int64_t expect = OracleWindowSum(n, window);
+/// Wires the step and final checks: `n` elements routed in total, and
+/// `expect` the snapshot answer.
+template <typename W>
+void WireOracles(OwnedShardWorld<W>* ow, int64_t n, int64_t expect) {
+  W* s = ow->state.get();
   ow->world.check_step = [s, n](const auto& fail) {
     if (s->processed > s->slides) {
       fail("processed count published ahead of the slides it covers");
@@ -474,15 +649,15 @@ void RunScenario(const char* what, int64_t n, std::size_t window,
                  std::size_t capacity, std::size_t batch) {
   ScheduleExplorer explorer(ExploreFromEnv());
   const ExploreResult r = explorer.Explore([&] {
-    auto ow = std::make_unique<OwnedShardWorld>();
-    ow->state = std::make_unique<ShardWorld>(window, capacity);
-    ow->threads.push_back(std::make_unique<RouterThread>(
+    auto ow = std::make_unique<OwnedShardWorld<SpscWorld>>();
+    ow->state = std::make_unique<SpscWorld>(window, capacity);
+    ow->threads.push_back(std::make_unique<RouterThread<SpscWorld>>(
         ow->state.get(), n, DataWake::kEager, /*close_at_end=*/true));
     ow->threads.push_back(
-        std::make_unique<WorkerThread>(ow->state.get(), batch));
+        std::make_unique<WorkerThread<SpscWorld>>(ow->state.get(), batch));
     ow->threads.push_back(
-        std::make_unique<SnapshotThread>(ow->state.get(), n));
-    WireOracles(ow.get(), n, window);
+        std::make_unique<SnapshotThread<SpscWorld>>(ow->state.get(), n));
+    WireOracles(ow.get(), n, OracleWindowSum(n, window));
     return ow;
   });
   ReportAndExpectExhausted(r, what);
@@ -494,15 +669,57 @@ void RunCallerRunsScenario(const char* what, int64_t n, std::size_t window,
                            std::size_t capacity, std::size_t batch) {
   ScheduleExplorer explorer(ExploreFromEnv());
   const ExploreResult r = explorer.Explore([&] {
-    auto ow = std::make_unique<OwnedShardWorld>();
-    ow->state = std::make_unique<ShardWorld>(window, capacity);
-    ow->threads.push_back(std::make_unique<RouterThread>(
+    auto ow = std::make_unique<OwnedShardWorld<SpscWorld>>();
+    ow->state = std::make_unique<SpscWorld>(window, capacity);
+    ow->threads.push_back(std::make_unique<RouterThread<SpscWorld>>(
         ow->state.get(), n, DataWake::kCoalesced, /*close_at_end=*/false));
     ow->threads.push_back(
-        std::make_unique<WorkerThread>(ow->state.get(), batch));
+        std::make_unique<WorkerThread<SpscWorld>>(ow->state.get(), batch));
+    ow->threads.push_back(std::make_unique<CoordinatorThread<SpscWorld>>(
+        ow->state.get(), n, batch));
+    WireOracles(ow.get(), n, OracleWindowSum(n, window));
+    return ow;
+  });
+  ReportAndExpectExhausted(r, what);
+}
+
+/// Preemption cap of the producer-runs scenarios. Four actors make ~60
+/// steps a schedule: unbounded, even one element per producer exceeds the
+/// nightly job's 50M-schedule budget, while bound 5 exhausts the shipped
+/// sizes in 3.2M and 4.5M schedules. So the nightly's unbounded setting
+/// raises these two scenarios to 5, not further.
+constexpr int kProducerRunsMaxPreemptions = 5;
+
+/// Producer-runs admission: two producer handles admitting `first` and
+/// `second` elements to one MPMC shard, the worker, and a coordinator that
+/// waits for processed == N before it queries. The window covers every
+/// element, so the answer does not depend on how the two streams
+/// interleave in the ring.
+void RunProducerRunsScenario(const char* what, int64_t first, int64_t second,
+                             std::size_t capacity, std::size_t batch) {
+  const int64_t n = first + second;
+  const auto window = static_cast<std::size_t>(n);
+  const int64_t expect = OracleWindowSum(first, window) +
+                         second * kProducerStride +
+                         OracleWindowSum(second, window);
+  ExploreOptions opts = ExploreFromEnv();
+  if (opts.preemption_bound < 0 ||
+      opts.preemption_bound > kProducerRunsMaxPreemptions) {
+    opts.preemption_bound = kProducerRunsMaxPreemptions;
+  }
+  ScheduleExplorer explorer(opts);
+  const ExploreResult r = explorer.Explore([&] {
+    auto ow = std::make_unique<OwnedShardWorld<MpmcWorld>>();
+    ow->state = std::make_unique<MpmcWorld>(window, capacity);
+    ow->threads.push_back(std::make_unique<ProducerThread<MpmcWorld>>(
+        ow->state.get(), 0, first, batch, /*producers=*/2));
+    ow->threads.push_back(std::make_unique<ProducerThread<MpmcWorld>>(
+        ow->state.get(), 1, second, batch, /*producers=*/2));
     ow->threads.push_back(
-        std::make_unique<CoordinatorThread>(ow->state.get(), n, batch));
-    WireOracles(ow.get(), n, window);
+        std::make_unique<WorkerThread<MpmcWorld>>(ow->state.get(), batch));
+    ow->threads.push_back(std::make_unique<CoordinatorThread<MpmcWorld>>(
+        ow->state.get(), n, batch, /*await_processed=*/true));
+    WireOracles(ow.get(), n, expect);
     return ow;
   });
   ReportAndExpectExhausted(r, what);
@@ -556,6 +773,24 @@ TEST(ShardDrainModel, CallerRunsBelowHalfRing) {
 TEST(ShardDrainModel, CallerRunsCrossesHalfRing) {
   RunCallerRunsScenario("CallerRunsCrossesHalfRing", /*n=*/3, /*window=*/2,
                         /*capacity=*/4, /*batch=*/2);
+}
+
+/// Producer-runs with every publish below half the ring: no publish wakes
+/// anyone, so a sleeping worker's backlog is settled only by the producers
+/// themselves — drained by the one that takes the shard, or handed to the
+/// worker through a wake when the shard is held or backlog is left. The
+/// coordinator must see processed == N before it queries.
+TEST(ShardDrainModel, ProducerRunsBelowHalfRing) {
+  RunProducerRunsScenario("ProducerRunsBelowHalfRing", /*first=*/1,
+                          /*second=*/2, /*capacity=*/8, /*batch=*/2);
+}
+
+/// A ring of 4: two unconsumed elements reach half the ring, so a
+/// coalesced publish may wake the worker while a producer holds the shard
+/// or is about to take it.
+TEST(ShardDrainModel, ProducerRunsCrossesHalfRing) {
+  RunProducerRunsScenario("ProducerRunsCrossesHalfRing", /*first=*/1,
+                          /*second=*/2, /*capacity=*/4, /*batch=*/2);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 // answers must agree at every epoch (slide barrier). The CI ThreadSanitizer job runs this file to
 // machine-check the runtime's ring protocol and epoch-snapshot handshake.
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <string>
@@ -19,6 +20,7 @@
 #include "ops/minmax.h"
 #include "runtime/mpmc_ring.h"
 #include "runtime/parallel_engine.h"
+#include "runtime/shm/shm_ring.h"
 #include "stream/synthetic.h"
 #include "window/naive.h"
 
@@ -214,11 +216,164 @@ TEST(ParallelEngineTest, ProducerHandlePushesAreProcessedWithoutQuery) {
       eng(8, 2, {.ring_capacity = 1024, .batch = 8});
   {
     auto producer = eng.MakeProducer();
-    // Far below half a ring: only the handle's eager wakes get it drained.
+    // Far below half a ring: the handle drains each shard itself or wakes
+    // its worker; no query() follows.
     for (int64_t i = 0; i < 20; ++i) producer.push(i);
   }  // destroyed: flushed
   EXPECT_EQ(AwaitProcessed(eng, 20), 20u);
   EXPECT_EQ(eng.snapshot().shards[0].coordinator_batches, 0u);
+}
+
+// Producer-runs admission (DESIGN.md §12.6): a producer handle of an
+// unsupervised MPMC engine settles each batch before its flush returns —
+// drained on its own thread while the shard's worker sleeps, or left to a
+// woken worker — so its tuples are processed without a query().
+using MpmcSumEngine =
+    runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>,
+                                   runtime::MpmcRing>;
+
+template <typename Engine>
+uint64_t ProducerBatches(const Engine& eng) {
+  uint64_t n = 0;
+  for (const auto& shard : eng.snapshot().shards) n += shard.producer_batches;
+  return n;
+}
+
+/// Sparse rounds through one producer handle: a few tuples per shard, a
+/// flush, then a pause long enough for idle workers to park. Each round's
+/// tuples must be processed without a query(). Runs at least `min_rounds`,
+/// and on (until a deadline) while `more` holds.
+template <typename Engine, typename More>
+void SparseProducerRounds(Engine& eng, typename Engine::Producer& producer,
+                          window::NaiveWindow<ops::SumInt>& oracle,
+                          int min_rounds, More more) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  int64_t next = 1;
+  for (int round = 0;
+       round < min_rounds ||
+       (more() && std::chrono::steady_clock::now() < deadline);
+       ++round) {
+    for (int i = 0; i < 6; ++i, ++next) {
+      producer.push(next);
+      oracle.slide(next);
+    }
+    producer.flush();
+    const auto want = static_cast<uint64_t>(next - 1);
+    ASSERT_EQ(AwaitProcessed(eng, want), want) << "round " << round;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+}
+
+TEST(ParallelEngineTest, ProducerRunsSparsePushesUnderEveryPolicy) {
+  for (const runtime::Backpressure bp :
+       {runtime::Backpressure::kBlock, runtime::Backpressure::kDropNewest,
+        runtime::Backpressure::kBlockWithDeadline,
+        runtime::Backpressure::kShedOldest, runtime::Backpressure::kError}) {
+    SCOPED_TRACE(runtime::BackpressureName(bp));
+    MpmcSumEngine eng(16, 2,
+                      {.ring_capacity = 1024, .batch = 8, .backpressure = bp});
+    window::NaiveWindow<ops::SumInt> oracle(16);
+    {
+      auto producer = eng.MakeProducer();
+      SparseProducerRounds(eng, producer, oracle, 20,
+                           [&eng] { return ProducerBatches(eng) == 0; });
+    }
+    EXPECT_GT(ProducerBatches(eng), 0u);
+    EXPECT_EQ(eng.stats().dropped, 0u);
+    EXPECT_EQ(eng.query(), oracle.query());
+    for (const auto& shard : eng.snapshot().shards) {
+      EXPECT_LE(shard.producer_batches + shard.coordinator_batches,
+                shard.batches);
+    }
+  }
+}
+
+TEST(ParallelEngineTest, SupervisedAndShmProducersNeverDrain) {
+  {
+    MpmcSumEngine eng(
+        16, 2,
+        {.ring_capacity = 1024, .batch = 8, .checkpoint_interval = 64});
+    window::NaiveWindow<ops::SumInt> oracle(16);
+    {
+      auto producer = eng.MakeProducer();
+      SparseProducerRounds(eng, producer, oracle, 20, [] { return false; });
+    }
+    EXPECT_EQ(ProducerBatches(eng), 0u);
+    EXPECT_EQ(eng.query(), oracle.query());
+  }
+  {
+    runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>,
+                                   runtime::ShmRing>
+        eng(16, 2, {.ring_capacity = 1024, .batch = 8});
+    window::NaiveWindow<ops::SumInt> oracle(16);
+    {
+      auto producer = eng.MakeProducer();
+      SparseProducerRounds(eng, producer, oracle, 20, [] { return false; });
+    }
+    EXPECT_EQ(ProducerBatches(eng), 0u);
+    EXPECT_EQ(eng.query(), oracle.query());
+  }
+}
+
+/// SumInt whose ⊕ spins for two microseconds: a shard's holder then
+/// slides for far longer than a producer takes to publish, which keeps the
+/// other producer's ownership CAS failing and a holder's bound reachable.
+struct SlowSumInt : ops::SumInt {
+  static value_type combine(value_type a, value_type b) {
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::microseconds(2);
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    return a + b;
+  }
+};
+
+TEST(ParallelEngineTest, ProducerFlushReturnsWhileAnotherProducerPublishes) {
+  // One shard, so both handles publish to the same ring, and both keep
+  // publishing until told to stop. Whichever takes the shard drains only
+  // the backlog it found, so its flush returns although the other keeps
+  // the ring full: both must complete their rounds before the deadline.
+  runtime::ParallelShardedEngine<core::SlickDequeInv<SlowSumInt>,
+                                 runtime::MpmcRing>
+      eng(64, 1, {.ring_capacity = 256, .batch = 64});
+  constexpr uint64_t kRounds = 20;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> rounds[2] = {0, 0};
+  const auto publish = [&](std::atomic<uint64_t>* done) {
+    auto producer = eng.MakeProducer();
+    // acquire: pairs with the release store that ends the test.
+    while (!stop.load(std::memory_order_acquire)) {
+      for (int i = 0; i < 64; ++i) producer.push(1);
+      producer.flush();
+      // relaxed: a progress tally, polled below and read after join.
+      done->fetch_add(1, std::memory_order_relaxed);
+    }
+  };
+  std::thread a(publish, &rounds[0]);
+  std::thread b(publish, &rounds[1]);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  // relaxed: see the tally above.
+  while ((rounds[0].load(std::memory_order_relaxed) < kRounds ||
+          rounds[1].load(std::memory_order_relaxed) < kRounds) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const uint64_t by_deadline[2] = {rounds[0].load(std::memory_order_relaxed),
+                                   rounds[1].load(std::memory_order_relaxed)};
+  stop.store(true, std::memory_order_release);
+  a.join();
+  b.join();
+  EXPECT_GE(by_deadline[0], kRounds)
+      << "a producer's flush was held draining the other's stream";
+  EXPECT_GE(by_deadline[1], kRounds)
+      << "a producer's flush was held draining the other's stream";
+  EXPECT_EQ(eng.query(), 64);
+  const auto stats = eng.stats();
+  EXPECT_EQ(stats.processed, stats.admitted);
+  EXPECT_EQ(stats.admitted, 64u * (rounds[0].load(std::memory_order_relaxed) +
+                                   rounds[1].load(std::memory_order_relaxed)));
 }
 
 TEST(ParallelEngineTest, InvalidConfigsDie) {

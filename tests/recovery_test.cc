@@ -391,7 +391,7 @@ TEST(RecoveryTest, ShmRingWorkerKillWithLeaseProducersRecovers) {
     // Identical interleaving into both engines from one thread: the router
     // stream plus a lease-pushed side channel every 7th tuple, so worker
     // replay after the kill covers lease-landed slots too.
-    const auto side_push = [](Lease& lease, int64_t v) {
+    const auto side_push = [](Engine& eng, Lease& lease, int64_t v) {
       for (;;) {
         std::size_t pushed = 0;
         const auto r = lease.TryPush(&v, 1, &pushed);
@@ -400,6 +400,9 @@ TEST(RecoveryTest, ShmRingWorkerKillWithLeaseProducersRecovers) {
         // kFenced/kClosed here would mean the reaper or shutdown got a
         // live, heartbeating producer — a protocol failure.
         ASSERT_EQ(r, Lease::Result::kFull);
+        // The ring may be full behind a killed worker: this thread is the
+        // coordinator, so it polls the supervisor that restarts it.
+        eng.SupervisePoll();
       }
     };
     const std::vector<int64_t> stream = IntStream(220 * shards, 27);
@@ -409,8 +412,8 @@ TEST(RecoveryTest, ShmRingWorkerKillWithLeaseProducersRecovers) {
       if (i % 7 == 0) {
         const std::size_t shard = (i / 7) % shards;
         const auto v = static_cast<int64_t>(1000 + i);
-        side_push(clean_leases[shard], v);
-        side_push(chaos_leases[shard], v);
+        side_push(clean, clean_leases[shard], v);
+        side_push(chaos, chaos_leases[shard], v);
       }
     }
     for (std::size_t i = 0; i < shards; ++i) {
@@ -464,6 +467,24 @@ struct ProducerEdge {
   }
 };
 
+/// Kills shard 0's worker at its first batch and waits for the death,
+/// returning how many elements that took. The fatal batch goes through the
+/// engine's router: a producer handle drains a shard whose worker sleeps
+/// (DESIGN.md §12.6), and an injected kill fires only on the worker, so a
+/// handle alone could keep the worker alive. The router's publish that
+/// brings the ring to half full wakes the worker instead.
+template <typename Eng>
+uint64_t KillOnlyWorker(Eng& eng) {
+  eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
+  const std::size_t half = eng.shard_ring(0).capacity() / 2;
+  for (std::size_t i = 0; i < half; ++i) eng.push(1);
+  eng.flush();
+  while (eng.worker_state(0) != runtime::WorkerState::kKilled) {
+    std::this_thread::yield();
+  }
+  return half;
+}
+
 template <typename Edge>
 void DeadlineExpiryShedsAndCounts() {
   using Agg = core::SlickDequeInv<ops::SumInt>;
@@ -473,9 +494,9 @@ void DeadlineExpiryShedsAndCounts() {
        .batch = 2,
        .backpressure = Backpressure::kBlockWithDeadline,
        .deadline_ns = 200'000});
-  // Kill the only worker immediately: nothing drains, every flush after
-  // the ring fills must expire its deadline and shed.
-  eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
+  // Kill the only worker first: nothing drains, every flush after the
+  // ring fills must expire its deadline and shed.
+  const uint64_t prefill = KillOnlyWorker(eng);
   Edge::Run(eng, [](auto& in) {
     for (int64_t i = 0; i < 64; ++i) in.push(1);
   });
@@ -485,7 +506,7 @@ void DeadlineExpiryShedsAndCounts() {
   // Every expiry sheds at least one element of its batch.
   EXPECT_GE(snap.total_dropped(), snap.shards[0].deadline_expiries);
   const auto stats = eng.stats();
-  EXPECT_EQ(stats.admitted + stats.dropped, 64u);
+  EXPECT_EQ(stats.admitted + stats.dropped, prefill + 64u);
   EXPECT_STREQ(snap.backpressure, "block-with-deadline");
   eng.stop();
 }
@@ -506,13 +527,13 @@ void ShedOldestNeverBlocksAndKeepsFreshest() {
       {.ring_capacity = 8,
        .batch = 2,
        .backpressure = Backpressure::kShedOldest});
-  eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
+  const uint64_t prefill = KillOnlyWorker(eng);
   // Returns without blocking despite the dead worker.
   Edge::Run(eng, [](auto& in) {
     for (int64_t i = 0; i < 200; ++i) in.push(i);
   });
   const auto stats = eng.stats();
-  EXPECT_EQ(stats.admitted + stats.dropped, 200u);
+  EXPECT_EQ(stats.admitted + stats.dropped, prefill + 200u);
   EXPECT_GT(stats.dropped, 0u);
   EXPECT_LE(stats.admitted, 8u + 2u);  // bounded by ring + claimed batch
   EXPECT_EQ(eng.snapshot().shards[0].deadline_expiries, 0u);
@@ -538,7 +559,7 @@ void ErrorPolicyDiesOnFullRing() {
             {.ring_capacity = 4,
              .batch = 1,
              .backpressure = Backpressure::kError});
-        eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
+        (void)KillOnlyWorker(eng);
         Edge::Run(eng, [](auto& in) {
           for (int64_t i = 0; i < 64; ++i) in.push(1);
         });

@@ -5,6 +5,7 @@
 // TSan job runs — names keep the "Telemetry" token for its filter), and
 // the counter/gauge/JSON plumbing.
 
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -13,6 +14,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/slick_deque_inv.h"
+#include "ops/arith.h"
+#include "runtime/mpmc_ring.h"
+#include "runtime/parallel_engine.h"
 #include "telemetry/counters.h"
 #include "telemetry/histogram.h"
 #include "telemetry/json.h"
@@ -356,6 +361,42 @@ TEST(TelemetryJsonTest, RuntimeSnapshotJsonTotals) {
   const std::string json = ToJson(r);
   EXPECT_NE(json.find("\"total_in\":17"), std::string::npos) << json;
   EXPECT_NE(json.find("\"shards\":[{"), std::string::npos) << json;
+}
+
+TEST(TelemetryRuntimeTest, ProducerBatchesAreASubsetOfBatches) {
+  // Sparse producer-handle pushes on an unsupervised MPMC engine: shards
+  // whose worker sleeps are drained on the producer's thread (DESIGN.md
+  // §12.6), and each such batch is also one of the shard's `batches`.
+  runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>,
+                                 runtime::MpmcRing>
+      eng(8, 2, {.ring_capacity = 256, .batch = 4});
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  uint64_t producer_batches = 0;
+  {
+    auto producer = eng.MakeProducer();
+    for (int round = 0; round < 10 || (producer_batches == 0 &&
+                                       std::chrono::steady_clock::now() <
+                                           deadline);
+         ++round) {
+      for (int64_t i = 0; i < 4; ++i) producer.push(i);
+      producer.flush();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      producer_batches = 0;
+      for (const ShardSnapshot& s : eng.snapshot().shards) {
+        producer_batches += s.producer_batches;
+      }
+    }
+  }
+  eng.stop();
+  const RuntimeSnapshot snap = eng.snapshot();
+  EXPECT_GT(producer_batches, 0u);
+  for (const ShardSnapshot& s : snap.shards) {
+    EXPECT_LE(s.producer_batches, s.batches);
+    EXPECT_LE(s.producer_batches + s.coordinator_batches, s.batches);
+  }
+  const std::string json = ToJson(snap);
+  EXPECT_NE(json.find("\"producer_batches\":"), std::string::npos) << json;
 }
 
 }  // namespace

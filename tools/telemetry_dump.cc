@@ -29,10 +29,13 @@
 // JSONL stream doubles as a smoke test for the recovery telemetry.
 //
 // Every shard object carries `coordinator_batches`, the drain batches the
-// query thread ran itself (the caller-runs epoch barrier, DESIGN.md §12.6)
-// out of `batches`; the final line adds the run's totals of both, so an
-// operator sees how much drain work ran on the query thread. Supervised
-// runs never drain on the query thread, and the tool asserts it.
+// query thread ran itself (the caller-runs epoch barrier, DESIGN.md §12.6),
+// and `producer_batches`, those a producer handle ran on its own thread
+// (producer-runs admission), out of `batches`; the final line adds the
+// run's totals of all three, so an operator sees how much drain work ran
+// off the workers. Supervised runs never drain on the query thread, and
+// the tool asserts it; this tool's router-fed engine has no producer
+// handles, so its producer total is 0.
 
 #include <cinttypes>
 #include <cstdint>
@@ -181,12 +184,13 @@ int Run(const bench::Flags& flags) {
                       final_snap.total_staged() ==
                   fed,
               "admitted + dropped + staged != fed");
-  uint64_t batches = 0, coordinator_batches = 0;
+  uint64_t batches = 0, coordinator_batches = 0, producer_batches = 0;
   for (const auto& s : final_snap.shards) {
-    SLICK_CHECK(s.coordinator_batches <= s.batches,
-                "coordinator drained more batches than the shard did");
+    SLICK_CHECK(s.coordinator_batches + s.producer_batches <= s.batches,
+                "callers drained more batches than the shard did");
     batches += s.batches;
     coordinator_batches += s.coordinator_batches;
+    producer_batches += s.producer_batches;
   }
   SLICK_CHECK(!supervised || coordinator_batches == 0,
               "supervised run drained on the query thread");
@@ -202,9 +206,10 @@ int Run(const bench::Flags& flags) {
                 "fault-free run reported restarts or replay");
   }
   std::printf("{\"final\":%s,\"batches\":%" PRIu64
-              ",\"coordinator_batches\":%" PRIu64 "}\n",
+              ",\"coordinator_batches\":%" PRIu64
+              ",\"producer_batches\":%" PRIu64 "}\n",
               telemetry::ToJson(final_snap).c_str(), batches,
-              coordinator_batches);
+              coordinator_batches, producer_batches);
   return 0;
 }
 
