@@ -1,5 +1,8 @@
 #pragma once
 
+// slick-lint: allow(test-only-module) -- only its own tests use this
+// module; its retirement is an open ROADMAP.md item.
+
 #include <cstdint>
 
 namespace slick::ops {

@@ -1,5 +1,8 @@
 #pragma once
 
+// slick-lint: allow(test-only-module) -- only its own tests use this
+// module; its retirement is an open ROADMAP.md item.
+
 #include <algorithm>
 #include <cstdint>
 #include <deque>
@@ -49,9 +52,9 @@ inline const char* AdmissionName(Admission a) {
 /// rejected, so downstream exactly-once emission is unaffected).
 ///
 /// For genuinely out-of-order event-time streams (arbitrary displacement,
-/// watermark semantics), see the native OoO path: window::OooTree and
-/// engine::EventTimeAcqEngine (DESIGN.md §13) — this buffer is the cheap
-/// answer only when displacement is small and bounded.
+/// watermark semantics), see the native OoO path: window::OooTree under
+/// runtime::ParallelShardedEngine (DESIGN.md §13) — this buffer is the
+/// cheap answer only when displacement is small and bounded.
 template <typename T>
 class ReorderBuffer {
  public:

@@ -7,11 +7,11 @@
 
 namespace slick::telemetry {
 
-// The single-thread engines (AcqEngine, TimeAcqEngine, EventTimeAcqEngine)
-// are instrumented through a SINK TYPE chosen at compile time, so the
-// disabled configuration costs literally nothing: NullEngineSink's methods
-// are empty inline functions on an empty [[no_unique_address]] member, and
-// the optimizer deletes every call site — tier-1 throughput (e.g.
+// The single-thread engines (AcqEngine, TimeAcqEngine) are instrumented
+// through a SINK TYPE chosen at compile time, so the disabled configuration
+// costs literally nothing: NullEngineSink's methods are empty inline
+// functions on an empty [[no_unique_address]] member, and the optimizer
+// deletes every call site — tier-1 throughput (e.g.
 // bench/micro_aggregators) is bit-identical to the uninstrumented build.
 // Opting in is a template argument (AcqEngine<Agg, CountingEngineSink>),
 // not a runtime flag, so the hot loop never branches on "is telemetry on".

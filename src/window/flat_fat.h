@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <utility>
 #include <vector>
@@ -146,7 +147,12 @@ class FlatFat {
     util::WritePod<uint64_t>(os, pos_);
   }
 
-  /// Restores a checkpoint, replacing the current state.
+  /// Restores a checkpoint, replacing the current state. Only the
+  /// window's leaves and the write position are trusted: the padding
+  /// leaves (and unused slot 0) go back to identity and every interior
+  /// node is rebuilt bottom-up with slide()'s combine order, so a frame
+  /// whose interior disagrees with its leaves still answers correctly,
+  /// and a consistent frame reloads bit-identically. O(window).
   bool LoadState(std::istream& is)
     requires std::is_trivially_copyable_v<value_type>
   {
@@ -161,9 +167,15 @@ class FlatFat {
     }
     const std::size_t leaves = util::NextPowerOfTwo(window);
     if (window < 1 || pos >= window || tree.size() != 2 * leaves) return false;
+    tree[0] = Op::identity();
+    std::fill(tree.begin() + static_cast<std::ptrdiff_t>(leaves + window),
+              tree.end(), Op::identity());
+    for (std::size_t node = leaves - 1; node >= 1; --node) {
+      tree[node] = Op::combine(tree[2 * node], tree[2 * node + 1]);
+    }
     window_ = static_cast<std::size_t>(window);
     leaves_ = leaves;
-    tree_ = std::move(tree);
+    tree_.swap(tree);
     pos_ = static_cast<std::size_t>(pos);
     return true;
   }

@@ -9,6 +9,9 @@
 
 namespace slick::window {
 
+// slick-lint: allow(test-only-module) -- the brute-force oracle the tests
+// compare every real algorithm against.
+
 /// Brute-force oracle: stores every partial and folds the requested span in
 /// stream order on each query. O(n) per query, obviously correct — it exists
 /// solely so tests can validate every real algorithm (including on

@@ -534,6 +534,40 @@ TEST(CheckpointGoldenTest, Sdn1AlphaMax) {
       core::SlickDequeNonInv<ops::AlphaMax>(9));
 }
 
+TEST(CheckpointGoldenTest, Fat1Sum) {
+  // window 6 (8 leaves, two padding): slide 9, 4, 7; BulkSlide
+  // {3, 8, 1, 6}; slide 5.
+  window::FlatFat<ops::SumInt> agg(6);
+  for (const int64_t v : {9, 4, 7}) agg.slide(v);
+  const std::vector<int64_t> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.slide(5);
+  ExpectGoldenBytes(agg,
+      "4641543101000000060000000000000010000000000000000000000000000000"
+      "1e00000000000000150000000000000009000000000000000b00000000000000"
+      "0a00000000000000090000000000000000000000000000000600000000000000"
+      "0500000000000000070000000000000003000000000000000800000000000000"
+      "0100000000000000000000000000000000000000000000000200000000000000",
+      window::FlatFat<ops::SumInt>(3));
+}
+
+TEST(CheckpointGoldenTest, Fat1Max) {
+  // window 5 (identity -inf in slot 0 and the three padding leaves):
+  // slide 9, 4, 7; BulkSlide {3, 8, 1, 6}; UpdateAt(1, 2.5).
+  window::FlatFat<ops::Max> agg(5);
+  for (const double v : {9.0, 4.0, 7.0}) agg.slide(v);
+  const std::vector<double> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.UpdateAt(1, 2.5);
+  ExpectGoldenBytes(agg,
+      "464154310100000005000000000000001000000000000000000000000000f0ff"
+      "00000000000020400000000000001c4000000000000020400000000000001840"
+      "0000000000001c400000000000002040000000000000f0ff0000000000000440"
+      "00000000000018400000000000001c4000000000000008400000000000002040"
+      "000000000000f0ff000000000000f0ff000000000000f0ff0200000000000000",
+      window::FlatFat<ops::Max>(7));
+}
+
 // ---------------------------------------------------------------------------
 // FIFO frames rejected with the target untouched.
 // ---------------------------------------------------------------------------
@@ -630,6 +664,56 @@ TEST(CheckpointTest, SubtractOnEvictBadFramesRejectedTargetUntouched) {
 // ---------------------------------------------------------------------------
 // Corruption handling.
 // ---------------------------------------------------------------------------
+
+// FAT1 layout: [0] tag+version (8)  [8] window u64  [16] node count u64
+// [24] nodes, 8 bytes each for SumInt (slot 0 unused, interior 1..leaves-1,
+// leaves after)  then pos u64.
+TEST(CheckpointTest, FlatFatInteriorDisagreeingWithLeavesIsRebuilt) {
+  constexpr std::size_t kWindow = 11;  // 16 leaves, five padding
+  constexpr std::size_t kLeaves = 16;
+  window::FlatFat<ops::SumInt> agg(kWindow);
+  window::NaiveWindow<ops::SumInt> naive(kWindow);
+  util::SplitMix64 rng(29);
+  for (int i = 0; i < 40; ++i) {
+    const auto v = static_cast<int64_t>(rng.NextBounded(1000)) - 500;
+    agg.slide(v);
+    naive.slide(v);
+  }
+  const std::string frame = SaveBytes(agg);
+  ASSERT_EQ(frame.size(), 24 + 2 * kLeaves * 8 + 8);
+  const auto poke = [](std::string* bytes, std::size_t node, int64_t v) {
+    std::memcpy(bytes->data() + 24 + node * 8, &v, sizeof(v));
+  };
+
+  // Every interior node (the root included), a padding leaf and the unused
+  // slot 0 disagree with the window's leaves; the leaves and pos are intact.
+  std::string bad = frame;
+  for (std::size_t node = 0; node < kLeaves; ++node) {
+    poke(&bad, node, 1'000'000 + static_cast<int64_t>(node));
+  }
+  poke(&bad, kLeaves + kWindow + 2, 777);
+  window::FlatFat<ops::SumInt> loaded(kWindow);
+  std::stringstream in(bad);
+  ASSERT_TRUE(loaded.LoadState(in));
+  EXPECT_EQ(SaveBytes(loaded), frame) << "rebuilt tree equals the original";
+  for (std::size_t r = 1; r <= kWindow; ++r) {
+    EXPECT_EQ(loaded.query(r), naive.query(r)) << "range=" << r;
+  }
+  for (int i = 0; i < 2 * static_cast<int>(kWindow); ++i) {
+    const auto v = static_cast<int64_t>(rng.NextBounded(1000)) - 500;
+    loaded.slide(v);
+    naive.slide(v);
+    for (std::size_t r = 1; r <= kWindow; ++r) {
+      ASSERT_EQ(loaded.query(r), naive.query(r)) << "range=" << r;
+    }
+  }
+
+  // A consistent frame reloads bit-identically.
+  window::FlatFat<ops::SumInt> again(3);
+  std::stringstream consistent(frame);
+  ASSERT_TRUE(again.LoadState(consistent));
+  EXPECT_EQ(SaveBytes(again), frame);
+}
 
 TEST(CheckpointTest, TruncatedStreamRejected) {
   window::FlatFat<ops::SumInt> agg(16);

@@ -229,20 +229,24 @@ TEST_P(WindowSweep, SlickDequeInvSumAllRanges) {
 TEST_P(WindowSweep, SlickDequeNonInvMaxAllRanges) {
   RunOracle<SlickDequeNonInv<ops::MaxInt>>(window(), shape(), true);
 }
+TEST_P(WindowSweep, SlickDequeNonInvMinAllRanges) {
+  RunOracle<SlickDequeNonInv<ops::MinInt>>(window(), shape(), true);
+  RunOracle<SlickDequeNonInv<ops::Min>>(window(), shape(), true);
+}
 TEST_P(WindowSweep, SlickDequeNonInvArgMaxAllRanges) {
   RunOracle<SlickDequeNonInv<ops::ArgMax>>(window(), shape(), true);
 }
 
-TEST_P(WindowSweep, SlickDequeNonInvQueryMultiMatchesSingles) {
-  using Agg = SlickDequeNonInv<ops::MaxInt>;
-  Agg agg(window());
-  Model<ops::MaxInt> model(window());
-  util::SplitMix64 rng(0xabc + window());
+template <typename Op>
+void RunQueryMulti(std::size_t window, Shape shape) {
+  SlickDequeNonInv<Op> agg(window);
+  Model<Op> model(window);
+  util::SplitMix64 rng(0xabc + window);
   std::vector<std::size_t> ranges_desc;
-  for (std::size_t r = window(); r >= 1; --r) ranges_desc.push_back(r);
-  std::vector<int64_t> out;
-  for (std::size_t step = 0; step < 2 * window() + 20; ++step) {
-    const int64_t v = GenInt(shape(), step, rng);
+  for (std::size_t r = window; r >= 1; --r) ranges_desc.push_back(r);
+  std::vector<typename Op::result_type> out;
+  for (std::size_t step = 0; step < 2 * window + 20; ++step) {
+    const auto v = LiftInt<Op>(GenInt(shape, step, rng));
     agg.slide(v);
     model.slide(v);
     out.clear();
@@ -253,6 +257,15 @@ TEST_P(WindowSweep, SlickDequeNonInvQueryMultiMatchesSingles) {
           << "range=" << ranges_desc[i] << " step=" << step;
     }
   }
+}
+
+TEST_P(WindowSweep, SlickDequeNonInvQueryMultiMatchesSingles) {
+  RunQueryMulti<ops::MaxInt>(window(), shape());
+}
+TEST_P(WindowSweep, SlickDequeNonInvMinQueryMultiMatchesSingles) {
+  RunQueryMulti<ops::MinInt>(window(), shape());
+  if (HasFatalFailure()) return;
+  RunQueryMulti<ops::Min>(window(), shape());
 }
 
 TEST_P(WindowSweep, SlickDequeNonInvQueryMultiRandomSubsets) {
@@ -384,6 +397,11 @@ struct Segment {
 // deque's ⊕ count must equal Algorithm 2's exact pop loop replayed on a
 // reference deque: one test per popped node plus one for the node that
 // stops the loop, with BulkSlide's expiry hoisted and its restart empty.
+// Min ops run the script negated, so every segment pops the same nodes.
+template <typename Op>
+constexpr bool kMinDirection =
+    std::is_same_v<Op, ops::MinInt> || std::is_same_v<Op, ops::Min>;
+
 template <typename Op>
 void RunScriptedTwin(std::size_t window, bool bulk) {
   using Agg = SlickDequeNonInv<Op>;
@@ -485,6 +503,12 @@ void RunScriptedTwin(std::size_t window, bool bulk) {
   }
   script.push_back(std::move(noise));
 
+  if constexpr (kMinDirection<Op>) {
+    for (Segment& seg : script) {
+      for (int64_t& v : seg.values) v = -v;
+    }
+  }
+
   const std::size_t bytes_before = reg.memory_bytes();
   std::vector<Value> vals;
   for (const Segment& seg : script) {
@@ -520,13 +544,20 @@ void RunScriptedTwins(std::size_t window, Shape shape) {
   RunScriptedTwin<Op>(w, true);
 }
 
-// One op per AppendBatch branch: the survivor-mask staircase (MaxInt), the
-// suffix-scan staircase (ArgMax: total order, no mask kernel) and the
-// per-element stack loop (CountingOp forwards no kAbsorbsTotal). MaxInt
-// takes the branch-free tail prune; ArgMax and CountingOp the exact loop.
+// One op per AppendBatch branch: the survivor-mask staircase (MaxInt, and
+// MinInt/Min for the other direction), the suffix-scan staircase (ArgMax:
+// total order, no mask kernel) and the per-element stack loop (CountingOp
+// forwards no kAbsorbsTotal). The mask ops take the branch-free tail
+// prune; ArgMax and CountingOp the exact loop.
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredMask) {
   RunRegisteredTwin<ops::MaxInt>(window(), shape());
   RunScriptedTwins<ops::MaxInt>(window(), shape());
+}
+TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredMaskMin) {
+  RunRegisteredTwin<ops::MinInt>(window(), shape());
+  RunScriptedTwins<ops::MinInt>(window(), shape());
+  RunRegisteredTwin<ops::Min>(window(), shape());
+  RunScriptedTwins<ops::Min>(window(), shape());
 }
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredStaircase) {
   RunRegisteredTwin<ops::ArgMax>(window(), shape());

@@ -23,6 +23,13 @@ line or the line directly above the finding):
   banned-call           No std::rand/srand, time(nullptr)/time(NULL), or
                         std::endl in src/ (use util/rng.h, util/clock.h,
                         and '\n' respectively).
+  test-only-module      Every src/ header is reachable by #include from
+                        bench/, benchmark/, examples/, tools/ or a library
+                        .cc under src/ — a module only tests use is dead
+                        weight. The umbrella src/slickdeque.h is exempt. A
+                        tree-level rule: the allow comment may sit anywhere
+                        in the header, and a --root with none of those
+                        consumer dirs (a partial tree) skips the rule.
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -88,6 +95,11 @@ BANNED = [
 CROSS_THREAD_DIRS = ("src/runtime/", "src/runtime/shm/", "src/telemetry/",
                      "src/net/")
 DEFAULT_ROOTS = ("src", "bench", "tests", "tools", "examples")
+# Trees whose #includes keep a src/ header alive (plus the library's own
+# .cc files), and the one header exempt from that rule.
+CONSUMER_ROOTS = ("bench", "benchmark", "examples", "tools")
+UMBRELLA_HEADER = "src/slickdeque.h"
+INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
 EXCLUDE_PARTS = ("tools/lint/fixtures", "tools/analyze/fixtures")
 RELAXED_COMMENT_WINDOW = 10
 
@@ -278,6 +290,70 @@ CHECKS = (
 )
 
 
+def excluded(rel: str) -> bool:
+    return any(rel == e or rel.startswith(e + "/") for e in EXCLUDE_PARTS)
+
+
+def reachable_headers(root: pathlib.Path) -> set[str] | None:
+    """Root-relative paths of every file #include reaches from the
+    consumer trees and the library .cc files, or None when --root has no
+    consumer tree. Quoted includes resolve against the including file's
+    directory first, then src/ (the library's include root); <...> and
+    unresolved includes are not followed."""
+    dirs = [root / d for d in CONSUMER_ROOTS if (root / d).is_dir()]
+    if not dirs:
+        return None
+    frontier = [p for d in dirs for p in d.rglob("*")
+                if p.suffix in (".h", ".cc", ".cpp") and p.is_file()]
+    frontier += [p for p in (root / "src").rglob("*.cc") if p.is_file()]
+    frontier = [p for p in frontier
+                if not excluded(p.relative_to(root).as_posix())]
+    seen: set[pathlib.Path] = set()
+    while frontier:
+        path = frontier.pop()
+        if path in seen:
+            continue
+        seen.add(path)
+        try:
+            lines = path.read_text(encoding="utf-8").splitlines()
+        except (OSError, UnicodeDecodeError):
+            continue
+        for line in lines:
+            m = INCLUDE_RE.match(line)
+            if not m:
+                continue
+            for base in (path.parent, root / "src"):
+                target = (base / m.group(1)).resolve()
+                if target.is_file():
+                    frontier.append(target)
+                    break
+    return {p.relative_to(root).as_posix() for p in seen
+            if p.is_relative_to(root)}
+
+
+def check_test_only_modules(root: pathlib.Path,
+                            paths: list[pathlib.Path]) -> list[Finding]:
+    reachable = reachable_headers(root)
+    if reachable is None:
+        return []
+    findings = []
+    for path in paths:
+        rel = path.relative_to(root).as_posix()
+        if (not rel.startswith("src/") or not rel.endswith(".h")
+                or rel == UMBRELLA_HEADER or rel in reachable):
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        if any(allowed(lines, i + 1, "test-only-module")
+               for i in range(len(lines))):
+            continue
+        findings.append(Finding(
+            rel, 1, "test-only-module",
+            "no bench/, benchmark/, examples/, tools/ or library .cc "
+            "includes this header: delete it with its tests, or allow "
+            "it with the reason"))
+    return findings
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -313,14 +389,7 @@ def gather(root: pathlib.Path, args_paths: list[str]) -> list[pathlib.Path]:
         else:
             print(f"slick_lint: no such path: {r}", file=sys.stderr)
             sys.exit(2)
-    skip = tuple(pathlib.PurePosixPath(e) for e in EXCLUDE_PARTS)
-    out = []
-    for p in paths:
-        rel = pathlib.PurePosixPath(p.relative_to(root).as_posix())
-        if any(str(rel).startswith(str(e) + "/") or rel == e for e in skip):
-            continue
-        out.append(p)
-    return out
+    return [p for p in paths if not excluded(p.relative_to(root).as_posix())]
 
 
 def main(argv: list[str]) -> int:
@@ -335,8 +404,10 @@ def main(argv: list[str]) -> int:
         opts.root) if opts.root else pathlib.Path(__file__).resolve().parents[2]
     root = root.resolve()
     findings: list[Finding] = []
-    for path in gather(root, opts.paths):
+    paths = gather(root, opts.paths)
+    for path in paths:
         findings.extend(lint_file(root, path))
+    findings.extend(check_test_only_modules(root, paths))
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     for f in findings:
         print(f)

@@ -14,6 +14,9 @@ HERE = pathlib.Path(__file__).resolve().parent
 REPO = HERE.parents[1]
 LINT = HERE / "slick_lint.py"
 FIXTURES = HERE / "fixtures"
+# A small tree with consumer dirs, for the tree-level test-only-module
+# rule (the main corpus has none, so the rule skips it).
+MODULES = FIXTURES / "modules"
 
 EXPECTED_FIXTURE_FINDINGS = [
     ("src/banned_calls.cc", 10, "banned-call"),
@@ -70,6 +73,22 @@ class FixtureCorpus(unittest.TestCase):
         self.assertEqual(proc.returncode, 1)
         self.assertEqual(parse(proc.stdout),
                          [("src/guarded_header.h", 1, "pragma-once")])
+
+    def test_test_only_modules(self):
+        # Reached from a library .cc, an example and transitively through
+        # src/: clean. The umbrella and tests/ keep nothing alive, a
+        # bench-local "common.h" shadows src/common.h, and an allow comment
+        # anywhere in the header suppresses the rule.
+        proc = run_lint("--root", str(MODULES))
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(parse(proc.stdout), [
+            ("src/common.h", 1, "test-only-module"),
+            ("src/orphan.h", 1, "test-only-module"),
+        ])
+        # Only scanned headers are reported; reachability still covers
+        # the whole tree.
+        proc = run_lint("--root", str(MODULES), "src/core/deep.h")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
 
     def test_missing_explicit_path_is_usage_error(self):
         proc = run_lint("--root", str(FIXTURES), "src/does_not_exist.h")
