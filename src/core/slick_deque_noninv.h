@@ -51,9 +51,9 @@ typename Op::value_type BatchStaircase(const typename Op::value_type* src,
 /// window old), then incoming partial `v` evicts every tail node it
 /// dominates (combine(tail, v) == v — such nodes can never be an answer
 /// again), and a new node is appended. Amortized cost is below 2
-/// operations per slide for any input; the worst case (a fully descending
-/// window followed by a large value, probability 1/n! under uniform input)
-/// costs n — see §4.1.
+/// operations per slide for any input (2 - 2/n under uniform input). The
+/// head expires before the prune, so the worst slide costs n - 1, at
+/// probability exactly 2/n! under uniform input (§4.1 says n at 1/n!).
 ///
 /// Storage (EXPERIMENTS.md, deviations): a window::SeqRing of nodes
 /// instead of §4.2's chunked array, addressed by deque sequence numbers

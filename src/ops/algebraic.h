@@ -49,11 +49,10 @@ struct Average {
   }
 };
 
-/// Like Average, but lower() hands back the raw (count, sum) partial —
-/// the shared carrier for the paper's §2.3 example of *different but
-/// compatible* operations: Sum, Count and Average queries over the same
-/// stream all project from this one aggregation (see
-/// engine::SharedSumFamilyEngine).
+/// Like Average, but lower() hands back the raw (count, sum) partial, so
+/// the paper's §2.3 example of *different but compatible* operations —
+/// Sum, Count and Average queries over the same stream — can all project
+/// from this one aggregation.
 struct SumCount {
   using input_type = double;
   using value_type = AvgPartial;

@@ -18,8 +18,6 @@
 #include "core/time_window.h"          // IWYU pragma: export
 #include "core/windowed.h"             // IWYU pragma: export
 #include "engine/acq_engine.h"         // IWYU pragma: export
-#include "engine/shared_family.h"      // IWYU pragma: export
-#include "engine/time_acq_engine.h"    // IWYU pragma: export
 #include "ops/ops.h"                   // IWYU pragma: export
 #include "ops/maxcount.h"              // IWYU pragma: export
 #include "ops/sketch.h"                // IWYU pragma: export

@@ -89,17 +89,14 @@ struct ShardCounters {
   Gauge watermark;
 };
 
-/// Engine-level tallies for the single-thread ACQ engines. Kept as plain
-/// (non-atomic) integers: the engines are single-threaded by contract, and
+/// Engine-level tallies for the single-thread ACQ engine. Kept as plain
+/// (non-atomic) integers: the engine is single-threaded by contract, and
 /// the compile-time sink (see sink.h) decides whether these are maintained
 /// at all.
 struct EngineCounters {
   uint64_t tuples_in = 0;   ///< raw stream elements pushed
   uint64_t partials = 0;    ///< completed partials slid into the window
   uint64_t answers = 0;     ///< query answers emitted
-  uint64_t panes_closed = 0;    ///< time engine: panes fed downstream
-  uint64_t panes_empty = 0;     ///< time engine: identity (gap) panes
-  uint64_t watermark = 0;       ///< time engine: latest closed-pane end ts
 };
 
 }  // namespace slick::telemetry

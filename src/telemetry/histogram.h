@@ -145,9 +145,14 @@ struct LatencyHistogram::Snapshot {
     return n;
   }
 
+  /// Snapshot{} (no buckets) is the identity on either side.
   void Merge(const Snapshot& other) {
-    if (counts.empty()) counts.assign(kBucketCount, 0);
-    for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
+    if (counts.size() < other.counts.size()) {
+      counts.resize(other.counts.size());
+    }
+    for (std::size_t i = 0; i < other.counts.size(); ++i) {
+      counts[i] += other.counts[i];
+    }
     sum += other.sum;
   }
 

@@ -150,10 +150,7 @@ std::string ToJson(const EngineCounters& c) {
   std::string out = "{";
   AppendU64(out, "tuples_in", c.tuples_in, true);
   AppendU64(out, "partials", c.partials, true);
-  AppendU64(out, "answers", c.answers, true);
-  AppendU64(out, "panes_closed", c.panes_closed, true);
-  AppendU64(out, "panes_empty", c.panes_empty, true);
-  AppendU64(out, "watermark", c.watermark, false);
+  AppendU64(out, "answers", c.answers, false);
   out += "}";
   return out;
 }

@@ -7,12 +7,12 @@
 
 namespace slick::telemetry {
 
-// The single-thread engines (AcqEngine, TimeAcqEngine) are instrumented
-// through a SINK TYPE chosen at compile time, so the disabled configuration
-// costs literally nothing: NullEngineSink's methods are empty inline
-// functions on an empty [[no_unique_address]] member, and the optimizer
-// deletes every call site — tier-1 throughput (e.g.
-// bench/micro_aggregators) is bit-identical to the uninstrumented build.
+// The single-thread engine (AcqEngine) is instrumented through a SINK TYPE
+// chosen at compile time, so the disabled configuration costs literally
+// nothing: NullEngineSink's methods are empty inline functions on an empty
+// [[no_unique_address]] member, and the optimizer deletes every call site —
+// tier-1 throughput (e.g. bench/micro_aggregators) is bit-identical to the
+// uninstrumented build.
 // Opting in is a template argument (AcqEngine<Agg, CountingEngineSink>),
 // not a runtime flag, so the hot loop never branches on "is telemetry on".
 //
@@ -32,11 +32,10 @@ struct NullEngineSink {
   void OnTuple() {}
   void OnPartial() {}
   void OnAnswer(uint64_t /*n*/ = 1) {}
-  void OnPaneClose(bool /*empty*/, uint64_t /*watermark*/) {}
   void OnLatency(uint64_t /*ns*/) {}
 };
 
-/// Counter-only sink: plain uint64 increments (the engines are
+/// Counter-only sink: plain uint64 increments (the engine is
 /// single-threaded by contract). No clocks, no histogram.
 struct CountingEngineSink {
   static constexpr bool kEnabled = true;
@@ -47,11 +46,6 @@ struct CountingEngineSink {
   void OnTuple() { ++counters.tuples_in; }
   void OnPartial() { ++counters.partials; }
   void OnAnswer(uint64_t n = 1) { counters.answers += n; }
-  void OnPaneClose(bool empty, uint64_t watermark) {
-    ++counters.panes_closed;
-    if (empty) ++counters.panes_empty;
-    counters.watermark = watermark;
-  }
   void OnLatency(uint64_t /*ns*/) {}
 };
 
@@ -68,11 +62,6 @@ struct HistogramEngineSink {
   void OnTuple() { ++counters.tuples_in; }
   void OnPartial() { ++counters.partials; }
   void OnAnswer(uint64_t n = 1) { counters.answers += n; }
-  void OnPaneClose(bool empty, uint64_t watermark) {
-    ++counters.panes_closed;
-    if (empty) ++counters.panes_empty;
-    counters.watermark = watermark;
-  }
   void OnLatency(uint64_t ns) { latency.Record(ns); }
 };
 

@@ -430,9 +430,10 @@ TEST(CheckpointTest, DabaRestoresRegionPointers) {
 
 // ---------------------------------------------------------------------------
 // Pinned checkpoint bytes. Each hex string is the SaveState of one short
-// fixed stream, made with the chunked-array queue these frames were first
-// written by; the CAQ1 frame (now window::SeqRing's) must keep every byte.
-// Loading the pinned frame and saving it again must also give it back.
+// fixed stream, made by the code that first pinned it. The frames holding
+// a CAQ1 ring were made with the chunked-array queue that first wrote them,
+// and the CAQ1 frame (now window::SeqRing's) must keep every byte. Loading
+// the pinned frame and saving it again must also give it back.
 // ---------------------------------------------------------------------------
 
 std::string Hex(const std::string& bytes) {
@@ -566,6 +567,87 @@ TEST(CheckpointGoldenTest, Fat1Max) {
       "00000000000018400000000000001c4000000000000008400000000000002040"
       "000000000000f0ff000000000000f0ff000000000000f0ff0200000000000000",
       window::FlatFat<ops::Max>(7));
+}
+
+TEST(CheckpointGoldenTest, Sdi1SumRanges) {
+  // window 6, ranges {2, 4, 6}: slide 9, 4, 7; BulkSlide {3, 8, 1, 6};
+  // slide 5.
+  core::SlickDequeInv<ops::SumInt> agg(6, {4, 2, 6});
+  for (const int64_t v : {9, 4, 7}) agg.slide(v);
+  const std::vector<int64_t> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.slide(5);
+  ExpectGoldenBytes(agg,
+      "5344493101000000060000000000000006000000000000000500000000000000"
+      "0700000000000000030000000000000008000000000000000100000000000000"
+      "030000000000000002000000000000000b000000000000000400000000000000"
+      "140000000000000006000000000000001e000000000000000200000000000000",
+      core::SlickDequeInv<ops::SumInt>(3));
+}
+
+TEST(CheckpointGoldenTest, Tws3) {
+  window::TwoStacks<ops::SumInt> agg;
+  RunGoldenFifoStream(agg);
+  ExpectGoldenBytes(agg,
+      "5457533301000000040000000000000005000000000000000300000000000000"
+      "0800000000000000010000000000000006000000000000000500000000000000"
+      "050000000000000012000000000000000f000000000000000700000000000000"
+      "06000000000000000500000000000000",
+      window::TwoStacks<ops::SumInt>());
+}
+
+TEST(CheckpointGoldenTest, Fit1Sum) {
+  // window 6: slide 9, 4, 7; BulkSlide {3, 8, 1, 6}; query(4), which
+  // compresses jump pointers; slide 5.
+  window::FlatFit<ops::SumInt> agg(6);
+  for (const int64_t v : {9, 4, 7}) agg.slide(v);
+  const std::vector<int64_t> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  (void)agg.query(4);
+  agg.slide(5);
+  ExpectGoldenBytes(agg,
+      "4649543101000000060000000000000006000000000000000500000000000000"
+      "07000000000000000c0000000000000009000000000000000100000000000000"
+      "0600000000000000010000000200000003000000000000000000000000000000"
+      "02000000000000000100000000000000",
+      window::FlatFit<ops::SumInt>(3));
+}
+
+TEST(CheckpointGoldenTest, Nai1Sum) {
+  // window 6: slide 9, 4, 7; BulkSlide {3, 8, 1, 6}; slide 5;
+  // UpdateAt(1, 2).
+  window::NaiveWindow<ops::SumInt> agg(6);
+  for (const int64_t v : {9, 4, 7}) agg.slide(v);
+  const std::vector<int64_t> batch = {3, 8, 1, 6};
+  agg.BulkSlide(batch.data(), batch.size());
+  agg.slide(5);
+  agg.UpdateAt(1, 2);
+  ExpectGoldenBytes(agg,
+      "4e41493101000000060000000000000002000000000000000500000000000000"
+      "0700000000000000030000000000000008000000000000000100000000000000"
+      "0200000000000000",
+      window::NaiveWindow<ops::SumInt>(3));
+}
+
+TEST(CheckpointGoldenTest, Oot1Sum) {
+  // Insert (t, v) (10, 9), (30, 4), (20, 7), (50, 3), (40, 8), (30, 1) —
+  // three out of order, the last merging into t = 30; BulkEvict(25);
+  // Insert (60, 6), (35, 5).
+  window::OooTree<ops::SumInt> agg;
+  agg.Insert(10, 9);
+  agg.Insert(30, 4);
+  agg.Insert(20, 7);
+  agg.Insert(50, 3);
+  agg.Insert(40, 8);
+  agg.Insert(30, 1);
+  agg.BulkEvict(25);
+  agg.Insert(60, 6);
+  agg.Insert(35, 5);
+  ExpectGoldenBytes(agg,
+      "4f4f54310100000005000000000000001e000000000000000500000000000000"
+      "2300000000000000050000000000000028000000000000000800000000000000"
+      "320000000000000003000000000000003c000000000000000600000000000000",
+      window::OooTree<ops::SumInt>());
 }
 
 // ---------------------------------------------------------------------------

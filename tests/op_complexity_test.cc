@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -152,8 +153,10 @@ TEST_P(OpComplexitySweep, SlickDequeNonInvAmortizedBelowTwo) {
 }
 
 TEST(OpComplexityTest, SlickDequeNonInvWorstCaseNeedsAdversarialInput) {
-  // A descending window followed by a dominating value costs ~n in one
-  // slide (paper: probability 1/n! under uniform input).
+  // A descending window followed by a dominating value costs n - 1 in one
+  // slide: the head expires before the prune, so n - 1 nodes are left to
+  // test (probability 2/n! under uniform input; see the enumeration
+  // below).
   const std::size_t n = 64;
   core::SlickDequeNonInv<CMax> agg(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -173,6 +176,49 @@ TEST(OpComplexityTest, SlickDequeNonInvWorstStaysFarBelowWindow) {
       256, MakeWindow<core::SlickDequeNonInv<CMax>>, kFullQuery, 20);
   EXPECT_LE(slick.worst, 32u);
   EXPECT_LT(slick.amortized, 2.0);
+}
+
+TEST(OpComplexityTest, SlickDequeNonInvExactSlideDistribution) {
+  // §4.1 exactly, not sampled: every order of n + 1 distinct values is
+  // equally likely under uniform input, so summing over all (n + 1)! of
+  // them prices the first slide that expires a node by its exact
+  // distribution.
+  //  * The absorbs tests total (2 - 2/n)·(n + 1)!: 2 - 2/n per slide.
+  //  * The worst slide costs n - 1 tests (the head expires first), and
+  //    2(n + 1) orders reach it: probability 2/n!.
+  //  * After the n-th slide the deque holds the window's suffix maxima,
+  //    H_n of them on average: the node counts total H_n·(n + 1)!.
+  for (std::size_t n = 2; n <= 8; ++n) {
+    std::vector<int64_t> order(n + 1);
+    std::iota(order.begin(), order.end(), 0);
+    uint64_t orders = 0, tests = 0, worst = 0, at_worst = 0, nodes = 0;
+    do {
+      core::SlickDequeNonInv<CMax> agg(n);
+      for (std::size_t i = 0; i < n; ++i) agg.slide(order[i]);
+      nodes += agg.node_count();
+      OpCounter::Reset();
+      agg.slide(order[n]);
+      const uint64_t cost = OpCounter::Total();
+      tests += cost;
+      if (cost > worst) {
+        worst = cost;
+        at_worst = 0;
+      }
+      if (cost == worst) ++at_worst;
+      ++orders;
+    } while (std::next_permutation(order.begin(), order.end()));
+    uint64_t n_factorial = 1;
+    for (uint64_t k = 2; k <= n; ++k) n_factorial *= k;
+    uint64_t harmonic_times_n_factorial = 0;  // H_n·n! = Σ n!/k
+    for (uint64_t k = 1; k <= n; ++k) {
+      harmonic_times_n_factorial += n_factorial / k;
+    }
+    ASSERT_EQ(orders, (n + 1) * n_factorial);
+    EXPECT_EQ(tests, (2 * n - 2) * orders / n) << "n=" << n;
+    EXPECT_EQ(worst, n - 1) << "n=" << n;
+    EXPECT_EQ(at_worst, 2 * (n + 1)) << "n=" << n;
+    EXPECT_EQ(nodes, (n + 1) * harmonic_times_n_factorial) << "n=" << n;
+  }
 }
 
 // --------------------------- max-multi-query ------------------------------

@@ -84,7 +84,7 @@ TEST(TelemetryHistogramTest, SmallValuesAreExact) {
 }
 
 // ---------------------------------------------------------------------
-// Merge algebra: associative and commutative.
+// Merge algebra: associative and commutative, with Snapshot{} the identity.
 // ---------------------------------------------------------------------
 
 Snapshot RandomSnapshot(util::SplitMix64& rng, int samples) {
@@ -138,6 +138,23 @@ TEST(TelemetryHistogramTest, AtomicMergeFromMatchesSnapshotMerge) {
   const Snapshot got = a.TakeSnapshot();
   EXPECT_EQ(got.counts, expect.counts);
   EXPECT_EQ(got.sum, expect.sum);
+}
+
+TEST(TelemetryHistogramTest, EmptySnapshotIsMergeIdentity) {
+  util::SplitMix64 rng(0xE4417);
+  const Snapshot a = RandomSnapshot(rng, 250);
+  Snapshot right = a;
+  right.Merge(Snapshot{});
+  EXPECT_EQ(right.counts, a.counts);
+  EXPECT_EQ(right.sum, a.sum);
+  Snapshot left;
+  left.Merge(a);
+  EXPECT_EQ(left.counts, a.counts);
+  EXPECT_EQ(left.sum, a.sum);
+  Snapshot both;
+  both.Merge(Snapshot{});
+  EXPECT_TRUE(both.counts.empty());
+  EXPECT_EQ(both.sum, 0u);
 }
 
 // ---------------------------------------------------------------------

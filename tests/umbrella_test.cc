@@ -10,8 +10,6 @@ namespace {
 TEST(UmbrellaHeaderTest, ExposesTheApi) {
   slick::core::WindowAggregatorFor<slick::ops::Sum> sum(8);
   slick::core::WindowAggregatorFor<slick::ops::Max> max(8);
-  slick::engine::TimeEngineFor<slick::ops::Sum> timed({{20, 10}},
-                                                      slick::plan::Pat::kPairs);
   slick::core::PerQueryAdapter<slick::window::TwoStacks<slick::ops::Max>>
       ranged(8, {4, 8});
   slick::window::TwoStacks<slick::ops::SumInt> stacks;
@@ -27,7 +25,6 @@ TEST(UmbrellaHeaderTest, ExposesTheApi) {
   EXPECT_DOUBLE_EQ(ranged.query(4), 4.0);
   EXPECT_DOUBLE_EQ(ranged.query(8), 8.0);
   EXPECT_EQ(stacks.query(), 36);
-  timed.Observe(5, 1.0, [](uint32_t, double) {});
 }
 
 }  // namespace

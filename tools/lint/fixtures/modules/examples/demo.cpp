@@ -1,2 +1,3 @@
 // Fixture: an example. Never compiled.
+#include "stale.h"
 #include "used.h"

@@ -28,8 +28,10 @@ line or the line directly above the finding):
                         .cc under src/ — a module only tests use is dead
                         weight. The umbrella src/slickdeque.h is exempt. A
                         tree-level rule: the allow comment may sit anywhere
-                        in the header, and a --root with none of those
-                        consumer dirs (a partial tree) skips the rule.
+                        in the header, an allow on a header a consumer
+                        does reach is itself a finding (stale), and a
+                        --root with none of those consumer dirs (a partial
+                        tree) skips the rule.
 
 Exit codes: 0 clean, 1 findings, 2 usage/IO error.
 
@@ -340,17 +342,22 @@ def check_test_only_modules(root: pathlib.Path,
     for path in paths:
         rel = path.relative_to(root).as_posix()
         if (not rel.startswith("src/") or not rel.endswith(".h")
-                or rel == UMBRELLA_HEADER or rel in reachable):
+                or rel == UMBRELLA_HEADER):
             continue
         lines = path.read_text(encoding="utf-8").splitlines()
-        if any(allowed(lines, i + 1, "test-only-module")
-               for i in range(len(lines))):
-            continue
-        findings.append(Finding(
-            rel, 1, "test-only-module",
-            "no bench/, benchmark/, examples/, tools/ or library .cc "
-            "includes this header: delete it with its tests, or allow "
-            "it with the reason"))
+        allow = next((i + 1 for i in range(len(lines))
+                      if allowed(lines, i + 1, "test-only-module")), None)
+        if rel in reachable and allow is not None:
+            findings.append(Finding(
+                rel, allow, "test-only-module",
+                "allow is stale: a consumer includes this header now; "
+                "drop the comment"))
+        elif rel not in reachable and allow is None:
+            findings.append(Finding(
+                rel, 1, "test-only-module",
+                "no bench/, benchmark/, examples/, tools/ or library .cc "
+                "includes this header: delete it with its tests, or allow "
+                "it with the reason"))
     return findings
 
 

@@ -78,17 +78,28 @@ class FixtureCorpus(unittest.TestCase):
         # Reached from a library .cc, an example and transitively through
         # src/: clean. The umbrella and tests/ keep nothing alive, a
         # bench-local "common.h" shadows src/common.h, and an allow comment
-        # anywhere in the header suppresses the rule.
+        # anywhere in the header suppresses the rule (unless it is stale,
+        # see below).
         proc = run_lint("--root", str(MODULES))
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertEqual(parse(proc.stdout), [
             ("src/common.h", 1, "test-only-module"),
             ("src/orphan.h", 1, "test-only-module"),
+            ("src/stale.h", 3, "test-only-module"),
         ])
         # Only scanned headers are reported; reachability still covers
         # the whole tree.
         proc = run_lint("--root", str(MODULES), "src/core/deep.h")
         self.assertEqual(proc.returncode, 0, proc.stdout)
+
+    def test_stale_test_only_allow(self):
+        # An example includes src/stale.h, so its allow comment no longer
+        # describes the tree: the finding sits on the comment's line.
+        proc = run_lint("--root", str(MODULES), "src/stale.h")
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertEqual(parse(proc.stdout),
+                         [("src/stale.h", 3, "test-only-module")])
+        self.assertIn("allow is stale", proc.stdout)
 
     def test_missing_explicit_path_is_usage_error(self):
         proc = run_lint("--root", str(FIXTURES), "src/does_not_exist.h")
