@@ -226,9 +226,11 @@ int main(int argc, char** argv) {
   SweepSingle<slick::window::NaiveWindow<Sum>>("naive", "sum", cfg, data,
                                                report);
 
-  // Max: the non-invertible side.
-  SweepSingle<slick::core::SlickDequeNonInv<Max>>("slick-noninv", "max", cfg,
-                                                  data, report);
+  // Max: the non-invertible side. SlickDeque (Non-Inv)'s double staircase
+  // is paired with its scalar twin, gated like the int pairs below.
+  SweepSingleVsScalar<slick::core::SlickDequeNonInv<Max>>("slick-noninv",
+                                                          "max", cfg, data,
+                                                          report);
   SweepSingle<slick::core::Windowed<slick::window::Daba<Max>>>(
       "daba", "max", cfg, data, report);
   SweepSingle<slick::window::FlatFat<Max>>("flatfat", "max", cfg, data,

@@ -33,7 +33,7 @@ int main() {
   }
 
   // Dynamically sized FIFO windows (insert/evict) work the same way:
-  core::FifoAggregatorFor<ops::Min> running_min;  // -> monotonic deque
+  core::FifoAggregatorFor<ops::Min> running_min;  // -> Non-Inv FIFO face
   for (double x : stream) running_min.insert(ops::Min::lift(x));
   running_min.evict();  // drop the oldest (6)
   std::printf("\nmin of last %zu tuples: %.1f\n", running_min.size(),

@@ -24,8 +24,8 @@ namespace slick::core {
 /// an order-induced absorbs is one test against the aggregate of
 /// src[k+1..m). Fills `stair` with the survivors' indices, newest first
 /// (the newest element always survives), and returns the whole-batch
-/// aggregate. Requires m >= 1. SlickDeque (Non-Inv) without a survivor
-/// kernel and MonotonicDeque admit their batches through it.
+/// aggregate. Requires m >= 1. SlickDeque (Non-Inv) admits its batches
+/// through it, on both faces, when the op has no survivor kernel.
 template <ops::TotalOrderSelectiveOp Op>
 typename Op::value_type BatchStaircase(const typename Op::value_type* src,
                                        std::size_t m,
@@ -54,6 +54,17 @@ typename Op::value_type BatchStaircase(const typename Op::value_type* src,
 /// operations per slide for any input (2 - 2/n under uniform input). The
 /// head expires before the prune, so the worst slide costs n - 1, at
 /// probability exactly 2/n! under uniform input (§4.1 says n at 1/n!).
+///
+/// Two faces share the one deque:
+///  * fixed window, `SlickDequeNonInv(window)`: slide()/BulkSlide() and
+///    the multi-query surface below. The head expires once it is one
+///    window old, i.e. FIFO expiry with oldest = n - window;
+///  * FIFO, `SlickDequeNonInv()`: insert()/evict() and BulkInsert()/
+///    BulkEvict() (the window::FifoAggregator shape) move an explicit
+///    oldest arrival index, so the window grows and shrinks at will. Its
+///    ring is unbounded and its checkpoint is the MON1 frame.
+/// slide() is evict-when-full, then insert, so both faces keep Table 1's
+/// cost. A face's instance takes only that face's calls.
 ///
 /// Storage (EXPERIMENTS.md, deviations): a window::SeqRing of nodes
 /// instead of §4.2's chunked array, addressed by deque sequence numbers
@@ -109,6 +120,10 @@ class SlickDequeNonInv {
   using op_type = Op;
   using value_type = typename Op::value_type;
   using result_type = typename Op::result_type;
+
+  /// FIFO face: an empty window on an unbounded ring. The ring still
+  /// starts at kInitialCapacity slots, because the tail probe reads them.
+  SlickDequeNonInv() { ring_.reserve(kInitialCapacity); }
 
   explicit SlickDequeNonInv(std::size_t window) : ring_(window) {
     SLICK_CHECK(window >= 1, "window must hold at least one partial");
@@ -171,10 +186,37 @@ class SlickDequeNonInv {
     n_ += n;
   }
 
-  /// Aggregate of the whole window: the head node's value. O(1), zero
-  /// aggregate operations.
+  /// FIFO face: admits the newest partial (slide() without the expiry).
+  SLICK_REALTIME void insert(value_type v) {
+    PruneTail(v);
+    ring_.push_back(Node{n_, std::move(v)});
+    ++n_;
+  }
+
+  /// FIFO face: expires the oldest element.
+  SLICK_REALTIME void evict() { BulkEvict(1); }
+
+  /// FIFO face: admits `n` partials through BulkSlide's batch path. The
+  /// deque ends as n insert() calls leave it.
+  SLICK_REALTIME void BulkInsert(const value_type* src, std::size_t n) {
+    if (n == 0) return;
+    AppendBatch(src, n, n_);
+    n_ += n;
+  }
+
+  /// FIFO face: expires the `n` oldest elements with one jump of the
+  /// oldest arrival index, then one head-prefix pop (nodes age strictly
+  /// head -> tail, so the expired ones form a prefix).
+  SLICK_REALTIME void BulkEvict(std::size_t n) {
+    SLICK_CHECK(n <= size(), "bulk evict larger than window");
+    oldest_ += n;
+    while (!ring_.empty() && ring_.front().t < oldest_) ring_.pop_front();
+  }
+
+  /// Aggregate of the whole window: the head node's value, or ⊕'s identity
+  /// while the window is empty. O(1), zero aggregate operations.
   SLICK_REALTIME result_type query() const {
-    SLICK_CHECK(!ring_.empty(), "query before the first slide");
+    if (ring_.empty()) return Op::lower(Op::identity());
     return Op::lower(ring_.front().val);
   }
 
@@ -228,8 +270,15 @@ class SlickDequeNonInv {
     }
   }
 
-  /// The window: also the ring's bound.
+  /// The window: also the ring's bound (unbounded on the FIFO face).
   std::size_t window_size() const { return ring_.bound(); }
+
+  /// Live partials: the FIFO face's live count; on the fixed face, the
+  /// partials slid in so far, up to the window.
+  std::size_t size() const {
+    return static_cast<std::size_t>(
+        std::min<uint64_t>(n_ - oldest_, window_size()));
+  }
 
   /// Number of live deque nodes (the paper's input-dependent space term).
   std::size_t node_count() const { return ring_.size(); }
@@ -241,15 +290,25 @@ class SlickDequeNonInv {
            cursors_.capacity() * sizeof(Cursor);
   }
 
-  /// Checkpoints the deque (DSMS fault tolerance) in the SDN1 layout: the
-  /// window, the circular write position and newest position, then the
-  /// nodes as the ring's CAQ1 frame, each node's slide index written as
-  /// its circular position. Trivially copyable values are written raw;
-  /// other value types (AlphaMax's std::string) serialize node-wise through
-  /// util::WriteVal.
+  /// Checkpoints the deque (DSMS fault tolerance). The fixed face writes
+  /// the SDN1 layout: the window, the circular write position and newest
+  /// position, then the nodes as the ring's CAQ1 frame, each node's slide
+  /// index written as its circular position. The FIFO face writes MON1:
+  /// the nodes' CAQ1 frame with their arrival indices, then the next and
+  /// the oldest live arrival index and the live count. Trivially copyable
+  /// values are written raw; other value types (AlphaMax's std::string)
+  /// serialize node-wise through util::WriteVal.
   void SaveState(std::ostream& os) const
     requires util::Serializable<value_type>
   {
+    if (fifo()) {
+      util::WriteTag(os, kFifoTag, 1);
+      ring_.SaveState(os);
+      util::WritePod(os, n_);
+      util::WritePod(os, oldest_);
+      util::WritePod<uint64_t>(os, n_ - oldest_);
+      return;
+    }
     const std::size_t window = window_size();
     util::WriteTag(os, kTag, 1);
     util::WritePod<uint64_t>(os, window);
@@ -260,9 +319,10 @@ class SlickDequeNonInv {
     });
   }
 
-  /// Restores a checkpoint, replacing the current state. The frame is
-  /// parsed and validated into temporaries and committed by move, so a
-  /// rejected frame leaves this instance untouched. Accepted states:
+  /// Restores a checkpoint of this instance's face, replacing the current
+  /// state. The frame is parsed and validated into temporaries and
+  /// committed by move, so a rejected frame leaves this instance untouched.
+  /// Accepted SDN1 states (MON1: LoadFifo):
   ///  * an empty deque only with write and newest position 0 (pristine);
   ///  * otherwise the write position one past the newest position;
   ///  * every node's position inside [0, window);
@@ -275,6 +335,7 @@ class SlickDequeNonInv {
   bool LoadState(std::istream& is)
     requires util::Serializable<value_type>
   {
+    if (fifo()) return LoadFifo(is);
     uint64_t window = 0, pos = 0, cur = 0;
     if (!util::ExpectTag(is, kTag, 1) || !util::ReadPod(is, &window) ||
         !util::ReadPod(is, &pos) || !util::ReadPod(is, &cur) || window < 1 ||
@@ -319,7 +380,7 @@ class SlickDequeNonInv {
   };
 
   struct Node {
-    uint64_t t;  // absolute slide index (circular position in checkpoints)
+    uint64_t t;  // absolute slide index (circular position in SDN1)
     value_type val;
 
     // util::MemberSerde hooks, used by SaveState/LoadState when value_type
@@ -335,10 +396,50 @@ class SlickDequeNonInv {
   };
 
   static constexpr uint32_t kTag = util::MakeTag('S', 'D', 'N', '1');
+  static constexpr uint32_t kFifoTag = util::MakeTag('M', 'O', 'N', '1');
   // Slots the ring starts with (fewer when the window is smaller).
   static constexpr std::size_t kInitialCapacity = 64;
   // Tail nodes the branch-free prune tests per pass.
   static constexpr std::size_t kProbe = 8;
+
+  /// The face: only the FIFO face's ring is unbounded.
+  bool fifo() const {
+    return ring_.bound() == window::SeqRing<Node>::kUnbounded;
+  }
+
+  /// Restores a MON1 frame (FIFO face). Accepted states:
+  ///  * live == next - oldest;
+  ///  * arrival indices strictly increasing head -> tail, inside
+  ///    [oldest, next);
+  ///  * the tail node is the newest element when the window is not empty
+  ///    (insert() always appends it);
+  ///  * ⊕-monotonicity, as for SDN1.
+  bool LoadFifo(std::istream& is) {
+    window::SeqRing<Node> ring;
+    ring.reserve(kInitialCapacity);
+    uint64_t next = 0, oldest = 0, live = 0;
+    if (!util::ExpectTag(is, kFifoTag, 1) || !ring.LoadState(is) ||
+        !util::ReadPod(is, &next) || !util::ReadPod(is, &oldest) ||
+        !util::ReadPod(is, &live) || oldest > next || live != next - oldest) {
+      return false;
+    }
+    for (uint64_t s = ring.front_seq(); s != ring.end_seq(); ++s) {
+      const Node& node = ring[s];
+      if (node.t < oldest || node.t >= next) return false;
+      if (s != ring.front_seq() &&
+          (node.t <= ring[s - 1].t ||
+           ops::Absorbs<Op>(node.val, ring[s - 1].val))) {
+        return false;
+      }
+    }
+    if (live != 0 && (ring.empty() || ring.back().t != next - 1)) {
+      return false;
+    }
+    ring_ = std::move(ring);
+    n_ = next;
+    oldest_ = oldest;
+    return true;
+  }
 
   /// Admits `m` batch elements whose slide indices start at `start_t`,
   /// pruning dominated nodes. Precondition: every head node the batch
@@ -466,8 +567,9 @@ class SlickDequeNonInv {
 
   window::SeqRing<Node> ring_;  // the deque, head oldest; bound = window
   uint64_t n_ = 0;           // slides so far: the next partial's index
-  std::vector<std::size_t> stair_;  // BulkSlide scratch: surviving indices
-  std::vector<uint64_t> mask_;      // BulkSlide scratch: survivor bitmask
+  uint64_t oldest_ = 0;      // FIFO face: the oldest live partial's index
+  std::vector<std::size_t> stair_;  // batch scratch: surviving indices
+  std::vector<uint64_t> mask_;      // batch scratch: survivor bitmask
   // Registered ranges, descending, with their answer cursors; mutable so
   // the const query surface can advance them.
   mutable std::vector<Cursor> cursors_;

@@ -2,7 +2,6 @@
 
 #include <concepts>
 
-#include "core/monotonic_deque.h"
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
 #include "core/subtract_on_evict.h"
@@ -25,7 +24,7 @@ enum class Arrival { kInOrder, kOutOfOrder };
 //
 //   * invertible            -> SlickDeque (Inv) / Subtract-on-Evict
 //   * selective (paper's
-//     non-invertible class) -> SlickDeque (Non-Inv) / monotonic deque
+//     non-invertible class) -> SlickDeque (Non-Inv), fixed / FIFO face
 //   * anything else
 //     (associative only)    -> DABA, the best general-purpose algorithm
 //
@@ -50,7 +49,7 @@ template <ops::SelectiveOp Op>
   requires std::equality_comparable<typename Op::value_type> &&
            (!Op::kInvertible)
 struct FifoPicker<Op> {
-  using type = MonotonicDeque<Op>;
+  using type = SlickDequeNonInv<Op>;
 };
 
 template <ops::AggregateOp Op>

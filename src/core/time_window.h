@@ -17,8 +17,8 @@ namespace slick::core {
 /// `range` of the newest observed timestamp, i.e. the window
 /// (now - range, now]. Built on any dynamically sized FIFO aggregator —
 /// time-based windows admit a *variable* number of elements per instant,
-/// which is exactly what insert()/evict() pairs of TwoStacks, DABA, the
-/// monotonic deque or Subtract-on-Evict support.
+/// which is exactly what insert()/evict() pairs of TwoStacks, DABA,
+/// SlickDeque (Non-Inv)'s FIFO face or Subtract-on-Evict support.
 ///
 /// Timestamps must be non-decreasing (the paper's in-order arrival
 /// assumption, §3.1; see stream::ReorderBuffer for slightly out-of-order

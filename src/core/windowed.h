@@ -39,10 +39,10 @@ class Windowed {
 
   /// Batch slide (DESIGN.md §11): one bulk evict followed by one bulk
   /// insert via the window:: dispatchers, so FIFO aggregators with native
-  /// batch members (TwoStacks, SubtractOnEvict, MonotonicDeque) amortize
-  /// across the batch. The window content after the call matches n
-  /// sequential slide() calls; internal stack/flip phase may differ from
-  /// the interleaved order, which queries cannot observe.
+  /// batch members (TwoStacks, SubtractOnEvict) amortize across the batch.
+  /// The window content after the call matches n sequential slide()
+  /// calls; internal stack/flip phase may differ from the interleaved
+  /// order, which queries cannot observe.
   void BulkSlide(const value_type* src, std::size_t n) {
     if (n == 0) return;
     if (n >= window_) {

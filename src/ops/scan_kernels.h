@@ -27,11 +27,14 @@
 // associative. Floating-point *sum* scans reassociate (in-register
 // log-step scan), so they are ULP-bounded, not bit-equal.
 //
-// NaN is outside that contract. Max/Min have registered kernels, so a NaN
-// in a Max/Min stream does reach the wide scans and survivor masks, and
-// there a NaN breaks the total order that kAbsorbsTotal and the blocked
-// regrouping rely on: the wide outputs can differ from the scalar ones.
-// ROADMAP item 2 owns the NaN policy that closes this.
+// NaN is outside that contract for the scans. Max/Min have registered
+// kernels, so a NaN in a Max/Min stream does reach the wide scans, and
+// there a NaN breaks the total order the blocked regrouping relies on: the
+// wide scan outputs can differ from the scalar ones. ROADMAP item 2 owns
+// the NaN policy that closes this. The survivor masks are inside it: every
+// tier follows Absorbs under NaN (a wide block holding a NaN, or entered
+// with a NaN carry, takes the scalar steps), so SlickDeque (Non-Inv)'s
+// batch paths build the deque its per-tuple paths build.
 //
 // The scalar kernels below are the always-available fallback and the
 // differential oracle (tests/kernels_test.cc drives every compiled level
@@ -160,18 +163,25 @@ SLICK_REALTIME inline void PrefixMinScalar(const int64_t* v, int64_t* out,
 // ------------------------------------------------------------------
 // Scalar staircase survivor masks. Bit k is set iff v[k] strictly
 // dominates the aggregate of everything after it — !Absorbs(suffix, v[k])
-// for the order-induced absorbs of Max/Min. Mask words must arrive
-// zeroed; the newest element (k = n-1) gets the identity as its suffix,
-// so callers that must keep it unconditionally (SlickDeque) force its
-// bit afterwards.
+// for the order-induced absorbs of Max/Min. The double forms spell
+// core::BatchStaircase's own test and carry (!Absorbs(carry, v),
+// carry = v ⊕ carry), so a NaN survives and restarts the carry exactly as
+// the per-tuple pop loop treats it. One branch carries both: inside it v
+// is not below the carry, so !Absorbs reduces to v != carry, and the carry
+// chain stays a predicted branch instead of a maxsd latency per element.
+// Mask words must arrive zeroed; the newest element (k = n-1) gets the
+// identity as its suffix, so callers that must keep it unconditionally
+// (SlickDeque) force its bit afterwards.
 // ------------------------------------------------------------------
 
 SLICK_REALTIME inline double MaxSurvivorsScalar(const double* v, std::size_t n,
                                                 uint64_t* mask) {
   double carry = Max::identity();
   for (std::size_t i = n; i-- > 0;) {
-    if (carry < v[i]) mask[i >> 6] |= uint64_t{1} << (i & 63);
-    carry = carry < v[i] ? v[i] : carry;
+    if (!(v[i] < carry)) {  // carry = v[i] < carry ? carry : v[i]
+      mask[i >> 6] |= uint64_t{v[i] != carry} << (i & 63);
+      carry = v[i];
+    }
   }
   return carry;
 }
@@ -191,8 +201,10 @@ SLICK_REALTIME inline double MinSurvivorsScalar(const double* v, std::size_t n,
                                                 uint64_t* mask) {
   double carry = Min::identity();
   for (std::size_t i = n; i-- > 0;) {
-    if (v[i] < carry) mask[i >> 6] |= uint64_t{1} << (i & 63);
-    carry = v[i] < carry ? v[i] : carry;
+    if (!(carry < v[i])) {  // carry = carry < v[i] ? carry : v[i]
+      mask[i >> 6] |= uint64_t{v[i] != carry} << (i & 63);
+      carry = v[i];
+    }
   }
   return carry;
 }

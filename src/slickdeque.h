@@ -8,7 +8,6 @@
 // Finer-grained headers (listed below) keep compile times down when you
 // only need a slice of the library.
 
-#include "core/monotonic_deque.h"      // IWYU pragma: export
 #include "core/per_query_adapter.h"    // IWYU pragma: export
 #include "core/range_aggregator.h"     // IWYU pragma: export
 #include "core/slick_deque_inv.h"      // IWYU pragma: export

@@ -13,8 +13,9 @@ namespace slick::window {
 //
 // * FifoAggregator — a dynamically sized FIFO window: insert() appends the
 //   newest partial, evict() removes the oldest, query() aggregates the whole
-//   current content in stream order. TwoStacks, DABA, the monotonic deque
-//   and the subtract-on-evict aggregator have this shape.
+//   current content in stream order. TwoStacks, DABA, SlickDeque
+//   (Non-Inv)'s FIFO face and the subtract-on-evict aggregator have this
+//   shape.
 //
 // * FixedWindowAggregator — a window of fixed length `window_size()` that is
 //   conceptually always full (initialized with ⊕'s identity, as in the

@@ -15,8 +15,8 @@
 namespace slick::window {
 
 /// Double-ended FIFO queue on one contiguous ring buffer — the storage
-/// under SlickDeque (Non-Inv), DABA, the monotonic deque, Subtract-on-Evict
-/// and TimeWindow's timestamps.
+/// under both faces of SlickDeque (Non-Inv), DABA, Subtract-on-Evict and
+/// TimeWindow's timestamps.
 ///
 /// Elements are addressed by absolute uint64 *sequence numbers*:
 /// `front_seq()` is the oldest live element's, `end_seq()` one past the
@@ -31,8 +31,9 @@ namespace slick::window {
 /// the live elements are unwrapped into a new buffer of
 /// min(bound, max(2·capacity, size + m)) slots, m being the room needed —
 /// TwoStacks' rule. `bound` is the most elements the holder can ever keep
-/// (SlickDeque (Non-Inv): its window); FIFO holders leave it unbounded. The
-/// ring never shrinks: it keeps its high-water capacity.
+/// (SlickDeque (Non-Inv)'s fixed face: its window); FIFO holders, that
+/// deque's FIFO face included, leave it unbounded. The ring never shrinks:
+/// it keeps its high-water capacity.
 ///
 /// Checkpoints use the CAQ1 frame, written and validated only here: tag,
 /// a u32 shift field, front and end seq, then the elements oldest first

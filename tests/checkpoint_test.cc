@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monotonic_deque.h"
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
 #include "core/subtract_on_evict.h"
@@ -409,7 +408,7 @@ TEST(CheckpointTest, SubtractOnEvict) {
   RunFifoRoundTrip<core::SubtractOnEvict<ops::SumInt>>(7);
 }
 TEST(CheckpointTest, MonotonicDeque) {
-  RunFifoRoundTrip<core::MonotonicDeque<ops::MaxInt>>(8);
+  RunFifoRoundTrip<core::SlickDequeNonInv<ops::MaxInt>>(8);
 }
 
 TEST(CheckpointTest, DabaRestoresRegionPointers) {
@@ -481,14 +480,14 @@ TEST(CheckpointGoldenTest, Dab1) {
 }
 
 TEST(CheckpointGoldenTest, Mon1) {
-  core::MonotonicDeque<ops::MaxInt> agg;
+  core::SlickDequeNonInv<ops::MaxInt> agg;
   RunGoldenFifoStream(agg);
   ExpectGoldenBytes(agg,
       "4d4f4e3101000000434151310100000006000000010000000000000004000000"
       "0000000004000000000000000800000000000000060000000000000006000000"
       "0000000007000000000000000500000000000000080000000000000003000000"
       "000000000500000000000000",
-      core::MonotonicDeque<ops::MaxInt>());
+      core::SlickDequeNonInv<ops::MaxInt>());
 }
 
 TEST(CheckpointGoldenTest, Soe1) {
@@ -696,7 +695,7 @@ std::string MonFrame(const std::vector<std::pair<uint64_t, int64_t>>& nodes,
 }
 
 TEST(CheckpointTest, MonotonicDequeBadFramesRejectedTargetUntouched) {
-  using Agg = core::MonotonicDeque<ops::MaxInt>;
+  using Agg = core::SlickDequeNonInv<ops::MaxInt>;
   // Window seqs [10, 15): 90 at 11, 50 at 13, 20 at 14 (the newest).
   const std::string valid =
       MonFrame({{11, 90}, {13, 50}, {14, 20}}, 15, 10, 5);

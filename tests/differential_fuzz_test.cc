@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -14,7 +15,6 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monotonic_deque.h"
 #include "core/slick_deque_inv.h"
 #include "core/slick_deque_noninv.h"
 #include "core/subtract_on_evict.h"
@@ -22,6 +22,7 @@
 #include "engine/acq_engine.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
+#include "ops/simd_dispatch.h"
 #include "ops/string_ops.h"
 #include "runtime/parallel_engine.h"
 #include "telemetry/snapshot.h"
@@ -361,7 +362,7 @@ void FifoBatchVsSingle(uint64_t master_seed, Gen gen) {
 }
 
 TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleMonotonicDequeMax) {
-  FifoBatchVsSingle<core::MonotonicDeque<ops::MaxInt>>(
+  FifoBatchVsSingle<core::SlickDequeNonInv<ops::MaxInt>>(
       0xCAFE, [](util::SplitMix64& rng) {
         return static_cast<int64_t>(rng.NextBounded(1 << 12)) - (1 << 11);
       });
@@ -370,17 +371,114 @@ TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleMonotonicDequeMax) {
 TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleMonotonicDequeArgMax) {
   // ArgMax's tie-keeps-earlier rule makes identity of the winner (not just
   // its key) sensitive to staircase mistakes; narrow key range forces ties.
-  FifoBatchVsSingle<core::MonotonicDeque<ops::ArgMax>>(
+  FifoBatchVsSingle<core::SlickDequeNonInv<ops::ArgMax>>(
       0xACED, [id = uint64_t{0}](util::SplitMix64& rng) mutable {
         return ops::ArgSample{static_cast<double>(rng.NextBounded(8)), id++};
       });
 }
 
 TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleMonotonicDequeAlphaMax) {
-  FifoBatchVsSingle<core::MonotonicDeque<ops::AlphaMax>>(
+  FifoBatchVsSingle<core::SlickDequeNonInv<ops::AlphaMax>>(
       0xF1FA, [](util::SplitMix64& rng) {
         return std::string(1, static_cast<char>('a' + rng.NextBounded(6)));
       });
+}
+
+// NaN payloads through SlickDeque (Non-Inv)<Max>. Nothing absorbs a NaN
+// and a NaN absorbs nothing, so the batch paths (survivor-mask kernel or
+// staircase) must build the per-tuple deque node for node. Both faces are
+// checked at the scalar and at the widest compiled kernel level, with
+// NaN-aware equality. Small integer values force ties.
+double NaNPayload(util::SplitMix64& rng) {
+  return rng.NextBounded(10) == 0
+             ? std::numeric_limits<double>::quiet_NaN()
+             : static_cast<double>(static_cast<int64_t>(rng.NextBounded(16)) -
+                                   8);
+}
+
+bool SameAnswer(double a, double b) { return a == b || (a != a && b != b); }
+
+/// Same node count, whole-window answer and answer of every range over
+/// the newest `live` partials.
+::testing::AssertionResult SameDeque(
+    const core::SlickDequeNonInv<ops::Max>& a,
+    const core::SlickDequeNonInv<ops::Max>& b, std::size_t live) {
+  if (a.node_count() != b.node_count()) {
+    return ::testing::AssertionFailure() << "node counts " << a.node_count()
+                                         << " vs " << b.node_count();
+  }
+  if (!SameAnswer(a.query(), b.query())) {
+    return ::testing::AssertionFailure()
+           << "query() " << a.query() << " vs " << b.query();
+  }
+  for (std::size_t r = 1; r <= live; ++r) {
+    if (!SameAnswer(a.query(r), b.query(r))) {
+      return ::testing::AssertionFailure() << "query(" << r << ") "
+                                           << a.query(r) << " vs "
+                                           << b.query(r);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+template <typename F>
+void AtScalarAndWidestLevel(F f) {
+  for (const auto level : {ops::kernels::SimdLevel::kScalar,
+                           ops::kernels::DetectSimdLevel()}) {
+    ops::kernels::SetSimdLevel(level);
+    SCOPED_TRACE(ops::kernels::SimdLevelName(level));
+    f();
+  }
+  ops::kernels::SetSimdLevel(ops::kernels::DetectSimdLevel());
+}
+
+TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleNonInvMaxNaN) {
+  AtScalarAndWidestLevel([] {
+    util::SplitMix64 config_rng(0x7A7A);
+    const int trials = FuzzTrials(kConfigTrials);
+    for (int trial = 0; trial < trials; ++trial) {
+      core::SlickDequeNonInv<ops::Max> single, bulk;
+      util::SplitMix64 rng(config_rng.NextU64());
+      std::size_t live = 0;
+      for (int round = 0; round < 40; ++round) {
+        // Up to 48 per batch, so the wide kernels see whole blocks.
+        const std::size_t n = 1 + rng.NextBounded(48);
+        std::vector<double> batch(n);
+        for (auto& v : batch) v = NaNPayload(rng);
+        for (double v : batch) single.insert(v);
+        bulk.BulkInsert(batch.data(), n);
+        live += n;
+        const std::size_t k = rng.NextBounded(live + 1);  // may empty it
+        for (std::size_t i = 0; i < k; ++i) single.evict();
+        bulk.BulkEvict(k);
+        live -= k;
+        ASSERT_EQ(bulk.size(), live) << "trial " << trial;
+        ASSERT_TRUE(SameDeque(bulk, single, live))
+            << "trial " << trial << " round " << round;
+      }
+    }
+  });
+}
+
+TEST(DifferentialFuzzTest, BatchSlideMatchesPerTupleNonInvMaxNaN) {
+  AtScalarAndWidestLevel([] {
+    util::SplitMix64 config_rng(0x4E614E);
+    const int trials = FuzzTrials(kConfigTrials);
+    for (int trial = 0; trial < trials; ++trial) {
+      const std::size_t window = 1 + config_rng.NextBounded(120);
+      BulkTwin<core::SlickDequeNonInv<ops::Max>> twin(window);
+      util::SplitMix64 rng(config_rng.NextU64());
+      for (int round = 0; round < 12; ++round) {
+        const std::size_t n = 1 + rng.NextBounded(3 * window);
+        std::vector<double> batch(n);
+        for (auto& v : batch) v = NaNPayload(rng);
+        twin.Feed(batch.data(), n, rng.NextBounded(4) != 0);
+        ASSERT_TRUE(SameDeque(twin.bulk, twin.single, twin.single.size()))
+            << "trial " << trial << " window " << window << " round "
+            << round;
+      }
+    }
+  });
 }
 
 TEST(DifferentialFuzzTest, FifoBatchMatchesPerTupleSubtractOnEvict) {

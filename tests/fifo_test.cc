@@ -1,5 +1,6 @@
 // Oracle-driven validation of the dynamically sized FIFO aggregators:
-// TwoStacks, DABA, SubtractOnEvict and MonotonicDeque, under steady sliding,
+// TwoStacks, DABA, SubtractOnEvict and SlickDeque (Non-Inv)'s FIFO face
+// (the former MonotonicDeque, whose test names stay), under steady sliding,
 // growth/shrink phases and randomized insert/evict interleavings. DABA's
 // region invariants are additionally brute-force checked after every event.
 
@@ -11,7 +12,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monotonic_deque.h"
+#include "core/slick_deque_noninv.h"
 #include "core/sliding_aggregator.h"
 #include "core/subtract_on_evict.h"
 #include "ops/kernels.h"
@@ -24,7 +25,7 @@
 namespace slick {
 namespace {
 
-using ::slick::core::MonotonicDeque;
+using ::slick::core::SlickDequeNonInv;
 using ::slick::core::SubtractOnEvict;
 using ::slick::window::Daba;
 using ::slick::window::ReferenceAggregator;
@@ -420,19 +421,19 @@ TEST(SubtractOnEvictTest, AverageOp) {
   EXPECT_DOUBLE_EQ(agg.query(), 4.0);
 }
 
-// --------------------------- MonotonicDeque --------------------------------
+// ------------- SlickDeque (Non-Inv) FIFO face (MonotonicDeque) -------------
 
 TEST_P(FifoWindowSweep, MonotonicDequeMax) {
-  RunSteadyWindow<MonotonicDeque<ops::MaxInt>>(GetParam(), 8);
+  RunSteadyWindow<SlickDequeNonInv<ops::MaxInt>>(GetParam(), 8);
 }
 TEST(MonotonicDequeTest, RandomInterleaving) {
-  RunRandomInterleaving<MonotonicDeque<ops::MaxInt>>(51);
+  RunRandomInterleaving<SlickDequeNonInv<ops::MaxInt>>(51);
 }
 TEST(MonotonicDequeTest, DrainCycles) {
-  RunDrainCycles<MonotonicDeque<ops::MaxInt>>(52);
+  RunDrainCycles<SlickDequeNonInv<ops::MaxInt>>(52);
 }
 TEST(MonotonicDequeTest, NodeCountCollapsesOnAscending) {
-  MonotonicDeque<ops::MaxInt> agg;
+  SlickDequeNonInv<ops::MaxInt> agg;
   for (int64_t v = 0; v < 100; ++v) {
     if (agg.size() == 16) agg.evict();
     agg.insert(v);
@@ -440,7 +441,7 @@ TEST(MonotonicDequeTest, NodeCountCollapsesOnAscending) {
   }
 }
 TEST(MonotonicDequeTest, EmptyQueryReturnsIdentity) {
-  MonotonicDeque<ops::MaxInt> agg;
+  SlickDequeNonInv<ops::MaxInt> agg;
   EXPECT_EQ(agg.query(), ops::MaxInt::identity());
 }
 
@@ -452,9 +453,9 @@ TEST(SlidingAggregatorTest, DispatchFollowsTraits) {
   static_assert(std::is_same_v<core::FifoAggregatorFor<ops::Average>,
                                SubtractOnEvict<ops::Average>>);
   static_assert(std::is_same_v<core::FifoAggregatorFor<ops::Max>,
-                               MonotonicDeque<ops::Max>>);
+                               SlickDequeNonInv<ops::Max>>);
   static_assert(std::is_same_v<core::FifoAggregatorFor<ops::AlphaMax>,
-                               MonotonicDeque<ops::AlphaMax>>);
+                               SlickDequeNonInv<ops::AlphaMax>>);
   static_assert(
       std::is_same_v<core::FifoAggregatorFor<ops::Concat>, Daba<ops::Concat>>);
 

@@ -12,8 +12,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monotonic_deque.h"
 #include "core/slick_deque_inv.h"
+#include "core/slick_deque_noninv.h"
 #include "core/time_window.h"
 #include "engine/acq_engine.h"
 #include "ops/arith.h"
@@ -52,7 +52,8 @@ TEST(IntegrationTest, ReorderedSensorStreamThroughKeyedTimeWindows) {
   }
 
   stream::ReorderBuffer<Event> reorder(kHorizon);
-  std::map<uint64_t, core::TimeWindow<core::MonotonicDeque<ops::Max>>> windows;
+  std::map<uint64_t, core::TimeWindow<core::SlickDequeNonInv<ops::Max>>>
+      windows;
   std::map<uint64_t, std::deque<std::pair<uint64_t, double>>> model;
 
   auto feed = [&](uint64_t, Event e) {

@@ -508,6 +508,70 @@ TEST(ScanKernelsTest, ScanAndSurvivorSpecialValuesBitIdenticalToScalar) {
   }
 }
 
+// NaN payloads through the survivor masks. Nothing absorbs a NaN and a NaN
+// absorbs nothing, so a NaN survives and restarts the suffix carry, as in
+// core::BatchStaircase and the per-tuple pop loop. The scalar level must
+// match the staircase reference, and every compiled level the scalar mask
+// and total, bit for bit.
+template <typename Op, typename Kernel>
+void ExpectSurvivorsFollowAbsorbs(const std::string& what,
+                                  const std::vector<double>& v,
+                                  Kernel kernel) {
+  // The batch aggregate, then the mask words.
+  const auto as_doubles = [](double total,
+                             const std::vector<uint64_t>& mask) {
+    std::vector<double> out{total};
+    for (uint64_t w : mask) out.push_back(std::bit_cast<double>(w));
+    return out;
+  };
+  const auto run = [&] {
+    std::vector<uint64_t> mask((v.size() + 63) / 64, 0);
+    const double total = kernel(v.data(), v.size(), mask.data());
+    return as_doubles(total, mask);
+  };
+  double total = 0.0;
+  const std::vector<uint64_t> mask = ReferenceSurvivors<Op>(v, &total);
+  const std::vector<double> expect = as_doubles(total, mask);
+  kernels::SetSimdLevel(kernels::SimdLevel::kScalar);
+  const std::vector<double> got = run();
+  kernels::SetSimdLevel(kernels::DetectSimdLevel());
+  EXPECT_TRUE(got.size() == expect.size() &&
+              std::memcmp(got.data(), expect.data(),
+                          got.size() * sizeof(double)) == 0)
+      << what << " vs staircase";
+  ExpectBitIdenticalToScalar(what, run);
+}
+
+TEST(ScanKernelsTest, SurvivorMasksFollowAbsorbsUnderNaN) {
+  // Small integer values force ties; 10% NaN puts NaNs in most wide blocks
+  // and in the carry between blocks.
+  for (std::size_t n : kSizes) {
+    if (n == 0) continue;  // the deque's bulk path never passes m == 0
+    for (uint64_t seed = 0; seed < 20; ++seed) {
+      util::SplitMix64 rng(4000 * n + seed);
+      std::vector<double> v(n);
+      for (auto& x : v) {
+        x = rng.NextBounded(10) == 0
+                ? std::numeric_limits<double>::quiet_NaN()
+                : static_cast<double>(static_cast<int64_t>(rng.NextBounded(8)) -
+                                      4);
+      }
+      const std::string what =
+          " n=" + std::to_string(n) + " seed=" + std::to_string(seed);
+      ExpectSurvivorsFollowAbsorbs<Max>(
+          "MaxSurvivors" + what,
+          v, [](const double* p, std::size_t m, uint64_t* mask) {
+            return kernels::MaxSurvivors(p, m, mask);
+          });
+      ExpectSurvivorsFollowAbsorbs<Min>(
+          "MinSurvivors" + what,
+          v, [](const double* p, std::size_t m, uint64_t* mask) {
+            return kernels::MinSurvivors(p, m, mask);
+          });
+    }
+  }
+}
+
 // Compile-time wiring of the batch traits.
 static_assert(has_bulk_kernel<Sum>);
 static_assert(has_bulk_kernel<SumInt>);

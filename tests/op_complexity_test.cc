@@ -221,6 +221,35 @@ TEST(OpComplexityTest, SlickDequeNonInvExactSlideDistribution) {
   }
 }
 
+TEST(OpComplexityTest, SlickDequeNonInvFifoFaceSlidesInLockstep) {
+  // slide() is evict-when-full, then insert: the fixed face and the FIFO
+  // face driven that way hold the same deque and pay the same absorbs
+  // tests on every step, so Table 1's cost holds for both faces. Narrow
+  // value ranges force ties; wide ones give deep deques.
+  for (std::size_t n : {1, 2, 3, 8, 64, 257}) {
+    for (uint64_t range : {4u, 100000u}) {
+      core::SlickDequeNonInv<CMax> fixed(n);
+      core::SlickDequeNonInv<CMax> fifo;
+      util::SplitMix64 rng(7 * n + range);
+      for (std::size_t step = 0; step < 8 * n + 64; ++step) {
+        const auto v = static_cast<int64_t>(rng.NextBounded(range));
+        OpCounter::Reset();
+        fixed.slide(v);
+        const uint64_t fixed_tests = OpCounter::Total();
+        OpCounter::Reset();
+        if (fifo.size() == n) fifo.evict();
+        fifo.insert(v);
+        const uint64_t fifo_tests = OpCounter::Total();
+        ASSERT_EQ(fifo.query(), fixed.query()) << "n=" << n << " " << step;
+        ASSERT_EQ(fifo.node_count(), fixed.node_count())
+            << "n=" << n << " step " << step;
+        ASSERT_EQ(fifo_tests, fixed_tests) << "n=" << n << " step " << step;
+        ASSERT_EQ(fifo.size(), fixed.size()) << "n=" << n << " step " << step;
+      }
+    }
+  }
+}
+
 // --------------------------- max-multi-query ------------------------------
 
 template <typename Agg>

@@ -234,22 +234,30 @@ TEST(SeqRingTest, SavedShiftIsSixAndShiftFourStillLoads) {
   EXPECT_EQ(SaveBytes(r), bytes);
 
   // Rejected: shift above 30, end < front, truncated, more elements than
-  // the bound. Each leaves the target unchanged.
+  // the bound. Each leaves the target unchanged. The first three go into
+  // a target whose bound admits the frame's 4 elements, so the bound check
+  // cannot reject them before their own defect is read.
   std::string big_shift = bytes;
   big_shift[8] = 31;
   std::string end_before_front = bytes;
   end_before_front[20] = 0;
-  SeqRing<int64_t> target(3);
-  target.push_back(11);
-  target.push_back(12);
-  const std::string before = SaveBytes(target);
-  for (const std::string& frame :
-       {big_shift, end_before_front, bytes.substr(0, bytes.size() - 1),
-        bytes}) {
+  const auto expect_rejected = [](SeqRing<int64_t>& target,
+                                  const std::string& frame) {
+    const std::string before = SaveBytes(target);
     std::stringstream ss(frame);
     EXPECT_FALSE(target.LoadState(ss));
     EXPECT_EQ(SaveBytes(target), before);
+  };
+  SeqRing<int64_t> target(4);
+  target.push_back(11);
+  target.push_back(12);
+  for (const std::string& frame :
+       {big_shift, end_before_front, bytes.substr(0, bytes.size() - 1)}) {
+    expect_rejected(target, frame);
   }
+  SeqRing<int64_t> small(3);
+  small.push_back(11);
+  expect_rejected(small, bytes);
 }
 
 }  // namespace

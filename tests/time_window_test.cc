@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/monotonic_deque.h"
+#include "core/slick_deque_noninv.h"
 #include "core/subtract_on_evict.h"
 #include "core/time_window.h"
 #include "ops/arith.h"
@@ -87,7 +87,7 @@ TEST_P(TimeRangeSweep, SubtractOnEvictSumSparse) {
   RunTimedOracle<core::SubtractOnEvict<ops::SumInt>>(GetParam(), 2, false);
 }
 TEST_P(TimeRangeSweep, MonotonicDequeMaxBursty) {
-  RunTimedOracle<core::MonotonicDeque<ops::MaxInt>>(GetParam(), 3, true);
+  RunTimedOracle<core::SlickDequeNonInv<ops::MaxInt>>(GetParam(), 3, true);
 }
 TEST_P(TimeRangeSweep, DabaSumBursty) {
   RunTimedOracle<window::Daba<ops::SumInt>>(GetParam(), 4, true);
@@ -128,7 +128,7 @@ TEST(TimeWindowTest, RejectsRegressingTimestamps) {
 }
 
 TEST(TimeWindowTest, MemoryTracksContent) {
-  TimeWindow<core::MonotonicDeque<ops::MaxInt>> win(1000);
+  TimeWindow<core::SlickDequeNonInv<ops::MaxInt>> win(1000);
   const std::size_t before = win.memory_bytes();
   for (uint64_t i = 0; i < 500; ++i) {
     win.Observe(i, static_cast<int64_t>(1000 - i));  // descending: all kept
