@@ -8,18 +8,18 @@
 //   * algo=slick-inv / slick-noninv, frac_ooo=0 — the count-based slide
 //     loop, the per-tuple floor the paper's Figure 10 measures;
 //   * algo=ooo-tree, frac_ooo=0 — the SAME in-order stream through the
-//     event-time path at the runtime's drain cadence (BulkInsert spans of
-//     `batch`, one watermark BulkEvict per span — exactly what
-//     ShardWorker drives). CI gates both in-order pairs (see
-//     EXPERIMENTS.md Exp 6): against SlickDeque-NonInv the tree lands at
-//     ~1.25x (gated 1.5x); against SlickDeque-Inv, whose slide is two
-//     arithmetic ops, it pays ~5x (gated 6x).
+//     event-time path at a batched-ingest cadence (BulkInsert spans of
+//     `batch`, one watermark BulkEvict per span; no runtime mode drives
+//     the tree, so this bench is its caller). CI gates both in-order
+//     pairs (see EXPERIMENTS.md Exp 6): against SlickDeque-NonInv the
+//     tree lands at ~1.25x (gated 1.5x); against SlickDeque-Inv, whose
+//     slide is two arithmetic ops, it pays ~5x (gated 6x).
 //   * algo=ooo-tree, frac_ooo in {1,5,10,25,50}%, dist in {16,256,4096}
 //     — displaced tuples land up to `dist` ticks behind the front, the
 //     degradation curve the OoO design trades for.
 //
 // Timed streams are pre-generated OUTSIDE the timed loop (the rng and the
-// slot fill are not priced — a ring drain hands the worker ready spans),
+// slot fill are not priced — a batched caller hands the tree ready spans),
 // each lap rebuilds and re-warms the aggregator outside the timer, and
 // rates are best-of-`laps`, so rows are directly comparable.
 //
@@ -124,10 +124,10 @@ std::vector<uint64_t> MakeTimestamps(const Config& cfg, uint64_t frac,
   return ts;
 }
 
-/// The event-time path, at the cadence the runtime actually drives it:
-/// ShardWorker drains ring spans of `batch` Timed slots through
-/// Agg::BulkInsert and advances the watermark (one BulkEvict) per span.
-/// The timed stream is pre-generated, mirroring a zero-copy ring drain.
+/// The event-time path at a batched-ingest cadence: spans of `batch` Timed
+/// slots go through Agg::BulkInsert, and the watermark advances (one
+/// BulkEvict) per span. The timed stream is pre-generated, so only the
+/// tree is priced.
 template <typename Op>
 void OooRow(const char* opname, const Config& cfg,
             const std::vector<double>& data, uint64_t frac, uint64_t dist,

@@ -8,16 +8,8 @@
 #include "core/windowed.h"
 #include "ops/traits.h"
 #include "window/daba.h"
-#include "window/ooo_tree.h"
 
 namespace slick::core {
-
-/// Arrival-order capability (DESIGN.md §13). In-order streams (the paper's
-/// §3.1 assumption) run on the SlickDeque family picked below; queries
-/// declaring event-time semantics — timestamps may arrive out of order —
-/// select kOutOfOrder and run on the finger-B-tree final aggregator, which
-/// needs only associativity and supports watermark-driven bulk eviction.
-enum class Arrival { kInOrder, kOutOfOrder };
 
 // The paper's headline idea as a user-facing API: pick the execution
 // strategy from the operation's algebraic properties.
@@ -69,16 +61,6 @@ struct WindowPicker<Op> {
   using type = SlickDequeNonInv<Op>;
 };
 
-template <ops::AggregateOp Op, Arrival A>
-struct ArrivalPicker {
-  using type = typename FifoPicker<Op>::type;
-};
-
-template <ops::AggregateOp Op>
-struct ArrivalPicker<Op, Arrival::kOutOfOrder> {
-  using type = window::OooTree<Op>;
-};
-
 }  // namespace internal
 
 /// Best dynamically sized FIFO aggregator for Op (insert/evict/query).
@@ -88,17 +70,6 @@ using FifoAggregatorFor = typename internal::FifoPicker<Op>::type;
 /// Best fixed-window aggregator for Op (slide/query).
 template <ops::AggregateOp Op>
 using WindowAggregatorFor = typename internal::WindowPicker<Op>::type;
-
-/// Best timestamped out-of-order final aggregator for Op. There is one
-/// algorithm for every op class here: the OoO tree never uses inverse(),
-/// so invertible, selective, and plain associative ops all run on it.
-template <ops::AggregateOp Op>
-using OooAggregatorFor = window::OooTree<Op>;
-
-/// Arrival-dispatching alias: FifoAggregatorFor when the stream is
-/// in-order, OooAggregatorFor when the query declares event time.
-template <ops::AggregateOp Op, Arrival A = Arrival::kInOrder>
-using ArrivalAggregatorFor = typename internal::ArrivalPicker<Op, A>::type;
 
 // Batch entry points (DESIGN.md §11). These are the window:: dispatchers:
 // aggregators with native Bulk* members take their algorithm-specific fast

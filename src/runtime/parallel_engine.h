@@ -2,7 +2,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -126,28 +125,12 @@ inline const char* BackpressureName(Backpressure b) {
 /// Shutdown — the destructor (or stop()) closes every ring, which wakes
 /// every worker; workers drain what was already routed, publish their
 /// final counts, and join. No element that push() admitted is ever lost.
-/// Event-time extension (DESIGN.md §13): instantiating the engine over an
-/// OutOfOrderAggregator (window::OooTree) switches it into EVENT-TIME mode
-/// at compile time. `global_window` is then a TIME RANGE, not a tuple
-/// count; push(ts, v) routes timestamped tuples (any order) round-robin,
-/// ring slots carry window::Timed pairs, and each worker advances a
-/// per-shard low-watermark gauge as it drains. query() answers the window
-/// (wm − range, wm] where wm is the GLOBAL watermark — the minimum shard
-/// watermark at the quiescent cut — and drives watermark-driven BulkEvict
-/// on every shard tree while it is parked. Per-shard answers combine by ⊕
-/// (commutative ops for shards > 1, as in count mode: round-robin striping
-/// interleaves the sub-streams). There is no warm-up gate: an event-time
-/// window is conceptually always defined, empty ranges answer ⊕'s
-/// identity. Supervision/recovery works unchanged — the tree checkpoints
-/// through the same framed serde, and a recovered shard's watermark is
-/// rewound to its restored tree and re-raised by the replay.
 ///
 /// Admission (DESIGN.md §12.4, §14): push()/flush() forward to a Producer
 /// the engine owns (the router), and MPMC engines hand out more Producer
 /// handles via MakeProducer(); every batch enters a ring through Admit().
 template <typename Agg, template <typename> class Ring = SpscRing>
-  requires window::FixedWindowAggregator<Agg> ||
-           window::OutOfOrderAggregator<Agg>
+  requires window::FixedWindowAggregator<Agg>
 class ParallelShardedEngine {
  public:
   using op_type = typename Agg::op_type;
@@ -155,18 +138,12 @@ class ParallelShardedEngine {
   using result_type = typename Agg::result_type;
   using Worker = ShardWorker<Agg, Ring>;
 
-  /// True when the engine runs in event-time mode (see class comment).
-  static constexpr bool kEventTime = Worker::kEventTime;
-
   /// True when shard rings admit concurrent producers (Producer handles).
   static constexpr bool kMultiProducer = Ring<int>::kMultiProducer;
 
   /// Supervisor stall detector: a live worker whose heartbeat is older than
   /// this while backlog waits is counted as stalled.
   static constexpr uint64_t kStallNs = 500'000'000;
-
-  /// What one ring/staging slot carries (Timed pairs in event-time mode).
-  using slot_type = typename Worker::slot_type;
 
   struct Options {
     std::size_t ring_capacity = 1 << 12;  ///< Per-shard ring slots (bounded).
@@ -201,16 +178,9 @@ class ParallelShardedEngine {
                         Options options = {})
       : global_window_(global_window), options_(options) {
     SLICK_CHECK(shards >= 1, "need at least one shard");
-    if constexpr (kEventTime) {
-      // `global_window` is a time range; every shard sees the full range
-      // over its own sub-stream, so no divisibility constraint applies.
-      SLICK_CHECK(global_window >= 1, "time range must be >= 1");
-    } else {
-      SLICK_CHECK(global_window % shards == 0,
-                  "global window must be a multiple of the shard count");
-      SLICK_CHECK(global_window / shards >= 1,
-                  "shard windows must be nonempty");
-    }
+    SLICK_CHECK(global_window % shards == 0,
+                "global window must be a multiple of the shard count");
+    SLICK_CHECK(global_window / shards >= 1, "shard windows must be nonempty");
     SLICK_CHECK(shards == 1 || op_type::kCommutative,
                 "multi-shard aggregation needs a commutative op "
                 "(the N-way combine reorders shard answers)");
@@ -220,36 +190,13 @@ class ParallelShardedEngine {
     workers_.reserve(shards);
     admit_ = std::make_unique<AdmitCounters[]>(shards);
     stall_latched_.assign(shards, 0);
-    const std::size_t shard_window =
-        kEventTime ? global_window : global_window / shards;
+    const std::size_t shard_window = global_window / shards;
     for (std::size_t i = 0; i < shards; ++i) {
       workers_.push_back(std::make_unique<Worker>(
           shard_window, options_.ring_capacity, BatchSize(),
           options_.checkpoint_interval, i));
     }
     router_.emplace(Producer(this, /*coordinator=*/true));
-    if constexpr (kEventTime) {
-      // Worker-side lazy eviction (DESIGN.md §13): each worker polls this
-      // probe once per drained batch and BulkEvicts its own tree below the
-      // returned floor, spreading eviction work across shard threads as
-      // the stream runs instead of serializing all of it on the
-      // coordinator at query time. The floor uses the RAW minimum over
-      // every shard's watermark gauge — no pushed_[] filter, since
-      // pushed_ is coordinator-owned — so a shard that has not drained
-      // yet pins the floor at 0 (no eviction). That raw minimum can only
-      // lag GlobalWatermark(), hence floor <= the quiescent query's `lo`
-      // and lazy eviction only ever removes entries the query's own
-      // BulkEvict(lo) would discard.
-      for (auto& w : workers_) {
-        w->SetEvictionFloorProbe([this] {
-          uint64_t wm = std::numeric_limits<uint64_t>::max();
-          for (const auto& peer : workers_) {
-            wm = std::min(wm, peer->counters().watermark.Get());
-          }
-          return wm >= global_window_ ? wm - global_window_ + 1 : 0;
-        });
-      }
-    }
     for (auto& w : workers_) w->Start();
   }
 
@@ -263,34 +210,9 @@ class ParallelShardedEngine {
   /// Elements are staged per shard and handed to the ring a batch at a
   /// time; call flush() (or query()) to force out a partial batch.
   /// Single-threaded producer: call from one thread only.
-  void push(value_type v)
-    requires(!kEventTime)
-  {
+  void push(value_type v) {
     SLICK_CHECK(!stopped_, "push after stop()");
     router_->push(std::move(v));
-  }
-
-  /// Event-time mode: routes one tuple observed at event time `ts` — in
-  /// any order — to its round-robin shard.
-  void push(uint64_t ts, value_type v)
-    requires kEventTime
-  {
-    SLICK_CHECK(!stopped_, "push after stop()");
-    router_->push(ts, std::move(v));
-  }
-
-  /// Routes a contiguous batch.
-  void push_n(const value_type* src, std::size_t n)
-    requires(!kEventTime)
-  {
-    for (std::size_t i = 0; i < n; ++i) push(src[i]);
-  }
-
-  /// Event-time mode: routes a contiguous batch of timestamped tuples.
-  void push_n(const slot_type* src, std::size_t n)
-    requires kEventTime
-  {
-    for (std::size_t i = 0; i < n; ++i) push(src[i].t, src[i].v);
   }
 
   /// Forces every staged element into its shard ring (blocking or shedding
@@ -330,22 +252,9 @@ class ParallelShardedEngine {
       if (engine_ != nullptr) flush();
     }
 
-    void push(value_type v)
-      requires(!kEventTime)
-    {
-      std::vector<slot_type>& stage = staging_[next_];
+    void push(value_type v) {
+      std::vector<value_type>& stage = staging_[next_];
       stage.push_back(std::move(v));
-      if (stage.size() >= batch_) FlushShard(next_);
-      Advance();
-    }
-
-    /// Event-time mode: one tuple observed at event time `ts`, any order.
-    void push(uint64_t ts, value_type v)
-      requires kEventTime
-    {
-      engine_->RouteMaxTs(ts);
-      std::vector<slot_type>& stage = staging_[next_];
-      stage.push_back(slot_type{ts, std::move(v)});
       if (stage.size() >= batch_) FlushShard(next_);
       Advance();
     }
@@ -372,14 +281,14 @@ class ParallelShardedEngine {
     }
 
     void FlushShard(std::size_t i) {
-      std::vector<slot_type>& stage = staging_[i];
+      std::vector<value_type>& stage = staging_[i];
       if (stage.empty()) return;
       engine_->Admit(i, stage.data(), stage.size(), coordinator_);
       stage.clear();
     }
 
     ParallelShardedEngine* engine_;
-    std::vector<std::vector<slot_type>> staging_;
+    std::vector<std::vector<value_type>> staging_;
     std::size_t next_ = 0;
     // Cached so staging a tuple reads no engine state: the extra loads
     // measurably cost pipe-inproc throughput.
@@ -406,10 +315,7 @@ class ParallelShardedEngine {
   void SupervisePoll() { Supervise(); }
 
   /// True once every shard's window is full — the warm-up gate for query().
-  /// Event-time mode has no warm-up: the window is always defined (empty
-  /// time ranges answer ⊕'s identity), so ready() is always true.
   bool ready() const {
-    if constexpr (kEventTime) return true;
     const uint64_t shard_window = global_window_ / workers_.size();
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       if (Pushed(i) + router_->staging_[i].size() < shard_window) {
@@ -425,7 +331,6 @@ class ParallelShardedEngine {
   /// admitted suffix. Folds the shards' local answers directly (never
   /// starting from ⊕-identity, whose sentinel would pollute selective ops).
   result_type query() {
-    if constexpr (kEventTime) return EventQuery();
     SLICK_CHECK(ready(),
                 "query before the global window is warm "
                 "(every shard window must be full)");
@@ -460,27 +365,6 @@ class ParallelShardedEngine {
   std::size_t shard_count() const { return workers_.size(); }
   std::size_t window_size() const { return global_window_; }
 
-  /// Event-time mode: the global low watermark — the minimum over shards
-  /// (that ever received data) of the max event ts the shard has drained.
-  /// Exact at a quiescent cut (after query()/stop()); a conservative lower
-  /// bound while workers drain. An idle shard with old data holds this
-  /// back — see RUNBOOK.md's stuck-watermark triage.
-  uint64_t watermark() const
-    requires kEventTime
-  {
-    return GlobalWatermark();
-  }
-
-  /// Event-time mode: the newest event ts the router has admitted
-  /// (router-owned; exact from the router thread). watermark lag in event
-  /// time is `max_ts_routed() - watermark()`.
-  uint64_t max_ts_routed() const
-    requires kEventTime
-  {
-    // relaxed: monotonic gauge (CAS-max writes); exact at quiescence.
-    return max_ts_routed_.load(std::memory_order_relaxed);
-  }
-
   /// The shard's aggregator — safe only at a quiescent point (after
   /// query()/stop(), before further push()).
   const Agg& shard(std::size_t i) const { return workers_[i]->aggregator(); }
@@ -489,7 +373,7 @@ class ParallelShardedEngine {
   /// external producers (ShmRing::AttachProducer from fork()ed or named-
   /// segment processes; also what tests and benches feed directly). The
   /// ring's producer side is safe concurrent with the router.
-  Ring<slot_type>& shard_ring(std::size_t i) {
+  Ring<value_type>& shard_ring(std::size_t i) {
     SLICK_CHECK(i < workers_.size(), "ring access on a nonexistent shard");
     return workers_[i]->ring();
   }
@@ -520,7 +404,7 @@ class ParallelShardedEngine {
   }
 
   /// Live telemetry cut: per-shard flow counters, ring occupancy and
-  /// high-water, watermark lag, fault-tolerance metrics (restarts,
+  /// high-water, fault-tolerance metrics (restarts,
   /// checkpoints, replay, heartbeat age), per-shard ⊕/⊖ counts (when the op
   /// is ops::ThreadCountingOp), and the merged per-batch drain-latency
   /// histogram. Counters are relaxed atomics, so this is safe to call from
@@ -533,9 +417,6 @@ class ParallelShardedEngine {
     r.backpressure = BackpressureName(options_.backpressure);
     r.checkpoint_interval = options_.checkpoint_interval;
     const uint64_t now = util::MonotonicNanos();
-    // relaxed: monotonic gauge; exact at quiescence (see max_ts_routed()).
-    const uint64_t max_routed =
-        max_ts_routed_.load(std::memory_order_relaxed);
     r.shards.reserve(workers_.size());
     for (std::size_t i = 0; i < workers_.size(); ++i) {
       const telemetry::ShardCounters& c = workers_[i]->counters();
@@ -551,17 +432,6 @@ class ParallelShardedEngine {
       s.unreleased = workers_[i]->ring().unreleased();
       s.staged = router_->staging_[i].size();
       s.ring_highwater = workers_[i]->ring().occupancy_highwater();
-      // Saturating: out can transiently lead in between the worker's batch
-      // publish and the router's counter bump.
-      s.watermark_lag =
-          s.tuples_in > s.tuples_out ? s.tuples_in - s.tuples_out : 0;
-      if constexpr (kEventTime) {
-        // Re-express the lag in EVENT TIME: how far this shard's drained
-        // watermark trails the newest timestamp the router admitted.
-        s.watermark = c.watermark.Get();
-        s.watermark_lag =
-            max_routed > s.watermark ? max_routed - s.watermark : 0;
-      }
       s.combines = c.combines.Get();
       s.inverses = c.inverses.Get();
       s.worker_restarts = c.restarts.Get();
@@ -589,57 +459,16 @@ class ParallelShardedEngine {
     std::size_t bytes = sizeof(*this);
     for (const auto& w : workers_) {
       bytes += sizeof(*w) + w->aggregator().memory_bytes() +
-               w->ring().capacity() * sizeof(slot_type);
+               w->ring().capacity() * sizeof(value_type);
     }
     for (const auto& s : router_->staging_) {
-      bytes += s.capacity() * sizeof(slot_type);
+      bytes += s.capacity() * sizeof(value_type);
     }
     return bytes;
   }
 
  private:
   bool Supervised() const { return options_.checkpoint_interval > 0; }
-
-  /// Event-time answer at the quiescent cut: window (wm − range, wm] over
-  /// the global watermark wm. While parked, also drives watermark-driven
-  /// bulk eviction on every shard tree, so the steady-state memory is
-  /// bounded by range + in-flight data regardless of stream length.
-  result_type EventQuery()
-    requires kEventTime
-  {
-    flush();
-    AwaitEpoch();
-    const uint64_t wm = GlobalWatermark();
-    const uint64_t lo = wm >= global_window_ ? wm - global_window_ + 1 : 0;
-    for (auto& w : workers_) w->aggregator().BulkEvict(lo);
-    bool have = false;
-    value_type acc = op_type::identity();
-    for (auto& w : workers_) {
-      value_type a = op_type::identity();
-      if (w->aggregator().RangeAggregate(lo, wm, &a)) {
-        acc = have ? op_type::combine(std::move(acc), std::move(a))
-                   : std::move(a);
-        have = true;
-      }
-    }
-    return op_type::lower(acc);
-  }
-
-  uint64_t GlobalWatermark() const
-    requires kEventTime
-  {
-    uint64_t wm = std::numeric_limits<uint64_t>::max();
-    bool any = false;
-    for (std::size_t i = 0; i < workers_.size(); ++i) {
-      // A shard that never received data holds no entries and cannot hold
-      // the watermark back; one that received data long ago legitimately
-      // does (RUNBOOK.md stuck-watermark triage).
-      if (Pushed(i) == 0) continue;
-      wm = std::min(wm, workers_[i]->counters().watermark.Get());
-      any = true;
-    }
-    return any ? wm : 0;
-  }
 
   std::size_t BatchSize() const {
     return options_.batch < 1 ? 1 : options_.batch;
@@ -651,7 +480,7 @@ class ParallelShardedEngine {
   /// off the per-poll cost. Router thread only (last_reap_ns_ is
   /// router-owned).
   void ReapShmLeases() {
-    if constexpr (requires(Ring<slot_type>& r) {
+    if constexpr (requires(Ring<value_type>& r) {
                     r.ReapExpiredLeases(uint64_t{}, uint64_t{});
                   }) {
       if (options_.lease_ns == 0) return;
@@ -706,9 +535,9 @@ class ParallelShardedEngine {
   /// (DESIGN.md §12.4). A handle parked on a dead worker's ring waits for
   /// the coordinator's next poll. Counter updates are relaxed atomics, so
   /// any number of handles compose.
-  void Admit(std::size_t i, const slot_type* data, std::size_t n,
+  void Admit(std::size_t i, const value_type* data, std::size_t n,
              bool coordinator) {
-    Ring<slot_type>& ring = workers_[i]->ring();
+    Ring<value_type>& ring = workers_[i]->ring();
     // Unsupervised publishes skip the wake below half a ring: the router's
     // own next query() drains its batches (caller-runs barrier), and a
     // producer handle drains or wakes right after admitting (producer-runs,
@@ -716,7 +545,7 @@ class ParallelShardedEngine {
     const DataWake wake =
         Supervised() ? DataWake::kEager : DataWake::kCoalesced;
     const bool producer_runs = !coordinator && !Supervised() &&
-                               Ring<slot_type>::signal_free_publish();
+                               Ring<value_type>::signal_free_publish();
     const auto backoff = [&] {
       if (coordinator) Supervise();
       std::this_thread::yield();
@@ -835,26 +664,16 @@ class ParallelShardedEngine {
     tel.tuples_in.Add(accepted);
   }
 
-  /// CAS-max on the newest-admitted event timestamp (multi-producer safe).
-  void RouteMaxTs(uint64_t ts) {
-    // relaxed: monotonic gauge — watermark math reads it at quiescence,
-    // and a transiently stale value only under-reports the lag.
-    uint64_t cur = max_ts_routed_.load(std::memory_order_relaxed);
-    while (ts > cur && !max_ts_routed_.compare_exchange_weak(
-                           cur, ts, std::memory_order_relaxed,
-                           std::memory_order_relaxed)) {
-    }
-  }
-
   const std::size_t global_window_;
   const Options options_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  std::optional<Producer> router_;  // push()/flush(); built after workers_
+  // push()/flush(); built after workers_. Written on every push(), so it
+  // starts a cache line: Producer handles on other threads read the fields
+  // above in every Admit().
+  alignas(64) std::optional<Producer> router_;
   std::unique_ptr<AdmitCounters[]> admit_;  // per-shard admit/drop tallies
   std::vector<uint8_t> stall_latched_;  // per-shard stall episode latch
   uint64_t last_reap_ns_ = 0;  // router-owned lease-reap throttle clock
-  // Event mode: newest admitted event ts (CAS-max; router + producers).
-  alignas(64) std::atomic<uint64_t> max_ts_routed_{0};
   bool stopped_ = false;
 };
 

@@ -3,7 +3,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -20,7 +19,6 @@
 #include "util/clock.h"
 #include "util/serde.h"
 #include "window/aggregator.h"
-#include "window/ooo_tree.h"
 
 namespace slick::runtime {
 
@@ -84,16 +82,6 @@ enum class KillPoint : uint32_t {
 ///  * A checkpoint that fails validation (torn/corrupt/alloc failure) is
 ///    discarded and counted; slots stay unreleased and the next batch
 ///    retries, trading ring backpressure for recoverability.
-/// Event-time extension (DESIGN.md §13): when Agg is an
-/// OutOfOrderAggregator (window::OooTree), the shard switches modes at
-/// compile time — ring slots become window::Timed<value_type> pairs, the
-/// drain feeds Agg::BulkInsert (timestamped, any order), and after every
-/// batch the worker advances its LOW WATERMARK gauge to the maximum event
-/// timestamp drained so far (counters().watermark). The coordinator reads
-/// the minimum across shards at quiescent points and drives BulkEvict with
-/// it; recovery resets the gauge to the restored tree's newest entry, and
-/// the replay re-raises it — so the published watermark never runs ahead
-/// of the durable state.
 ///
 /// Ring selection: the second template parameter picks the shard's inbound
 /// channel — SpscRing (default; the single router thread feeds the shard)
@@ -103,20 +91,10 @@ enum class KillPoint : uint32_t {
 /// tests/ring_conformance_test.cc), so zero-copy drains and supervised
 /// recovery replay are identical either way.
 template <typename Agg, template <typename> class Ring = SpscRing>
-  requires window::FixedWindowAggregator<Agg> ||
-           window::OutOfOrderAggregator<Agg>
+  requires window::FixedWindowAggregator<Agg>
 class ShardWorker {
  public:
   using value_type = typename Agg::value_type;
-
-  /// True when the shard runs in event-time mode (timestamped slots,
-  /// out-of-order tree, watermark tracking).
-  static constexpr bool kEventTime = window::OutOfOrderAggregator<Agg>;
-
-  /// What one ring slot carries: a bare partial in count-based mode, a
-  /// (timestamp, partial) pair in event-time mode.
-  using slot_type =
-      std::conditional_t<kEventTime, window::Timed<value_type>, value_type>;
 
   /// True when the aggregator supports SaveState/LoadState — required for
   /// supervised mode (checkpoint_interval > 0).
@@ -161,7 +139,7 @@ class ShardWorker {
     if (thread_.joinable()) thread_.join();
   }
 
-  Ring<slot_type>& ring() { return ring_; }
+  Ring<value_type>& ring() { return ring_; }
 
   /// Cumulative number of elements slid into the aggregator
   /// (release-published per batch; pair with an acquire load via this call).
@@ -263,16 +241,8 @@ class ShardWorker {
       SLICK_CHECK(observed >= restored,
                   "checkpoint is ahead of the published processed count");
       replayed = observed - restored;
-      if constexpr (kEventTime) {
-        // Rewind the watermark to what the durable state actually covers;
-        // the ring replay re-raises it. (The restored tree's newest entry
-        // is a lower bound when bulk eviction removed the true maximum —
-        // conservative is the safe direction for a low watermark.)
-        counters_.watermark.Set(agg_.empty() ? 0 : agg_.newest());
-      }
-      ring_.ResetClaims();
+      ring_.ResetClaims();  // the rewound claims replay the unreleased span
       last_ckpt_processed_ = restored;
-      pending_release_ = 0;  // the rewound claims replay that span
       // relaxed: the dead thread was joined above and the respawn below
       // orders this store before the successor's first CAS.
       owner_.store(static_cast<uint32_t>(Holder::kNone),
@@ -288,23 +258,6 @@ class ShardWorker {
                  std::memory_order_release);
     thread_ = std::thread([this] { Run(); });
     return replayed;
-  }
-
-  /// Event-time mode: installs the eviction-floor probe the drain loop
-  /// polls once per batch, bulk-evicting its own tree below the returned
-  /// floor. The probe runs on the WORKER thread and must be safe to call
-  /// concurrently with every shard (the engine's probe reads relaxed
-  /// watermark gauges only). It must return a floor that can never exceed
-  /// a future quiescent query's eviction point — the engine derives it
-  /// from the raw minimum watermark across ALL shards, which lower-bounds
-  /// GlobalWatermark() (a conservative 0 until every shard has drained
-  /// something). Install before Start(); never re-install.
-  void SetEvictionFloorProbe(std::function<uint64_t()> probe)
-    requires kEventTime
-  {
-    SLICK_CHECK(!thread_.joinable(),
-                "eviction-floor probe must be installed before Start()");
-    evict_floor_probe_ = std::move(probe);
   }
 
   /// The shard's aggregator. Safe for the coordinator to read only at a
@@ -409,7 +362,7 @@ class ShardWorker {
   /// fire on the worker only.
   SLICK_REALTIME Drained DrainBatch(Holder who, std::size_t max = SIZE_MAX) {
     std::size_t n = 0;
-    slot_type* span = ring_.TryClaimPop(max < batch_ ? max : batch_, &n);
+    value_type* span = ring_.TryClaimPop(max < batch_ ? max : batch_, &n);
     if (span == nullptr) return Drained::kEmpty;
     const bool worker = who == Holder::kWorker;
     ++batches_drained_;
@@ -427,32 +380,7 @@ class ShardWorker {
       inverses0 = Tally::inverses;
     }
     const uint64_t t0 = util::MonotonicNanos();
-    if constexpr (kEventTime) {
-      agg_.BulkInsert(span, n);
-      // Advance the shard low watermark: the max event ts drained so
-      // far. Published AFTER the insert (relaxed gauge, but ordered for
-      // the coordinator by the processed() release below), so a
-      // watermark the coordinator trusts always covers inserted data.
-      uint64_t wm = counters_.watermark.Get();
-      for (std::size_t k = 0; k < n; ++k) {
-        if (span[k].t > wm) wm = span[k].t;
-      }
-      counters_.watermark.Set(wm);
-      // Lazy watermark-driven eviction: expire this shard's dead prefix
-      // HERE, in parallel across workers, so the coordinator's serial
-      // BulkEvict at query time finds an already-trimmed tree. The probe
-      // floor is conservative (<= any future quiescent query's eviction
-      // point), so this only ever removes entries the next query would
-      // discard anyway — tree content at a quiescent point stays a pure
-      // function of the routed stream, which is what keeps supervised
-      // recovery bit-identical.
-      if (evict_floor_probe_) {
-        const uint64_t floor = evict_floor_probe_();
-        if (floor > 0) agg_.BulkEvict(floor);
-      }
-    } else {
-      window::BulkSlide(agg_, span, n);
-    }
+    window::BulkSlide(agg_, span, n);
     batch_latency_.Record(util::MonotonicNanos() - t0);
     if (worker && ShouldDie(kill_after_, batches_drained_,
                             fault::Point::kWorkerKillAfterSlide)) {
@@ -464,17 +392,8 @@ class ShardWorker {
     const uint64_t done = processed_.load(std::memory_order_relaxed) + n;
     if (Supervised()) {
       // Slots stay claimed until a validated checkpoint covers them; the
-      // unreleased span is the crash-replay log. The capacity backstop
-      // forces a checkpoint attempt before the ring can wedge on
-      // unreleased slots alone.
-      pending_release_ += n;
-      if (done - last_ckpt_processed_ >= checkpoint_interval_ ||
-          pending_release_ + batch_ >= ring_.capacity()) {
-        if (TakeCheckpoint(done)) {
-          ring_.ReleasePop(pending_release_);
-          pending_release_ = 0;
-        }
-      }
+      // unreleased span is the crash-replay log.
+      CheckpointIfDue(done);
     } else {
       // Release only after the slide: the moment the head cursor moves
       // the router may overwrite the span.
@@ -499,14 +418,9 @@ class ShardWorker {
       // Retry a due-but-failed checkpoint before a wait that might park:
       // a transient failure (alloc, corruption) must not strand the
       // unreleased span until the next batch happens to arrive.
-      if (Supervised() && pending_release_ > 0) {
+      if (Supervised()) {
         // relaxed: a supervised shard's only holder is this thread.
-        const uint64_t done = processed_.load(std::memory_order_relaxed);
-        if (done - last_ckpt_processed_ >= checkpoint_interval_ &&
-            TakeCheckpoint(done)) {
-          ring_.ReleasePop(pending_release_);
-          pending_release_ = 0;
-        }
+        CheckpointIfDue(processed_.load(std::memory_order_relaxed));
       }
       if (!TryOwn(Holder::kWorker)) {
         AwaitHandBack();
@@ -523,12 +437,28 @@ class ShardWorker {
       if (!ring_.AwaitPop()) break;  // closed and fully drained
     }
     // Clean close: everything drained is final — hand the replay log back.
-    if (pending_release_ > 0) {
-      ring_.ReleasePop(pending_release_);
-      pending_release_ = 0;
+    if (Supervised()) {
+      // relaxed: a supervised shard's only holder is this thread.
+      const auto unreleased = static_cast<std::size_t>(
+          processed_.load(std::memory_order_relaxed) - last_ckpt_processed_);
+      if (unreleased > 0) ring_.ReleasePop(unreleased);
     }
     state_.store(static_cast<uint32_t>(WorkerState::kStopped),
                  std::memory_order_release);
+  }
+
+  /// Supervised shards: every slot slid since the last checkpoint is still
+  /// claimed, so `done - last_ckpt_processed_` is the unreleased span. Once
+  /// it reaches the interval, checkpoints and, if the frame validates,
+  /// releases it. The constructor caps the interval at half the ring, so a
+  /// ring full of claimed, unreleased slots is always due and this check
+  /// alone keeps the ring live (DESIGN.md §12.3).
+  SLICK_REALTIME void CheckpointIfDue(uint64_t done) {
+    const auto unreleased =
+        static_cast<std::size_t>(done - last_ckpt_processed_);
+    if (unreleased >= checkpoint_interval_ && TakeCheckpoint(done)) {
+      ring_.ReleasePop(unreleased);
+    }
   }
 
   /// Fail-stop: abandon the claimed span, publish nothing, flag the
@@ -607,7 +537,7 @@ class ShardWorker {
   static constexpr uint32_t kCheckpointTag =
       util::MakeTag('S', 'C', 'K', 'P');
 
-  Ring<slot_type> ring_;
+  Ring<value_type> ring_;
   const std::size_t batch_;
   const std::size_t checkpoint_interval_;  // tuples per checkpoint; 0 = off
   const std::size_t shard_index_;          // fault-injection lane
@@ -630,11 +560,7 @@ class ShardWorker {
   // supervisor only between join and respawn (ordered by the thread
   // lifecycle).
   uint64_t batches_drained_ = 0;      // cumulative across restarts
-  // Event-time only: polled once per drained batch (worker thread). Set
-  // before Start(), immutable afterwards — no synchronization needed.
-  std::function<uint64_t()> evict_floor_probe_;
   uint64_t last_ckpt_processed_ = 0;  // processed count in last_good_
-  std::size_t pending_release_ = 0;   // supervised: claimed, not released
   std::string last_good_;             // last validated checkpoint frame
   telemetry::Gauge heartbeat_;
   telemetry::ShardCounters counters_;

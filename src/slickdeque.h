@@ -39,6 +39,7 @@
 #include "window/flat_fat.h"           // IWYU pragma: export
 #include "window/flat_fit.h"           // IWYU pragma: export
 #include "window/naive.h"              // IWYU pragma: export
+#include "window/ooo_tree.h"           // IWYU pragma: export
 #include "window/reference.h"          // IWYU pragma: export
 #include "window/two_stacks.h"         // IWYU pragma: export
 

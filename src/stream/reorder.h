@@ -52,9 +52,9 @@ inline const char* AdmissionName(Admission a) {
 /// rejected, so downstream exactly-once emission is unaffected).
 ///
 /// For genuinely out-of-order event-time streams (arbitrary displacement,
-/// watermark semantics), see the native OoO path: window::OooTree under
-/// runtime::ParallelShardedEngine (DESIGN.md §13) — this buffer is the
-/// cheap answer only when displacement is small and bounded.
+/// watermark-driven bulk eviction), see the native OoO aggregator,
+/// window::OooTree (DESIGN.md §13) — this buffer is the cheap answer
+/// only when displacement is small and bounded.
 template <typename T>
 class ReorderBuffer {
  public:

@@ -23,7 +23,7 @@ struct alignas(kCacheLine) Counter {
   void Set(uint64_t x) { v.store(x, std::memory_order_relaxed); }
 };
 
-/// Last-value gauge (e.g. current watermark, ring occupancy at sample
+/// Last-value gauge (e.g. a worker heartbeat, ring occupancy at sample
 /// time). Single relaxed store/load.
 struct alignas(kCacheLine) Gauge {
   std::atomic<uint64_t> v{0};
@@ -80,13 +80,6 @@ struct ShardCounters {
   Counter replayed;             ///< tuples re-slid after a restore (recovery)
   Counter deadline_expiries;    ///< kBlockWithDeadline timeouts (router)
   Counter stall_detections;     ///< heartbeat-stall transitions (supervisor)
-  /// Event-time mode (DESIGN.md §13): the shard's low watermark — the
-  /// maximum event timestamp the worker has drained into its OoO tree
-  /// (worker-written; reset by recovery to the restored tree's newest
-  /// entry). The runtime's global watermark is the minimum across shards,
-  /// and `max routed ts − watermark` is the true event-time lag. Stays 0
-  /// in count-based mode.
-  Gauge watermark;
 };
 
 /// Engine-level tallies for the single-thread ACQ engine. Kept as plain

@@ -64,7 +64,6 @@ std::string ToJson(const ShardSnapshot& s) {
   AppendU64(out, "unreleased", s.unreleased, true);
   AppendU64(out, "staged", s.staged, true);
   AppendU64(out, "ring_highwater", s.ring_highwater, true);
-  AppendU64(out, "watermark_lag", s.watermark_lag, true);
   AppendU64(out, "combines", s.combines, true);
   AppendU64(out, "inverses", s.inverses, true);
   AppendU64(out, "worker_restarts", s.worker_restarts, true);
@@ -76,8 +75,7 @@ std::string ToJson(const ShardSnapshot& s) {
   AppendU64(out, "heartbeat_age_ns", s.heartbeat_age_ns, true);
   AppendU64(out, "leases_reclaimed", s.leases_reclaimed, true);
   AppendU64(out, "slots_tombstoned", s.slots_tombstoned, true);
-  AppendU64(out, "zombie_fences", s.zombie_fences, true);
-  AppendU64(out, "watermark", s.watermark, false);
+  AppendU64(out, "zombie_fences", s.zombie_fences, false);
   out += "}";
   return out;
 }

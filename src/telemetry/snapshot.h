@@ -28,7 +28,6 @@ struct ShardSnapshot {
   uint64_t unreleased = 0;      ///< claimed replay log, pre-checkpoint
   uint64_t staged = 0;          ///< router-side staging, not yet admitted
   uint64_t ring_highwater = 0;  ///< max ring occupancy ever observed
-  uint64_t watermark_lag = 0;   ///< tuples_in - tuples_out when sampled
   uint64_t combines = 0;        ///< ⊕ applications (when op-counting is on)
   uint64_t inverses = 0;        ///< ⊖ applications (when op-counting is on)
   // Fault-tolerance view (DESIGN.md §12, RUNBOOK.md). Zero when fault-free.
@@ -43,11 +42,6 @@ struct ShardSnapshot {
   uint64_t leases_reclaimed = 0;  ///< dead/expired producer leases freed
   uint64_t slots_tombstoned = 0;  ///< abandoned claim slots repaired
   uint64_t zombie_fences = 0;     ///< fences applied to still-live pids
-  /// Event-time mode (DESIGN.md §13): max event ts drained by this shard.
-  /// Zero in count-based mode. In event mode `watermark_lag` above is
-  /// re-expressed in EVENT TIME (max ts routed to the shard − watermark),
-  /// the real lag a stuck-watermark triage reads (RUNBOOK.md).
-  uint64_t watermark = 0;
 };
 
 /// Point-in-time view of one ingest-server connection (net::IngestServer).

@@ -2,7 +2,6 @@
 
 #include <concepts>
 #include <cstddef>
-#include <cstdint>
 
 #include "ops/traits.h"
 
@@ -58,26 +57,6 @@ concept FixedWindowAggregator =
 // free functions below dispatch to the member when present and otherwise
 // run the per-tuple loop, so every aggregator — including user-supplied
 // implementations — accepts batches.
-
-// * OutOfOrderAggregator — the third shape (DESIGN.md §13): a TIMESTAMPED
-//   window for event-time streams. Insert(t, v) lands at any position,
-//   BulkInsert takes a span of Timed slots, BulkEvict(w) drops everything
-//   older than the watermark cutoff, and query() aggregates the content in
-//   time order. OooTree has this shape; the parallel runtime switches a
-//   shard into event-time mode when its aggregator satisfies this concept.
-
-template <typename A>
-concept OutOfOrderAggregator =
-    ops::AggregateOp<typename A::op_type> &&
-    requires(A agg, const A cagg, uint64_t t, typename A::value_type v,
-             const typename A::timed_type* span, std::size_t n) {
-      agg.Insert(t, v);
-      agg.BulkInsert(span, n);
-      { agg.BulkEvict(t) } -> std::convertible_to<std::size_t>;
-      { cagg.query() } -> std::same_as<typename A::result_type>;
-      { cagg.empty() } -> std::convertible_to<bool>;
-      { cagg.newest() } -> std::convertible_to<uint64_t>;
-    };
 
 template <typename A>
 concept BulkFifoAggregator =

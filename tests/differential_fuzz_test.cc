@@ -582,8 +582,6 @@ TEST(DifferentialFuzzTest, ParallelEngineTelemetryConservationOnRandomConfigs) {
             << "trial " << trial << " shard " << s;
         ASSERT_LE(sh.ring_highwater, opt.ring_capacity)
             << "trial " << trial << " shard " << s;
-        ASSERT_EQ(sh.watermark_lag, sh.tuples_in - sh.tuples_out)
-            << "trial " << trial << " shard " << s;
       }
 
       // Quiescent cut: query() awaits the epoch, so everything admitted has

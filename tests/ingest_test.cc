@@ -1,8 +1,8 @@
 // Integration tests for the TCP front door (src/net/, DESIGN.md §14):
 // multi-client round trips over loopback with per-client order checked
 // against the sender's sequence, the full engine differential (clients →
-// IngestServer → Producer handles → MPMC shard rings → event-time answer
-// vs a serial oracle), the connection-fatal handling of every adversarial
+// IngestServer → Producer handles → MPMC shard rings → shard answers vs
+// a serial oracle), the connection-fatal handling of every adversarial
 // frame shape (bad magic, CRC corruption, truncation at EOF, oversize
 // declared payloads, byte-at-a-time splits), the per-connection
 // backpressure policies, and the telemetry JSON export.
@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/slick_deque_inv.h"
 #include "net/frame.h"
 #include "net/ingest_client.h"
 #include "net/ingest_server.h"
@@ -28,7 +29,6 @@
 #include "runtime/parallel_engine.h"
 #include "telemetry/json.h"
 #include "util/rng.h"
-#include "window/ooo_tree.h"
 
 namespace slick {
 namespace {
@@ -130,19 +130,23 @@ TEST(IngestServerTest, MultiClientRoundTripKeepsPerClientOrder) {
 
 // ---------------------------------------------------------------------
 // Full-stack differential: TCP clients → event loops → engine Producer
-// handles → MPMC shard rings → event-time answer vs a serial oracle.
+// handles → MPMC shard rings → shard answers vs a serial oracle.
 // ---------------------------------------------------------------------
 TEST(IngestServerTest, EngineDifferentialOverTcp) {
-  using Tree = window::OooTree<ops::SumInt>;
-  using Engine = runtime::ParallelShardedEngine<Tree, runtime::MpmcRing>;
+  using Engine = runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>,
+                                                runtime::MpmcRing>;
   constexpr int kClients = 3;
   constexpr std::size_t kPerClient = 3000;
-  constexpr uint64_t kRange = 1 << 20;  // wider than any ts: window is [0, wm]
+  constexpr std::size_t kShards = 2;
+  // How many tuples each shard gets depends on which event loop serves
+  // which client, so every shard window holds the whole stream. The shard
+  // aggregators are identity-prefilled, so the sum of their answers is
+  // the exact total of everything sent.
+  constexpr std::size_t kWindow = kShards * kClients * kPerClient;
 
   // batch = 1: every push flushes straight to its shard ring, so no tuple
-  // is ever parked in Producer staging when the test queries.
-  Engine eng(kRange, /*shards=*/2,
-             {.ring_capacity = 1 << 12, .batch = 1});
+  // is ever parked in Producer staging when the test stops the engine.
+  Engine eng(kWindow, kShards, {.ring_capacity = 1 << 12, .batch = 1});
   IngestServer server(
       {.port = 0, .threads = 2},
       [&eng](std::size_t) -> IngestServer::TrySink {
@@ -151,7 +155,7 @@ TEST(IngestServerTest, EngineDifferentialOverTcp) {
         auto prod = std::make_shared<Engine::Producer>(eng.MakeProducer());
         return [prod](const WireTuple* t, std::size_t n) {
           for (std::size_t i = 0; i < n; ++i) {
-            prod->push(t[i].ts, static_cast<int64_t>(t[i].v));
+            prod->push(static_cast<int64_t>(t[i].v));
           }
           return n;
         };
@@ -167,10 +171,7 @@ TEST(IngestServerTest, EngineDifferentialOverTcp) {
       std::vector<WireTuple>& mine = sent[static_cast<std::size_t>(c)];
       mine.reserve(kPerClient);
       for (std::size_t i = 0; i < kPerClient; ++i) {
-        const uint64_t base = i + 1;
-        const uint64_t jitter = rng.NextBounded(40);
-        mine.push_back({base > jitter ? base - jitter : base,
-                        static_cast<double>(rng.NextBounded(1000))});
+        mine.push_back({i + 1, static_cast<double>(rng.NextBounded(1000))});
       }
       IngestClient client;
       ASSERT_TRUE(client.Connect(kHost, port));
@@ -193,19 +194,17 @@ TEST(IngestServerTest, EngineDifferentialOverTcp) {
   }));
   server.Stop();
 
-  const int64_t got = eng.query();
-  const uint64_t wm = eng.watermark();
+  eng.stop();
+  int64_t got = 0;
+  for (std::size_t i = 0; i < kShards; ++i) got += eng.shard(i).query();
   int64_t expected = 0;
   for (const auto& mine : sent) {
-    for (const WireTuple& t : mine) {
-      if (t.ts <= wm) expected += static_cast<int64_t>(t.v);
-    }
+    for (const WireTuple& t : mine) expected += static_cast<int64_t>(t.v);
   }
   EXPECT_EQ(got, expected);
   const auto stats = eng.stats();
   EXPECT_EQ(stats.admitted, static_cast<uint64_t>(kClients) * kPerClient);
   EXPECT_EQ(stats.dropped, 0u);
-  eng.stop();
 }
 
 // ---------------------------------------------------------------------

@@ -10,8 +10,8 @@
 //                  protocol), then closes the ring;
 //   * worker     — ShardWorker::Run's supervised loop verbatim, decomposed
 //                  into scheduler-visible steps: TryClaimPop, per-element
-//                  slide, deferred ReleasePop gated on a checkpoint (with
-//                  the capacity backstop), processed publish, the
+//                  slide, deferred ReleasePop of the whole unreleased span
+//                  gated on a checkpoint, processed publish, the
 //                  WaitForData park (on tail != claim — the deferred-release
 //                  predicate), and the post-close drain. A scripted kill
 //                  fail-stops it at a chosen batch ordinal on a chosen side
@@ -174,25 +174,18 @@ class SupervisedWorkerThread : public VirtualThread {
         }
         return;
       case State::kAccount:
-        // done += n; pending_release += n; checkpoint when due, or when the
-        // capacity backstop would otherwise let unreleased slots wedge the
-        // ring (mirrors ShardWorker::Run).
+        // done += n; checkpoint once the unreleased span (done − ckpt_done)
+        // reaches the interval (mirrors ShardWorker::CheckpointIfDue).
         done_ += static_cast<int64_t>(pending_.size());
-        pending_release_ += pending_.size();
-        if (done_ - w_->ckpt_done >= static_cast<int64_t>(interval_) ||
-            pending_release_ + batch_ >= w_->ring.capacity()) {
-          state_ = State::kCheckpoint;
-        } else {
-          state_ = State::kPublish;
-        }
+        state_ = Unreleased() >= interval_ ? State::kCheckpoint
+                                           : State::kPublish;
         return;
       case State::kCheckpoint:
         // Serialize-validate-commit, then release the covered slots. One
         // step: the frame write has no scheduler-visible interleaving.
+        w_->ring.ReleasePop(Unreleased());
         w_->ckpt_sum = w_->sum;
         w_->ckpt_done = done_;
-        w_->ring.ReleasePop(pending_release_);
-        pending_release_ = 0;
         state_ = State::kPublish;
         return;
       case State::kPublish:
@@ -216,10 +209,7 @@ class SupervisedWorkerThread : public VirtualThread {
         state_ = State::kClaim;
         return;
       case State::kFinalRelease:
-        if (pending_release_ > 0) {
-          w_->ring.ReleasePop(pending_release_);
-          pending_release_ = 0;
-        }
+        if (Unreleased() > 0) w_->ring.ReleasePop(Unreleased());
         w_->processed = done_;
         w_->worker_done = true;
         state_ = State::kDone;
@@ -229,7 +219,6 @@ class SupervisedWorkerThread : public VirtualThread {
         // Run() — restored done count, empty pending, rewound claims.
         w_->respawn_token = false;
         done_ = w_->restored_done;
-        pending_release_ = 0;
         pending_.clear();
         slid_ = 0;
         state_ = State::kClaim;
@@ -246,6 +235,11 @@ class SupervisedWorkerThread : public VirtualThread {
   }
 
  private:
+  /// Claimed slots past the last checkpoint: every one is unreleased.
+  std::size_t Unreleased() const {
+    return static_cast<std::size_t>(done_ - w_->ckpt_done);
+  }
+
   bool ShouldDie(Side here) {
     if (w_->kill_fired || side_ != here) return false;
     if (batches_ < kill_batch_) return false;
@@ -283,7 +277,6 @@ class SupervisedWorkerThread : public VirtualThread {
   State state_ = State::kClaim;
   std::vector<int64_t> pending_;
   std::size_t slid_ = 0;
-  std::size_t pending_release_ = 0;
   uint64_t batches_ = 0;
   int64_t done_ = 0;
   uint32_t event_snapshot_ = 0;

@@ -24,7 +24,6 @@
 #include "runtime/parallel_engine.h"
 #include "util/rng.h"
 #include "window/naive.h"
-#include "window/ooo_tree.h"
 
 namespace slick {
 namespace {
@@ -269,48 +268,41 @@ TEST(MpmcEngineTest, RouterPathMatchesOracleOnMpmcRings) {
   EXPECT_EQ(stats.dropped, 0u);
 }
 
-/// Generates producer `p`'s slice of the event stream: timestamps jittered
-/// around an increasing base (bounded disorder), small integer values.
-std::vector<window::Timed<int64_t>> ProducerEvents(int p, std::size_t n) {
+/// Generates producer `p`'s slice of the stream: small integer values.
+std::vector<int64_t> ProducerValues(int p, std::size_t n) {
   util::SplitMix64 rng(static_cast<uint64_t>(p) * 97 + 13);
-  std::vector<window::Timed<int64_t>> events(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const uint64_t base = i + 1;
-    const uint64_t jitter = rng.NextBounded(40);
-    events[i].t = base > jitter ? base - jitter : base;
-    events[i].v = static_cast<int64_t>(rng.NextBounded(1000));
-  }
-  return events;
+  std::vector<int64_t> values(n);
+  for (int64_t& v : values) v = static_cast<int64_t>(rng.NextBounded(1000));
+  return values;
 }
 
-/// Drives `kProducers` concurrent Producer handles over an event-time
-/// MPMC engine, then checks the answer against a serial oracle over the
-/// union of all slices. The time range is wider than every timestamp, so
-/// the window is [0, wm] regardless of how the concurrent round-robin
-/// interleaving distributed events across shards — which is what makes
-/// the answer deterministic and the differential exact. `opt` lets the
-/// caller turn on supervision; `kill` arms a mid-stream worker fail-stop.
-void RunProducerDifferential(
-    runtime::ParallelShardedEngine<window::OooTree<ops::SumInt>,
-                                   MpmcRing>::Options opt,
-    bool kill) {
-  using Tree = window::OooTree<ops::SumInt>;
-  using Engine = runtime::ParallelShardedEngine<Tree, MpmcRing>;
+using SumEngine =
+    runtime::ParallelShardedEngine<core::SlickDequeInv<ops::SumInt>, MpmcRing>;
+
+/// Drives `kProducers` concurrent Producer handles over an MPMC engine,
+/// then checks the answer against a serial oracle over the union of all
+/// slices. Each handle round-robins its slice over the shards, so every
+/// shard receives an equal share of every slice however the handles
+/// interleave. The global window equals the total count, so every shard
+/// window holds all of its shard's tuples and query() is the exact total —
+/// which is what makes the differential exact. `opt` lets the caller turn
+/// on supervision; `kill` arms mid-stream worker fail-stops.
+void RunProducerDifferential(SumEngine::Options opt, bool kill) {
   constexpr std::size_t kShards = 4;
   constexpr int kProducers = 4;
   constexpr std::size_t kPerProducer = 5000;
-  constexpr uint64_t kRange = 1 << 20;  // wider than any ts: window is [0, wm]
+  constexpr std::size_t kWindow = kProducers * kPerProducer;
 
-  Engine eng(kRange, kShards, opt);
+  SumEngine eng(kWindow, kShards, opt);
   if (kill) {
     eng.InjectWorkerKill(1, runtime::KillPoint::kAfterSlide, 3);
     eng.InjectWorkerKill(2, runtime::KillPoint::kBeforeSlide, 5);
   }
 
-  std::vector<std::vector<window::Timed<int64_t>>> slices;
+  std::vector<std::vector<int64_t>> slices;
   slices.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
-    slices.push_back(ProducerEvents(p, kPerProducer));
+    slices.push_back(ProducerValues(p, kPerProducer));
   }
 
   std::atomic<int> live{kProducers};
@@ -318,9 +310,9 @@ void RunProducerDifferential(
   threads.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&eng, &slices, &live, p] {
-      Engine::Producer prod = eng.MakeProducer();
-      for (const auto& e : slices[static_cast<std::size_t>(p)]) {
-        prod.push(e.t, e.v);
+      SumEngine::Producer prod = eng.MakeProducer();
+      for (const int64_t v : slices[static_cast<std::size_t>(p)]) {
+        prod.push(v);
       }
       prod.flush();
       live.fetch_sub(1, std::memory_order_release);
@@ -336,12 +328,9 @@ void RunProducerDifferential(
   for (auto& t : threads) t.join();
 
   const int64_t got = eng.query();
-  const uint64_t wm = eng.watermark();  // exact at the quiescent cut
   int64_t expected = 0;
   for (const auto& slice : slices) {
-    for (const auto& e : slice) {
-      if (e.t <= wm) expected += e.v;
-    }
+    for (const int64_t v : slice) expected += v;
   }
   EXPECT_EQ(got, expected);
 
@@ -379,20 +368,18 @@ TEST(MpmcEngineTest, WorkerKillsUnderConcurrentProducersRecover) {
 // lost — every pushed element is either admitted (and processed) or
 // counted as dropped.
 TEST(MpmcEngineTest, DropNewestConservesAccountingAcrossProducers) {
-  using Tree = window::OooTree<ops::SumInt>;
-  using Engine = runtime::ParallelShardedEngine<Tree, MpmcRing>;
   constexpr int kProducers = 4;
   constexpr std::size_t kPerProducer = 20000;
-  Engine eng(1 << 20, 2,
-             {.ring_capacity = 4, .batch = 1,
-              .backpressure = runtime::Backpressure::kDropNewest});
+  SumEngine eng(kProducers * kPerProducer, 2,
+                {.ring_capacity = 4, .batch = 1,
+                 .backpressure = runtime::Backpressure::kDropNewest});
   std::vector<std::thread> threads;
   threads.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     threads.emplace_back([&eng, p] {
-      Engine::Producer prod = eng.MakeProducer();
+      SumEngine::Producer prod = eng.MakeProducer();
       for (std::size_t i = 0; i < kPerProducer; ++i) {
-        prod.push(static_cast<uint64_t>(i + 1), static_cast<int64_t>(p));
+        prod.push(static_cast<int64_t>(p));
       }
     });  // Producer destructor flushes the tail batches
   }

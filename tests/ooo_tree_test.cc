@@ -2,34 +2,24 @@
 // over random insert/evict/bulk-evict interleavings for every op class
 // (invertible, selective non-invertible, non-commutative string), plus
 // range queries, bulk-insert span equivalence, structural invariants, and
-// framed checkpoint round-trips (DESIGN.md §13). The parallel runtime's
-// event-time mode, ParallelShardedEngine<OooTree>, is checked against a
-// sequential oracle with watermark telemetry, and its supervised recovery
-// must produce bit-identical shard state.
+// framed checkpoint round-trips (DESIGN.md §13). The tree is a standalone
+// aggregator; bench/exp6_ooo measures it, and no runtime mode drives it.
 
 #include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
 #include <string>
-#include <tuple>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/sliding_aggregator.h"
-#include "core/subtract_on_evict.h"
 #include "ops/arith.h"
 #include "ops/minmax.h"
 #include "ops/string_ops.h"
-#include "runtime/parallel_engine.h"
-#include "telemetry/json.h"
-#include "telemetry/snapshot.h"
 #include "util/rng.h"
 #include "util/serde.h"
-#include "window/aggregator.h"
 #include "window/ooo_tree.h"
 
 namespace slick::window {
@@ -94,28 +84,6 @@ struct Oracle {
     return n;
   }
 };
-
-// ---------------------------------------------------------------------
-// Arrival-capability dispatch (core/sliding_aggregator.h): kOutOfOrder
-// selects the OoO tree for every op class; kInOrder keeps the SlickDeque
-// family picks; the tree satisfies the OutOfOrderAggregator concept and
-// the count-based aggregators do not.
-// ---------------------------------------------------------------------
-static_assert(
-    std::is_same_v<core::ArrivalAggregatorFor<ops::SumInt,
-                                              core::Arrival::kOutOfOrder>,
-                   window::OooTree<ops::SumInt>>);
-static_assert(
-    std::is_same_v<core::ArrivalAggregatorFor<ops::Concat,
-                                              core::Arrival::kOutOfOrder>,
-                   window::OooTree<ops::Concat>>);
-static_assert(std::is_same_v<core::ArrivalAggregatorFor<ops::SumInt>,
-                             core::SubtractOnEvict<ops::SumInt>>);
-static_assert(window::OutOfOrderAggregator<window::OooTree<ops::MaxInt>>);
-static_assert(
-    !window::OutOfOrderAggregator<core::SubtractOnEvict<ops::SumInt>>);
-static_assert(
-    runtime::ParallelShardedEngine<window::OooTree<ops::SumInt>>::kEventTime);
 
 // Per-op random value generators (exactly comparable types only, so the
 // differential checks can use operator==).
@@ -414,135 +382,6 @@ TEST(OooTreeTest, MemoryBytesGrowsAndShrinks) {
   EXPECT_GT(full_bytes, empty_bytes);
   tree.BulkEvict(10000);
   EXPECT_LT(tree.memory_bytes(), full_bytes);
-}
-
-// ---------------------------------------------------------------------
-// Parallel runtime event mode vs a sequential oracle that replicates the
-// round-robin routing and per-shard watermark protocol.
-// ---------------------------------------------------------------------
-TEST(ParallelEventTimeTest, MatchesSequentialOracleAcrossShards) {
-  constexpr std::size_t kShards = 4;
-  constexpr uint64_t kRange = 300;
-  constexpr std::size_t kN = 20000;
-  using Tree = window::OooTree<ops::SumInt>;
-
-  util::SplitMix64 rng(4242);
-  std::vector<window::Timed<int64_t>> events(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    const uint64_t base = i + 1;
-    const uint64_t jitter = rng.NextBounded(40);
-    events[i].t = base > jitter ? base - jitter : base;
-    events[i].v = RandomValue<ops::SumInt>(rng);
-  }
-
-  runtime::ParallelShardedEngine<Tree>::Options opt;
-  opt.batch = 64;
-  runtime::ParallelShardedEngine<Tree> eng(kRange, kShards, opt);
-  std::vector<uint64_t> shard_max(kShards, 0);
-  for (std::size_t i = 0; i < kN; ++i) {
-    eng.push(events[i].t, events[i].v);
-    shard_max[i % kShards] = std::max(shard_max[i % kShards], events[i].t);
-  }
-
-  const uint64_t expected_wm =
-      *std::min_element(shard_max.begin(), shard_max.end());
-  const uint64_t lo = expected_wm >= kRange ? expected_wm - kRange + 1 : 0;
-  int64_t expected = 0;
-  for (const auto& e : events) {
-    if (e.t >= lo && e.t <= expected_wm) expected += e.v;
-  }
-
-  EXPECT_EQ(eng.query(), expected);
-  EXPECT_EQ(eng.watermark(), expected_wm);
-  EXPECT_EQ(eng.max_ts_routed(),
-            *std::max_element(shard_max.begin(), shard_max.end()));
-
-  // The quiescent query bulk-evicted everything behind the window on every
-  // shard: per-shard trees hold only coverable entries.
-  for (std::size_t i = 0; i < kShards; ++i) {
-    if (!eng.shard(i).empty()) {
-      EXPECT_GE(eng.shard(i).oldest(), lo);
-    }
-  }
-  eng.stop();
-}
-
-TEST(ParallelEventTimeTest, SnapshotReportsEventTimeWatermarks) {
-  using Tree = window::OooTree<ops::MaxInt>;
-  runtime::ParallelShardedEngine<Tree> eng(/*range=*/100, /*shards=*/2);
-  for (uint64_t i = 1; i <= 1000; ++i) eng.push(i, static_cast<int64_t>(i));
-  // Shard 0 holds the odd timestamps (max 999), shard 1 the even (max
-  // 1000): the global watermark is 999, so ts 1000 is still AHEAD of the
-  // window (899, 999] and the answer is 999.
-  EXPECT_EQ(eng.query(), 999);
-  EXPECT_EQ(eng.watermark(), 999u);
-
-  const telemetry::RuntimeSnapshot snap = eng.snapshot();
-  ASSERT_EQ(snap.shards.size(), 2u);
-  for (const telemetry::ShardSnapshot& s : snap.shards) {
-    // Quiescent cut: each shard drained everything routed to it, so its
-    // watermark is that shard's max routed ts (999 or 1000) and the
-    // event-time lag is at most one round-robin step.
-    EXPECT_GE(s.watermark, 999u);
-    EXPECT_LE(s.watermark_lag, 1u);
-  }
-  const std::string json = ToJson(snap.shards[0]);
-  EXPECT_NE(json.find("\"watermark\":"), std::string::npos) << json;
-  eng.stop();
-}
-
-TEST(ParallelEventTimeTest, SupervisedRecoveryIsBitIdentical) {
-  constexpr std::size_t kShards = 2;
-  constexpr uint64_t kRange = 500;
-  constexpr std::size_t kN = 6000;
-  using Tree = window::OooTree<ops::SumInt>;
-  using Engine = runtime::ParallelShardedEngine<Tree>;
-
-  util::SplitMix64 rng(909);
-  std::vector<window::Timed<int64_t>> events(kN);
-  for (std::size_t i = 0; i < kN; ++i) {
-    const uint64_t base = i + 1;
-    const uint64_t jitter = rng.NextBounded(64);
-    events[i].t = base > jitter ? base - jitter : base;
-    events[i].v = RandomValue<ops::SumInt>(rng);
-  }
-
-  Engine::Options opt;
-  opt.batch = 32;
-  opt.ring_capacity = 1 << 10;
-  opt.checkpoint_interval = 128;
-
-  const auto run = [&](bool inject) {
-    Engine eng(kRange, kShards, opt);
-    if (inject) {
-      eng.InjectWorkerKill(0, runtime::KillPoint::kAfterSlide, 3);
-      eng.InjectWorkerKill(1, runtime::KillPoint::kBeforeSlide, 5);
-    }
-    eng.push_n(events.data(), events.size());
-    const int64_t answer = eng.query();
-    const uint64_t wm = eng.watermark();
-    std::vector<std::string> states;
-    for (std::size_t i = 0; i < kShards; ++i) {
-      std::ostringstream os;
-      eng.shard(i).SaveState(os);
-      states.push_back(os.str());
-    }
-    const uint64_t restarts = eng.stats().restarts;
-    eng.stop();
-    return std::tuple(answer, wm, states, restarts);
-  };
-
-  const auto [ans_clean, wm_clean, st_clean, restarts_clean] = run(false);
-  const auto [ans_fault, wm_fault, st_fault, restarts_fault] = run(true);
-
-  EXPECT_EQ(restarts_clean, 0u);
-  EXPECT_GE(restarts_fault, 2u) << "both injected kills must have fired";
-  EXPECT_EQ(ans_fault, ans_clean);
-  EXPECT_EQ(wm_fault, wm_clean);
-  for (std::size_t i = 0; i < kShards; ++i) {
-    EXPECT_EQ(st_fault[i], st_clean[i])
-        << "shard " << i << " state diverged across crash recovery";
-  }
 }
 
 }  // namespace

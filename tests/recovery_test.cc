@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <istream>
 #include <ostream>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <tuple>
@@ -275,6 +276,64 @@ TEST(RecoveryTest, RepeatedKillsOnOneShardCompose) {
   EXPECT_EQ(chaos.query(), clean.query());
   EXPECT_EQ(chaos.stats().restarts, 3u);
   ExpectConservation(chaos);
+}
+
+// Supervised shards whose batch exceeds capacity − interval (ring 64,
+// batch 48, interval 32) — the only geometry in which a span can push the
+// unreleased count past capacity − batch before the interval is due
+// (DESIGN.md §12.3). Kills at both points on every shard must still
+// recover answers and shard state bit-identical to the fault-free run.
+template <template <typename> class Ring>
+void RunLargeBatchKills() {
+  using Agg = core::SlickDequeInv<ops::SumInt>;
+  using Engine = ParallelShardedEngine<Agg, Ring>;
+  constexpr std::size_t kWindow = 256;
+  constexpr std::size_t kShards = 2;
+  const typename Engine::Options opts = {
+      .ring_capacity = 64,
+      .batch = 48,
+      .backpressure = Backpressure::kBlock,
+      .checkpoint_interval = 32};
+  Engine clean(kWindow, kShards, opts);
+  Engine chaos(kWindow, kShards, opts);
+  window::NaiveWindow<ops::SumInt> oracle(kWindow);
+  for (std::size_t i = 0; i < kShards; ++i) {
+    chaos.InjectWorkerKill(i, KillPoint::kBeforeSlide, 2 + i);
+    chaos.InjectWorkerKill(i, KillPoint::kAfterSlide, 5 + i);
+  }
+  const std::vector<int64_t> stream = IntStream(4096, 27);
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    clean.push(stream[i]);
+    chaos.push(stream[i]);
+    oracle.slide(stream[i]);
+    if ((i + 1) % 512 == 0) {
+      ASSERT_EQ(clean.query(), oracle.query()) << "clean: i=" << i;
+      ASSERT_EQ(chaos.query(), oracle.query()) << "chaos: i=" << i;
+    }
+  }
+  clean.stop();
+  chaos.stop();
+  EXPECT_EQ(clean.stats().restarts, 0u);
+  EXPECT_EQ(chaos.stats().restarts, 2 * kShards);
+  ExpectConservation(chaos);
+  const telemetry::RuntimeSnapshot clean_snap = clean.snapshot();
+  const telemetry::RuntimeSnapshot chaos_snap = chaos.snapshot();
+  for (std::size_t i = 0; i < kShards; ++i) {
+    std::ostringstream clean_state, chaos_state;
+    clean.shard(i).SaveState(clean_state);
+    chaos.shard(i).SaveState(chaos_state);
+    EXPECT_EQ(chaos_state.str(), clean_state.str()) << "shard " << i;
+    EXPECT_GT(clean_snap.shards[i].checkpoints, 0u) << "shard " << i;
+    EXPECT_GT(chaos_snap.shards[i].checkpoints, 0u) << "shard " << i;
+  }
+}
+
+TEST(RecoveryTest, LargeBatchKillsRecoverBitIdenticalSpsc) {
+  RunLargeBatchKills<runtime::SpscRing>();
+}
+
+TEST(RecoveryTest, LargeBatchKillsRecoverBitIdenticalMpmc) {
+  RunLargeBatchKills<runtime::MpmcRing>();
 }
 
 // Stall detector (DESIGN.md §12.3): a live worker wedged inside slide()

@@ -1,6 +1,6 @@
 // Live telemetry demo/smoke tool: drives the parallel sharded runtime over
 // the synthetic energy stream and dumps the telemetry layer's JSON
-// snapshots while the system is serving — queue depth, watermark lag,
+// snapshots while the system is serving — queue depth, in-flight backlog,
 // backpressure drops, ring high-water, per-shard ⊕ counts (via
 // ops::ThreadCountingOp) and the merged per-batch drain-latency histogram.
 //
