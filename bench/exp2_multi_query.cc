@@ -13,6 +13,11 @@
 // evenly spaced over 1..window): the shared query_multi answer walk vs one
 // query() probe per range.
 //
+// SlickDeque (Non-Inv) runs unregistered (the paper's head walk) in both
+// sweeps, and also with its ranges registered, the face engine::AcqEngine
+// drives: `slickdeque-reg` in the window sweep, `slick-noninv-registered`
+// in the query-count sweep.
+//
 // Flags: --max-exp=N (default 12)  --budget-ms=M (default 200)
 //        --max-slides=T (default 262144)  --op=sum|max|both  --seed=S
 //        --qc-window=W (default 4096; 0 skips the query-count sweep)
@@ -73,6 +78,14 @@ std::vector<std::size_t> AllRanges(std::size_t window) {
   for (std::size_t r = 1; r <= window; ++r) ranges[r - 1] = r;
   return ranges;
 }
+
+/// SlickDeque (Non-Inv) with every range 1..window registered, so each
+/// answer reads its range's cursor.
+template <typename Op>
+struct RegisteredNonInv : core::SlickDequeNonInv<Op> {
+  explicit RegisteredNonInv(std::size_t window)
+      : core::SlickDequeNonInv<Op>(window, AllRanges(window)) {}
+};
 
 template <typename Agg>
 struct MultiFactory {
@@ -139,11 +152,17 @@ double RunPoint(std::size_t window, const std::vector<double>& data,
 template <typename Op, typename Slick>
 void RunSweep(const char* title, const char* opname, const Config& cfg,
               const std::vector<double>& data, JsonReport& report) {
+  constexpr bool kRegisteredRow = !ops::InvertibleOp<Op>;
   PrintHeader(title,
-              "# window        naive      flatfat         bint      flatfit"
-              "  twostacks*q      daba*q   slickdeque   (Mslides/s; each "
-              "slide answers `window` queries; *q = one instance per query, "
-              "§2.2)");
+              kRegisteredRow
+                  ? "# window        naive      flatfat         bint      "
+                    "flatfit  twostacks*q      daba*q   slickdeque "
+                    "slickdeque-reg   (Mslides/s; each slide answers "
+                    "`window` queries; *q = one instance per query, §2.2)"
+                  : "# window        naive      flatfat         bint      "
+                    "flatfit  twostacks*q      daba*q   slickdeque   "
+                    "(Mslides/s; each slide answers `window` queries; *q = "
+                    "one instance per query, §2.2)");
   Checksum cs;
   for (uint64_t e = 0; e <= cfg.max_exp; ++e) {
     const std::size_t w = static_cast<std::size_t>(1) << e;
@@ -170,6 +189,10 @@ void RunSweep(const char* title, const char* opname, const Config& cfg,
       std::printf(" %12s %12s", "-", "-");
     }
     point("slickdeque", RunPoint<Slick>(w, data, cfg, cs));
+    if constexpr (kRegisteredRow) {
+      point("slickdeque-reg",
+            RunPoint<RegisteredNonInv<Op>>(w, data, cfg, cs));
+    }
     std::printf("\n");
     std::fflush(stdout);
   }
@@ -178,15 +201,26 @@ void RunSweep(const char* title, const char* opname, const Config& cfg,
 
 // ------------------------- query-count sweep ------------------------------
 
+/// How a query-count point answers: the query_multi walk, one query()
+/// probe per range, or one query() per range with the ranges registered.
+enum class Answering { kMulti, kSingle, kRegistered };
+
 /// One (query-count, answer-strategy) point: SlickDeque (Non-Inv) at a
-/// fixed window answering `nq` evenly spaced ranges after every slide,
-/// either through the fused query_multi walk or through one query() probe
-/// per range. Returns answers per second.
+/// fixed window answering `nq` evenly spaced ranges after every slide.
+/// Returns answers per second.
 template <typename Op>
-double RunQueryCountPoint(std::size_t window, std::size_t nq, bool fused,
+double RunQueryCountPoint(std::size_t window, std::size_t nq, Answering how,
                           const std::vector<double>& data, const Config& cfg,
                           Checksum& cs) {
-  core::SlickDequeNonInv<Op> agg(window);
+  // nq ranges evenly spaced over [1, window], descending, r[0] = window.
+  std::vector<std::size_t> ranges_desc(nq);
+  for (std::size_t i = 0; i < nq; ++i) {
+    ranges_desc[i] = window - (i * window) / nq;
+  }
+  core::SlickDequeNonInv<Op> agg =
+      how == Answering::kRegistered
+          ? core::SlickDequeNonInv<Op>(window, ranges_desc)
+          : core::SlickDequeNonInv<Op>(window);
   std::size_t di = 0;
   auto next = [&] {
     const double v = data[di];
@@ -197,11 +231,6 @@ double RunQueryCountPoint(std::size_t window, std::size_t nq, bool fused,
     agg.slide(Op::lift(static_cast<typename Op::input_type>(next())));
   }
 
-  // nq ranges evenly spaced over [1, window], descending, r[0] = window.
-  std::vector<std::size_t> ranges_desc(nq);
-  for (std::size_t i = 0; i < nq; ++i) {
-    ranges_desc[i] = window - (i * window) / nq;
-  }
   std::vector<typename Op::result_type> out;
   out.reserve(nq);
 
@@ -211,7 +240,7 @@ double RunQueryCountPoint(std::size_t window, std::size_t nq, bool fused,
   while (slides < cfg.max_slides) {
     for (uint64_t b = 0; b < 512 && slides < cfg.max_slides; ++b) {
       agg.slide(Op::lift(static_cast<typename Op::input_type>(next())));
-      if (fused) {
+      if (how == Answering::kMulti) {
         out.clear();
         agg.query_multi(ranges_desc, out);
         for (const auto& r : out) sink += static_cast<double>(r);
@@ -236,8 +265,8 @@ void RunQueryCountSweep(const char* opname, const Config& cfg,
   const std::size_t window = cfg.qc_window;
   std::printf(
       "\nExp2(c) %s: Manswers/s vs query count, window %zu\n"
-      "%8s %14s %14s\n",
-      opname, window, "# nq", "multi", "per-query");
+      "%8s %14s %14s %14s\n",
+      opname, window, "# nq", "multi", "per-query", "registered");
   Checksum cs;
   for (std::size_t nq = 1; nq <= window; nq *= 4) {
     std::printf("%8zu", nq);
@@ -251,9 +280,14 @@ void RunQueryCountSweep(const char* opname, const Config& cfg,
                  aps);
     };
     point("slick-noninv-multi",
-          RunQueryCountPoint<Op>(window, nq, true, data, cfg, cs));
+          RunQueryCountPoint<Op>(window, nq, Answering::kMulti, data, cfg,
+                                 cs));
     point("slick-noninv-single",
-          RunQueryCountPoint<Op>(window, nq, false, data, cfg, cs));
+          RunQueryCountPoint<Op>(window, nq, Answering::kSingle, data, cfg,
+                                 cs));
+    point("slick-noninv-registered",
+          RunQueryCountPoint<Op>(window, nq, Answering::kRegistered, data,
+                                 cfg, cs));
     std::printf("\n");
     std::fflush(stdout);
   }

@@ -288,9 +288,9 @@ BENCHMARK(BM_InvQueryRange)->Arg(1)->Arg(6)->Arg(1024)->Arg(65536);
 // SlickDeque (Non-Inv) on the acq-max plan shape: a 360000-partial window
 // with its six distinct ranges registered, fed the synthetic energy
 // series scaled by 1000 and rounded (as the benchmark's reference input).
-// Arg 0 prices slide() alone; arg 1 adds each step's query_multi over the
-// ranges of the eight ACQs that report at that step (slides 1, 10, 100,
-// 1000, so the schedule repeats every 1000 partials). The difference of
+// Arg 0 prices slide() alone; arg 1 adds one query(range) per ACQ that
+// reports at that step (slides 1, 10, 100, 1000, so the schedule repeats
+// every 1000 partials), as engine::AcqEngine answers. The difference of
 // the two rows is the answer layer's cost per partial.
 // ---------------------------------------------------------------------
 
@@ -316,7 +316,6 @@ void BM_NonInvSlide(benchmark::State& state) {
     for (const Acq& q : kAcqs) {
       if ((s + 1) % q.slide == 0) steps[s].push_back(q.range);
     }
-    std::sort(steps[s].begin(), steps[s].end(), std::greater<>());
   }
   core::SlickDequeNonInv<Max> agg(kWindow, registered);
   std::size_t di = 0;
@@ -324,21 +323,19 @@ void BM_NonInvSlide(benchmark::State& state) {
     agg.slide((*input)[di]);
     di = di + 1 == input->size() ? 0 : di + 1;
   }
-  std::vector<double> out;
-  out.reserve(std::size(kAcqs));
   std::size_t step = 0;
   for (auto _ : state) {
     agg.slide((*input)[di]);
     di = di + 1 == input->size() ? 0 : di + 1;
     if (answer) {
-      out.clear();
-      agg.query_multi(steps[step], out);
-      benchmark::DoNotOptimize(out.data());
+      for (const std::size_t r : steps[step]) {
+        benchmark::DoNotOptimize(agg.query(r));
+      }
     }
     step = step + 1 == kPeriod ? 0 : step + 1;
   }
   benchmark::DoNotOptimize(agg.query());
-  state.SetLabel(answer ? "slide+query_multi" : "slide");
+  state.SetLabel(answer ? "slide+query(range)" : "slide");
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_NonInvSlide)->Arg(0)->Arg(1);

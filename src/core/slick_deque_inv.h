@@ -3,15 +3,14 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <utility>
 #include <vector>
 
+#include "core/range_index.h"
 #include "ops/kernels.h"
 #include "ops/traits.h"
 #include "util/annotations.h"
 #include "util/check.h"
-#include "util/math.h"
 #include "util/serde.h"
 
 namespace slick::core {
@@ -230,66 +229,6 @@ class SlickDequeInv {
     std::copy(src, src + first, partials_.data() + start);
     std::copy(src + first, src + len, partials_.data());
   }
-
-  /// The answers map's index: an open-addressing table from a registered
-  /// range to its position in answers_. It has 2^b slots, the least power
-  /// of two >= twice the range count (so every probe run ends at an empty
-  /// slot), a multiplicative (Fibonacci) hash — the top b bits of
-  /// range * 2^64/φ — and linear probing. A slot is a 4-byte position, so
-  /// the table costs 8 to 16 bytes per range, 8 bytes in all for a single
-  /// range. Copies are deep, so SlickDequeInv stays copyable.
-  class RangeIndex {
-   public:
-    RangeIndex() = default;
-
-    explicit RangeIndex(const std::vector<Answer>& answers)
-        : shift_(64 - util::CeilLog2(2 * answers.size())),
-          slots_(std::make_unique<uint32_t[]>(size())) {
-      SLICK_CHECK(answers.size() < kEmpty, "too many registered ranges");
-      std::fill_n(slots_.get(), size(), kEmpty);
-      for (std::size_t i = 0; i < answers.size(); ++i) {
-        std::size_t s = Home(answers[i].range);
-        while (slots_[s] != kEmpty) s = Next(s);
-        slots_[s] = static_cast<uint32_t>(i);
-      }
-    }
-
-    RangeIndex(const RangeIndex& other)
-        : shift_(other.shift_),
-          slots_(other.slots_ ? std::make_unique<uint32_t[]>(other.size())
-                              : nullptr) {
-      if (slots_) std::copy_n(other.slots_.get(), size(), slots_.get());
-    }
-    RangeIndex& operator=(const RangeIndex& other) {
-      return *this = RangeIndex(other);
-    }
-    RangeIndex(RangeIndex&&) noexcept = default;
-    RangeIndex& operator=(RangeIndex&&) noexcept = default;
-
-    const Answer* Find(const std::vector<Answer>& answers,
-                       std::size_t range) const {
-      for (std::size_t s = Home(range);; s = Next(s)) {
-        const uint32_t i = slots_[s];
-        if (i == kEmpty) return nullptr;
-        if (answers[i].range == range) return &answers[i];
-      }
-    }
-
-    std::size_t bytes() const { return slots_ ? size() * sizeof(uint32_t) : 0; }
-
-   private:
-    static constexpr uint32_t kEmpty = UINT32_MAX;
-    static constexpr uint64_t kFibonacci = 0x9E3779B97F4A7C15ull;
-
-    std::size_t size() const { return std::size_t{1} << (64 - shift_); }
-    std::size_t Home(std::size_t range) const {
-      return static_cast<std::size_t>((uint64_t{range} * kFibonacci) >> shift_);
-    }
-    std::size_t Next(std::size_t s) const { return (s + 1) & (size() - 1); }
-
-    uint32_t shift_ = 63;  // 64 - b
-    std::unique_ptr<uint32_t[]> slots_;
-  };
 
   std::size_t window_;
   std::vector<value_type> partials_;

@@ -9,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/range_index.h"
 #include "ops/scan_kernels.h"
 #include "ops/traits.h"
 #include "util/annotations.h"
@@ -81,28 +82,51 @@ typename Op::value_type BatchStaircase(const typename Op::value_type* src,
 /// loop. Every other op keeps the exact loop, so instrumented ops
 /// (CountingOp) count exactly the paper's domination tests.
 ///
-/// Multi-query answers are produced by one walk over the deque with ranges
-/// in descending order (query_multi), which is how the shared-plan engine
-/// drives it. The paper starts that walk at the head; here every range
-/// registered through the (window, ranges) constructor keeps an *answer
-/// cursor* — a deque sequence number that is a lower bound on the seq of
-/// its range's answer node — and the walk jumps ahead to it:
-///  * each answer starts at max(cursor, previous answer node) and advances
-///    while the node is older than the range, then stores the node's seq
-///    back into the cursor. Nodes only age and pops at the head only raise
-///    the front seq, so a cursor stays a lower bound across slides without
-///    any upkeep;
-///  * tail pops reuse seqs, so every tail pop-run in slide()/BulkSlide()
-///    clamps the cursors to the post-pop end seq before the new node is
-///    pushed there (nodes older than that seq were not touched);
-///  * LoadState() resets every cursor to the front seq.
-/// A cursor advances over each node at most once per push, so a registered
-/// range costs amortized O(1) and zero ⊕ per answer instead of the head
-/// walk's O(nodes older than the range) (EXPERIMENTS.md, deviations). An
-/// unregistered range starts at the previous answer node — the paper's
-/// walk. Cursors are `mutable` scratch behind the const query surface, so
-/// query(range)/query_multi must not race each other on one instance;
-/// query() reads only the head and stays safe to call concurrently.
+/// The registered face, `SlickDequeNonInv(window, ranges)` (the face the
+/// shared-plan engine drives), adds two things to the fixed face:
+///  * an *answer cursor* per registered range, found in O(1) through a
+///    RangeIndex. A cursor holds its answer node's deque sequence number
+///    and value, and the last slide count for which that node stays the
+///    answer (its slide index + range). Until then an answer is one load;
+///    after it, the cursor seeks forward from its node. Nodes only age and
+///    head pops only raise the front seq, so the seek never moves
+///    backwards. Tail pops reuse seqs: every tail pop-run clears the cache
+///    of each cursor whose node it popped (its seq is clamped to the
+///    post-pop end seq, where the next node is pushed), and LoadState()
+///    resets every cursor to the front seq. A cursor advances over each
+///    node at most once per push, so a registered answer costs amortized
+///    O(1) and zero ⊕ instead of the head walk's O(nodes older than the
+///    range) (EXPERIMENTS.md, deviations);
+///  * for ops with a survivor kernel (Max/Min over double/int64), a
+///    *stage*: slide() expires the head and appends the partial to a
+///    buffer of min(64, window, smallest registered range - 1) slots,
+///    allocated at construction, and a full stage is admitted in one
+///    AppendBatch call — BulkSlide's vectorized staircase, which leaves
+///    the deque exactly as per-slide admission does. The stage keeps its
+///    own aggregate T, built with the absorbs rule (the newer value wins
+///    ties). An answer whose committed node is c reads
+///    Absorbs(T, c) ? T : c: the staircase would have popped c iff T
+///    absorbs it, as the committed nodes from c to the tail are monotone.
+///    For the same reason a head T absorbs is left for the fold's prune
+///    instead of expiring, so the deque's seqs match too (DESIGN.md §11).
+///    A value the order cannot rank (NaN, which nothing absorbs) breaks
+///    that monotonicity, so it folds the stage and is admitted per slide,
+///    and slides stay per-slide until it expires. The stage is never
+///    deeper than the smallest registered range minus one, so a
+///    registered answer never folds it. SaveState(), node_count() and
+///    BulkSlide() fold the stage first, so checkpoint bytes, node counts
+///    and batch results equal per-slide admission's; LoadState() discards
+///    the stage and the cursor caches.
+/// The unregistered fixed face, the FIFO face and ops without a survivor
+/// kernel (CountingOp, ArgMax, AlphaMax) admit per slide, as Algorithm 2.
+///
+/// query_multi() answers several ranges, descending, in one pass: a
+/// registered range reads its cursor, an unregistered one continues the
+/// paper's head-to-tail walk from the previous answer node. Cursors, the
+/// stage and the deque are `mutable` so the const surface can seek and
+/// fold, so query(range), query_multi(), node_count() and SaveState()
+/// must not race each other on one instance; query() only reads, so
+/// concurrent query() calls stay safe.
 ///
 /// The window-boundary test follows Algorithm 2 on absolute slide
 /// indices; the in-range predicate fixes the off-by-one in the paper's
@@ -132,21 +156,36 @@ class SlickDequeNonInv {
 
   /// Registers `ranges` (the Preparation phase's answers map keys, as for
   /// SlickDeque (Inv)): each distinct range gets an answer cursor, so its
-  /// answers cost amortized O(1). Duplicates are collapsed.
+  /// answers cost O(1), and ops with a survivor kernel get a stage of
+  /// min(64, window, smallest range - 1) slots (none below 2). Duplicates
+  /// are collapsed.
   SlickDequeNonInv(std::size_t window, std::vector<std::size_t> ranges)
       : SlickDequeNonInv(window) {
     std::sort(ranges.begin(), ranges.end(), std::greater<>());
     ranges.erase(std::unique(ranges.begin(), ranges.end()), ranges.end());
+    if (ranges.empty()) return;
     cursors_.reserve(ranges.size());
     for (std::size_t r : ranges) {
       SLICK_CHECK(r >= 1 && r <= window, "registered range out of bounds");
-      cursors_.push_back(Cursor{r, 0});
+      cursors_.push_back(Cursor{r, 0, 0, Op::identity()});
+    }
+    index_ = RangeIndex(cursors_);
+    if constexpr (kStages) {
+      const std::size_t depth =
+          std::min({kMaxStage, window, ranges.back() - 1});
+      if (depth >= 2) {
+        stage_.resize(depth);
+        stage_from_ = 0;
+      }
     }
   }
 
   /// Admits the newest partial: expire the head, evict dominated tail
-  /// nodes, append.
+  /// nodes, append — or, on a staging face, stage it (SlideStaged).
   SLICK_REALTIME void slide(value_type v) {
+    if constexpr (kStages) {
+      if (stage_from_ != kNoStage && SlideStaged(v)) return;
+    }
     if (!ring_.empty() && ring_.front().t + window_size() == n_) {
       ring_.pop_front();
     }
@@ -168,6 +207,7 @@ class SlickDequeNonInv {
   /// Both leave the deque identical to n sequential slide() calls.
   SLICK_REALTIME void BulkSlide(const value_type* src, std::size_t n) {
     if (n == 0) return;
+    Fold();
     const std::size_t window = window_size();
     if (n >= window) {
       // Only the trailing window elements can survive: restart empty.
@@ -184,6 +224,9 @@ class SlickDequeNonInv {
       AppendBatch(src, n, n_);
     }
     n_ += n;
+    if constexpr (kStages) {
+      if (stage_from_ != kNoStage) NoteUnranked(n_ - n);
+    }
   }
 
   /// FIFO face: admits the newest partial (slide() without the expiry).
@@ -213,41 +256,43 @@ class SlickDequeNonInv {
     while (!ring_.empty() && ring_.front().t < oldest_) ring_.pop_front();
   }
 
-  /// Aggregate of the whole window: the head node's value, or ⊕'s identity
-  /// while the window is empty. O(1), zero aggregate operations.
+  /// Aggregate of the whole window: the head node's value (or the stage's
+  /// aggregate when it absorbs the head), or ⊕'s identity while the window
+  /// is empty. O(1), zero aggregate operations.
   SLICK_REALTIME result_type query() const {
-    if (ring_.empty()) return Op::lower(Op::identity());
-    return Op::lower(ring_.front().val);
+    if (ring_.empty()) {
+      return Op::lower(staged_ != 0 ? stage_top_ : Op::identity());
+    }
+    return Op::lower(WithStage(ring_.front().val));
   }
 
-  /// Aggregate of the newest `range` partials: first in-range node from the
-  /// head, or from the range's cursor when it is registered.
+  /// Aggregate of the newest `range` partials: the range's cursor when it
+  /// is registered, else the first in-range node from the head.
   SLICK_REALTIME result_type query(std::size_t range) const {
-    SLICK_CHECK(!ring_.empty(), "query before the first slide");
+    SLICK_CHECK(!ring_.empty() || staged_ != 0, "query before the first slide");
     SLICK_CHECK(range >= 1 && range <= window_size(),
                 "query range out of bounds");
-    Cursor* c = cursors_.data();
+    if (Cursor* c = FindCursor(range)) return Op::lower(Answer(*c));
     uint64_t seq = ring_.front_seq();
     std::size_t slot = ring_.head_slot();
-    Seek(CursorFor(c, range), range, seq, slot);
-    return Op::lower(ring_.at_slot(slot).val);
+    return Op::lower(Walk(range, seq, slot));
   }
 
-  /// Answers several ranges with one walk towards the tail. `ranges_desc`
-  /// must be sorted descending (larger ranges resolve nearer the head, as
-  /// in the paper's shared plan). Results are appended to `out`.
+  /// Answers several ranges in one pass. `ranges_desc` must be sorted
+  /// descending (larger ranges resolve nearer the head, as in the paper's
+  /// shared plan). Results are appended to `out`.
   ///
-  /// Each range is one Seek, from max(its cursor, the previous range's
-  /// answer node): a smaller range's answer is never older than a larger
-  /// one's, and consecutive ranges mostly share their answer node, so the
-  /// seek usually does not move.
+  /// A registered range reads its cursor. An unregistered one walks from
+  /// the previous range's answer node: a smaller range's answer is never
+  /// older than a larger one's, and consecutive ranges mostly share their
+  /// answer node, so the walk usually does not move.
   SLICK_REALTIME_ALLOW(
       "out.resize appends into the caller's buffer — callers reuse one "
       "answer vector across slides, so growth amortizes to a steady-state "
       "no-op; the walk itself allocates nothing")
   void query_multi(const std::vector<std::size_t>& ranges_desc,
                    std::vector<result_type>& out) const {
-    SLICK_CHECK(!ring_.empty(), "query before the first slide");
+    SLICK_CHECK(!ring_.empty() || staged_ != 0, "query before the first slide");
     const std::size_t n = ranges_desc.size();
 #if !defined(NDEBUG)
     for (std::size_t i = 0; i < n; ++i) {
@@ -259,14 +304,18 @@ class SlickDequeNonInv {
 #endif
     const std::size_t base = out.size();
     out.resize(base + n);
-    // Cursors are sorted descending like ranges_desc, so one forward
-    // pointer finds every range's cursor.
-    Cursor* c = cursors_.data();
     uint64_t seq = ring_.front_seq();
     std::size_t slot = ring_.head_slot();
     for (std::size_t i = 0; i < n; ++i) {
-      Seek(CursorFor(c, ranges_desc[i]), ranges_desc[i], seq, slot);
-      out[base + i] = Op::lower(ring_.at_slot(slot).val);
+      if (Cursor* c = FindCursor(ranges_desc[i])) {
+        out[base + i] = Op::lower(Answer(*c));
+        if (!ring_.empty() && c->seq > seq) {
+          seq = c->seq;
+          slot = ring_.slot(seq);
+        }
+      } else {
+        out[base + i] = Op::lower(Walk(ranges_desc[i], seq, slot));
+      }
     }
   }
 
@@ -281,13 +330,18 @@ class SlickDequeNonInv {
   }
 
   /// Number of live deque nodes (the paper's input-dependent space term).
-  std::size_t node_count() const { return ring_.size(); }
+  /// Folds the stage first.
+  std::size_t node_count() const {
+    Fold();
+    return ring_.size();
+  }
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + ring_.buffer_bytes() +
            stair_.capacity() * sizeof(std::size_t) +
            mask_.capacity() * sizeof(uint64_t) +
-           cursors_.capacity() * sizeof(Cursor);
+           cursors_.capacity() * sizeof(Cursor) + index_.bytes() +
+           stage_.capacity() * sizeof(value_type);
   }
 
   /// Checkpoints the deque (DSMS fault tolerance). The fixed face writes
@@ -297,10 +351,12 @@ class SlickDequeNonInv {
   /// the nodes' CAQ1 frame with their arrival indices, then the next and
   /// the oldest live arrival index and the live count. Trivially copyable
   /// values are written raw; other value types (AlphaMax's std::string)
-  /// serialize node-wise through util::WriteVal.
+  /// serialize node-wise through util::WriteVal. The stage is folded first,
+  /// so the bytes are per-slide admission's.
   void SaveState(std::ostream& os) const
     requires util::Serializable<value_type>
   {
+    Fold();
     if (fifo()) {
       util::WriteTag(os, kFifoTag, 1);
       ring_.SaveState(os);
@@ -332,6 +388,7 @@ class SlickDequeNonInv {
   ///    newest partial there);
   ///  * ⊕-monotonicity: no node absorbed by its newer neighbour — slide()
   ///    would have popped it, so its presence proves a corrupt value.
+  /// The stage and the cursor caches are discarded.
   bool LoadState(std::istream& is)
     requires util::Serializable<value_type>
   {
@@ -353,6 +410,7 @@ class SlickDequeNonInv {
     // with pos and cur modulo window.
     const uint64_t n = ring.empty() ? 0 : window + pos;
     uint64_t prev_age = window;  // sentinel: above every legal age
+    uint64_t stage_from = 0;
     for (uint64_t s = ring.front_seq(); s != ring.end_seq(); ++s) {
       Node& node = ring[s];
       if (node.t >= window) return false;
@@ -364,19 +422,28 @@ class SlickDequeNonInv {
       }
       prev_age = age;
       node.t = n - 1 - age;
+      if (!ops::Absorbs<Op>(node.val, node.val)) stage_from = node.t + window;
     }
     if (!ring.empty() && prev_age != 0) return false;
     ring_ = std::move(ring);
     n_ = n;
-    for (Cursor& c : cursors_) c.seq = ring_.front_seq();
+    staged_ = 0;
+    // A staged partial must not expire: the stage fits the restored window.
+    if (stage_.size() > window) stage_.resize(window < 2 ? 0 : window);
+    stage_from_ = stage_.empty() ? kNoStage : stage_from;
+    for (Cursor& c : cursors_) c = Cursor{c.range, ring_.front_seq(), 0, c.val};
     return true;
   }
 
  private:
-  /// A registered range and the lower bound on its answer node's seq.
+  /// A registered range's answer cursor: a lower bound on its answer
+  /// node's seq and, while the cache is valid (slide count <= until), that
+  /// node's seq and value exactly.
   struct Cursor {
     std::size_t range;
     uint64_t seq;
+    uint64_t until;  // 0: no cached answer
+    value_type val;
   };
 
   struct Node {
@@ -401,6 +468,13 @@ class SlickDequeNonInv {
   static constexpr std::size_t kInitialCapacity = 64;
   // Tail nodes the branch-free prune tests per pass.
   static constexpr std::size_t kProbe = 8;
+  // The ops whose registered face stages its slides, and the most slides
+  // a stage holds.
+  static constexpr bool kStages =
+      ops::TotalOrderSelectiveOp<Op> && ops::HasSurvivorKernel<Op>;
+  static constexpr std::size_t kMaxStage = 64;
+  // stage_from_ on a face that never stages.
+  static constexpr uint64_t kNoStage = UINT64_MAX;
 
   /// The face: only the FIFO face's ring is unbounded.
   bool fifo() const {
@@ -461,7 +535,10 @@ class SlickDequeNonInv {
       // The newest element always survives; the kernel's strict test can
       // miss it only when src[m-1] equals ⊕'s identity, so force its bit.
       mask_[(m - 1) >> 6] |= uint64_t{1} << ((m - 1) & 63);
-      PruneTail(total);
+      // The exact pop loop, once per batch: leaving the probe to the
+      // per-element paths keeps it inlined in slide().
+      PopAbsorbed(total);
+      ClampCursors();
       for (std::size_t w = 0; w < mask_.size(); ++w) {
         uint64_t bits = mask_[w];
         while (bits != 0) {
@@ -536,43 +613,160 @@ class SlickDequeNonInv {
     }
   }
 
+  /// Clears the cache of every cursor whose node a tail pop-run removed,
+  /// and clamps its seq to the post-pop end seq (the next push's).
   SLICK_REALTIME void ClampCursors() {
-    for (Cursor& c : cursors_) c.seq = std::min(c.seq, ring_.end_seq());
-  }
-
-  /// Advances `c` (a pointer into the descending cursors_) past every
-  /// larger range; returns `range`'s cursor, or nullptr if unregistered.
-  Cursor* CursorFor(Cursor*& c, std::size_t range) const {
-    Cursor* const end = cursors_.data() + cursors_.size();
-    while (c != end && c->range > range) ++c;
-    return c != end && c->range == range ? c : nullptr;
-  }
-
-  /// Moves (seq, slot) to the first node at or after both it and the
-  /// cursor, if any, within the newest `range` partials, and moves the
-  /// cursor there. The newest node always qualifies, so the walk
-  /// terminates.
-  void Seek(Cursor* cursor, std::size_t range, uint64_t& seq,
-            std::size_t& slot) const {
-    if (cursor != nullptr && cursor->seq > seq) {
-      seq = cursor->seq;
-      slot = ring_.slot(seq);
+    const uint64_t end = ring_.end_seq();
+    for (Cursor& c : cursors_) {
+      if (c.seq >= end) c = Cursor{c.range, end, 0, c.val};
     }
+  }
+
+  /// Admits the staged partials through AppendBatch. Folding changes no
+  /// answer, only where the partials live, so the const observers fold:
+  /// everything AppendBatch writes (the deque, the survivor bitmap and the
+  /// cursors) is mutable. Out of line: it runs once per stage, and slide()
+  /// stays small.
+  [[gnu::noinline]] void Fold() const {
+    if constexpr (kStages) {
+      if (staged_ == 0) return;
+      const std::size_t m = staged_;
+      staged_ = 0;
+      const_cast<SlickDequeNonInv*>(this)->AppendBatch(stage_.data(), m,
+                                                       n_ - m);
+    }
+  }
+
+  /// slide() on a staging face. A rankable partial, once every unrankable
+  /// one has expired, is staged: the head expires, `v` joins the stage,
+  /// and a full stage is folded. A head the stage absorbs is not expired:
+  /// per-slide admission popped it, and every node after it, at the tail,
+  /// which the fold's prune repeats. Any other partial folds the stage and
+  /// returns false, for slide() to admit it per slide. Out of line, with
+  /// `v` by value: slide()'s per-slide path on the other faces then keeps
+  /// `v` in a register instead of spilling it.
+  [[gnu::noinline]] SLICK_REALTIME bool SlideStaged(value_type v) {
+    if (n_ >= stage_from_ && ops::Absorbs<Op>(v, v)) {
+      if (!ring_.empty() && ring_.front().t + window_size() == n_ &&
+          !StageAbsorbs(ring_.front().val)) {
+        ring_.pop_front();
+      }
+      if (staged_ == 0 || ops::Absorbs<Op>(v, stage_top_)) stage_top_ = v;
+      stage_[staged_++] = std::move(v);
+      ++n_;
+      if (staged_ == stage_.size()) Fold();
+      return true;
+    }
+    Fold();
+    if (!ops::Absorbs<Op>(v, v)) stage_from_ = n_ + window_size();
+    return false;
+  }
+
+  /// After a batch slide on a staging face: slide() stages again only once
+  /// the newest unrankable partial from slide index `first` on has
+  /// expired. Such partials are never popped, so the newest one is the
+  /// newest node from `first` on that does not absorb itself.
+  void NoteUnranked(uint64_t first) {
+    for (uint64_t s = ring_.end_seq(); s-- != ring_.front_seq();) {
+      const Node& node = ring_[s];
+      if (node.t < first) return;
+      if (!ops::Absorbs<Op>(node.val, node.val)) {
+        stage_from_ = node.t + window_size();
+        return;
+      }
+    }
+  }
+
+  /// True iff the stage's aggregate T absorbs the committed node value `c`:
+  /// the fold's prune pops c, and every node after it.
+  bool StageAbsorbs(const value_type& c) const {
+    if constexpr (kStages) {
+      return staged_ != 0 && ops::Absorbs<Op>(stage_top_, c);
+    } else {
+      return false;
+    }
+  }
+
+  /// The answer whose committed node value is `c`: T if the fold pops c,
+  /// else c.
+  const value_type& WithStage(const value_type& c) const {
+    return StageAbsorbs(c) ? stage_top_ : c;
+  }
+
+  Cursor* FindCursor(std::size_t range) const {
+    return cursors_.empty() ? nullptr : index_.Find(cursors_, range);
+  }
+
+  /// A registered range's answer: the cached node until the slide count
+  /// passes the cache's bound, then a seek forward from the cursor. (A
+  /// valid cache's node is live, so only a refresh can find no nodes.)
+  const value_type& Answer(Cursor& c) const {
+    if (n_ > c.until) [[unlikely]] {
+      if (ring_.empty()) return stage_top_;  // the first stage is filling
+      Refresh(c);
+    }
+    return WithStage(c.val);
+  }
+
+  /// Seeks `c` forward to its range's first committed node and caches it.
+  /// Out of line: on the benchmark's acq-max plan about 3% of answers
+  /// refresh, and keeping the seek out of the engine's loop is worth ~5%.
+  [[gnu::noinline]] void Refresh(Cursor& c) const {
+    uint64_t seq = std::max(c.seq, ring_.front_seq());
+    std::size_t slot = ring_.slot(seq);
+    Seek(c.range, seq, slot);
+    const Node& node = ring_.at_slot(slot);
+    c = Cursor{c.range, seq, node.t + c.range, node.val};
+  }
+
+  /// An unregistered range's answer: inside the stage, the stage's newest
+  /// ⊕-maximal partial there; otherwise the committed node Seek() finds
+  /// from (seq, slot).
+  const value_type& Walk(std::size_t range, uint64_t& seq,
+                         std::size_t& slot) const {
+    if constexpr (kStages) {
+      if (range <= staged_) {
+        std::size_t best = staged_ - range;
+        for (std::size_t k = best + 1; k < staged_; ++k) {
+          if (ops::Absorbs<Op>(stage_[k], stage_[best])) best = k;
+        }
+        return stage_[best];
+      }
+      if (ring_.empty()) return stage_top_;
+    }
+    Seek(range, seq, slot);
+    return WithStage(ring_.at_slot(slot).val);
+  }
+
+  /// Moves (seq, slot) to the first committed node at or after it within
+  /// the newest `range` partials. A range longer than the stage always
+  /// reaches the newest node, so the walk terminates.
+  void Seek(std::size_t range, uint64_t& seq, std::size_t& slot) const {
     while (ring_.at_slot(slot).t + range < n_) {
       ++seq;
       slot = ring_.next_slot(slot);
     }
-    if (cursor != nullptr) cursor->seq = seq;
   }
 
-  window::SeqRing<Node> ring_;  // the deque, head oldest; bound = window
-  uint64_t n_ = 0;           // slides so far: the next partial's index
-  uint64_t oldest_ = 0;      // FIFO face: the oldest live partial's index
+  // The deque, head oldest; bound = window. Mutable so const observers can
+  // fold the stage into it.
+  mutable window::SeqRing<Node> ring_;
+  uint64_t n_ = 0;      // slides so far, staged ones included
+  uint64_t oldest_ = 0;  // FIFO face: the oldest live partial's index
   std::vector<std::size_t> stair_;  // batch scratch: surviving indices
-  std::vector<uint64_t> mask_;      // batch scratch: survivor bitmask
+  mutable std::vector<uint64_t> mask_;  // batch scratch: survivor bitmask
   // Registered ranges, descending, with their answer cursors; mutable so
   // the const query surface can advance them.
   mutable std::vector<Cursor> cursors_;
+  RangeIndex index_;  // range -> position in cursors_
+  // The stage (registered face, kStages ops only; empty otherwise): its
+  // slots, how many hold partials, their aggregate T, and the slide count
+  // from which slide() stages (after the newest unrankable partial has
+  // expired; kNoStage without a stage).
+  std::vector<value_type> stage_;
+  mutable std::size_t staged_ = 0;
+  value_type stage_top_ = Op::identity();
+  uint64_t stage_from_ = kNoStage;
 };
 
 }  // namespace slick::core

@@ -22,6 +22,10 @@ namespace slick::engine {
 ///
 /// `Agg` is any fixed-window aggregator (Naive, FlatFAT, B-Int, FlatFIT,
 /// SlickDeque (Inv)/(Non-Inv), or Windowed<...> for single-query plans).
+/// Each due report is one query(range) call. Both SlickDeques are built
+/// with the plan's distinct ranges registered, which answers each of them
+/// in O(1): SlickDeque (Inv) from its answers map, SlickDeque (Non-Inv)
+/// from its answer cursors (and its registered face stages its slides).
 /// Answers during warm-up treat not-yet-seen history as ⊕'s identity,
 /// matching the paper's identity-initialized window (Algorithms 1 and 2).
 ///
@@ -43,19 +47,7 @@ class AcqEngine {
   /// first partial, so every query's slide phase is aligned with it.
   AcqEngine(std::vector<plan::QuerySpec> queries, plan::Pat pat)
       : plan_(plan::SharedPlan::Build(queries, pat)),
-        agg_(MakeAggregator(plan_)) {
-    // Pre-compute each step's ranges in descending order for aggregators
-    // with a fused multi-answer path (SlickDeque (Non-Inv)).
-    step_ranges_.reserve(plan_.steps().size());
-    for (const plan::PlanStep& step : plan_.steps()) {
-      std::vector<std::size_t> ranges;
-      ranges.reserve(step.reports.size());
-      for (const plan::ReportEntry& r : step.reports) {
-        ranges.push_back(static_cast<std::size_t>(r.range_in_partials));
-      }
-      step_ranges_.push_back(std::move(ranges));
-    }
-  }
+        agg_(MakeAggregator(plan_)) {}
 
   /// Feeds one raw stream element. For every answer that becomes due,
   /// calls sink(query_index, result).
@@ -116,31 +108,17 @@ class AcqEngine {
   template <typename Sink>
   void EmitAnswers(const plan::PlanStep& step, Sink& sink) {
     if (step.reports.empty()) return;
-    if constexpr (requires(std::vector<result_type>& out) {
-                    agg_.query_multi(step_ranges_[0], out);
-                  }) {
-      multi_out_.clear();
-      agg_.query_multi(step_ranges_[step_idx_], multi_out_);
-      for (std::size_t i = 0; i < step.reports.size(); ++i) {
-        sink(step.reports[i].query, multi_out_[i]);
-        ++answers_;
-      }
-      tel_.OnAnswer(step.reports.size());
-    } else {
-      for (const plan::ReportEntry& r : step.reports) {
-        sink(r.query,
-             agg_.query(static_cast<std::size_t>(r.range_in_partials)));
-        ++answers_;
-      }
-      tel_.OnAnswer(step.reports.size());
+    for (const plan::ReportEntry& r : step.reports) {
+      sink(r.query,
+           agg_.query(static_cast<std::size_t>(r.range_in_partials)));
+      ++answers_;
     }
+    tel_.OnAnswer(step.reports.size());
   }
 
   plan::SharedPlan plan_;
   Agg agg_;
   [[no_unique_address]] Tel tel_;
-  std::vector<std::vector<std::size_t>> step_ranges_;  // descending, per step
-  std::vector<result_type> multi_out_;
   value_type partial_ = op_type::identity();
   uint64_t in_partial_ = 0;
   std::size_t step_idx_ = 0;

@@ -86,8 +86,8 @@ void RunEngineOracle(std::vector<QuerySpec> queries, Pat pat,
       got.emplace_back(q, res);
     });
     auto want = model.Push(x);
-    // The engine reports in descending-range order (for the deque walk);
-    // the model reports in query order. Compare order-insensitively.
+    // The engine reports in its plan step's order; the model reports in
+    // query order. Compare order-insensitively.
     std::sort(got.begin(), got.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::sort(want.begin(), want.end(),
@@ -112,6 +112,15 @@ std::vector<QuerySpec> Fragmented() { return {{7, 3}}; }
 std::vector<QuerySpec> PaperExampleOne() { return {{6, 2}, {8, 4}}; }
 std::vector<QuerySpec> Heterogeneous() {
   return {{12, 2}, {7, 3}, {30, 5}, {9, 2}};
+}
+// Every range at least 65 partials long, so SlickDeque (Non-Inv)'s
+// registered face stages 64 slides at a time: one partial per tuple, and
+// two-tuple partials.
+std::vector<QuerySpec> LongRangesSlideOne() {
+  return {{100, 1}, {65, 1}, {1000, 10}};
+}
+std::vector<QuerySpec> LongRangesSlideTwo() {
+  return {{130, 2}, {600, 2}, {2000, 4}, {150, 2}};
 }
 
 TEST(AcqEngineTest, NaiveAllWorkloads) {
@@ -159,6 +168,18 @@ TEST(AcqEngineTest, SlickDequeNonInvAllWorkloads) {
   RunEngineOracle<Agg>(Fragmented(), Pat::kPairs, 500, 21);
   RunEngineOracle<Agg>(PaperExampleOne(), Pat::kPairs, 500, 22);
   RunEngineOracle<Agg>(Heterogeneous(), Pat::kPairs, 1500, 23);
+}
+
+TEST(AcqEngineTest, SlickDequeNonInvStagedMax) {
+  using Agg = core::SlickDequeNonInv<ops::Max>;
+  RunEngineOracle<Agg>(LongRangesSlideOne(), Pat::kPairs, 4000, 29);
+  RunEngineOracle<Agg>(LongRangesSlideTwo(), Pat::kPairs, 5000, 30);
+}
+
+TEST(AcqEngineTest, SlickDequeNonInvStagedMin) {
+  using Agg = core::SlickDequeNonInv<ops::Min>;
+  RunEngineOracle<Agg>(LongRangesSlideOne(), Pat::kPairs, 4000, 31);
+  RunEngineOracle<Agg>(LongRangesSlideTwo(), Pat::kPairs, 5000, 32);
 }
 
 TEST(AcqEngineTest, WindowedDabaSingleQuery) {

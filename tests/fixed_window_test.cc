@@ -7,8 +7,10 @@
 // multi-query algorithms.
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -841,6 +843,333 @@ TEST(FixedWindowEdgeTest, SlickDequeNonInvDequeFillsOnDescending) {
     agg.slide(1000000 - v);
   }
   EXPECT_EQ(agg.node_count(), w);
+}
+
+// ----------------- SlickDeque (Non-Inv): the staged registered face -------
+//
+// With a survivor kernel and a smallest registered range above 2, the
+// registered face stages up to min(64, window, smallest range - 1) slides
+// and admits them in one batch. Every answer, node count and checkpoint
+// must still equal per-slide admission's: the unregistered twin's. Doubles
+// compare bit for bit, so NaN and the sign of zero count.
+
+template <typename T>
+::testing::AssertionResult SameBits(const T& got, const T& want) {
+  bool same;
+  if constexpr (std::is_same_v<T, double>) {
+    same = std::bit_cast<uint64_t>(got) == std::bit_cast<uint64_t>(want);
+  } else {
+    same = got == want;
+  }
+  if (same) return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure() << got << " vs " << want;
+}
+
+template <typename Agg>
+std::string NonInvBytes(const Agg& agg) {
+  std::ostringstream os;
+  agg.SaveState(os);
+  return os.str();
+}
+
+// Compares every range, query() and query_multi over all ranges. Reads only
+// the answer surface, so a stage stays staged.
+template <typename Agg>
+void ExpectSameAnswers(const Agg& reg, const Agg& twin, const char* where) {
+  const std::size_t w = twin.window_size();
+  std::vector<std::size_t> all_desc;
+  for (std::size_t r = w; r >= 1; --r) all_desc.push_back(r);
+  std::vector<typename Agg::result_type> out;
+  reg.query_multi(all_desc, out);
+  ASSERT_EQ(out.size(), w);
+  for (std::size_t i = 0; i < w; ++i) {
+    const auto want = twin.query(all_desc[i]);
+    ASSERT_TRUE(SameBits(reg.query(all_desc[i]), want))
+        << where << ", range " << all_desc[i];
+    ASSERT_TRUE(SameBits(out[i], want))
+        << where << ", query_multi range " << all_desc[i];
+  }
+  ASSERT_TRUE(SameBits(reg.query(), twin.query())) << where << ", query()";
+}
+
+enum class Payload { kNaN, kSignedZero, kTies, kInt64 };
+
+const char* PayloadName(Payload p) {
+  switch (p) {
+    case Payload::kNaN:
+      return "NaN";
+    case Payload::kSignedZero:
+      return "SignedZero";
+    case Payload::kTies:
+      return "Ties";
+    case Payload::kInt64:
+      return "Int64";
+  }
+  return "";
+}
+
+struct StageCase {
+  std::size_t window;
+  std::size_t min_range;
+  Payload payload;
+};
+
+std::vector<StageCase> StageCases() {
+  std::vector<StageCase> cases;
+  for (std::size_t w : {1, 2, 63, 64, 65, 128, 3000}) {
+    for (std::size_t r : {1, 64, 65, 100}) {
+      if (r > w) continue;
+      for (Payload p : {Payload::kNaN, Payload::kSignedZero, Payload::kTies,
+                        Payload::kInt64}) {
+        cases.push_back(StageCase{w, r, p});
+      }
+    }
+  }
+  return cases;
+}
+
+// Step i's value: runs of 97 steps alternate random, descending, random
+// and ascending, so the deque both fills (either direction fills it for
+// one of Max/Min) and empties; each payload picks the random values and
+// its special values.
+double StageValue(Payload p, std::size_t window, std::size_t i,
+                  util::SplitMix64& rng) {
+  const auto run = static_cast<double>(i % 97);
+  switch ((i / 97) % 4) {
+    case 1:
+      return 500.0 - run;
+    case 3:
+      return -500.0 + run;
+    default:
+      break;
+  }
+  switch (p) {
+    case Payload::kNaN:
+      // A NaN once per window + 37 steps (so each expires before the
+      // next), and now and then at random.
+      if (i % (window + 37) == 5 || rng.NextBounded(211) == 0) {
+        return std::numeric_limits<double>::quiet_NaN();
+      }
+      return static_cast<double>(rng.NextBounded(101)) - 50.0;
+    case Payload::kSignedZero: {
+      constexpr double kVals[] = {-0.0, 0.0, -0.0, 0.0, -1.0, 1.0};
+      return kVals[rng.NextBounded(6)];
+    }
+    case Payload::kTies:
+      return static_cast<double>(rng.NextBounded(3));
+    case Payload::kInt64:
+      break;
+  }
+  return static_cast<double>(rng.NextBounded(2001)) - 1000.0;
+}
+
+template <typename Op>
+typename Op::value_type StageLift(double x, std::size_t i,
+                                  util::SplitMix64& rng) {
+  if constexpr (std::is_same_v<typename Op::value_type, int64_t>) {
+    // int64 payloads also carry both extremes, one of them ⊕'s identity.
+    if (i % 89 == 3) return std::numeric_limits<int64_t>::min();
+    if (i % 89 == 40) return std::numeric_limits<int64_t>::max();
+    (void)rng;
+    return static_cast<int64_t>(x);
+  } else {
+    return x;
+  }
+}
+
+// Feeds the registered instance (ranges: the smallest, two above it and
+// the window) and its unregistered twin the same slides, with a short
+// BulkSlide now and then, one batch of window + 2, and a rewind of both to
+// an earlier checkpoint. After every call it compares each registered
+// range, query(), query_multi over the registered ranges plus unregistered
+// ones (inside the stage too), then the checkpoint bytes and node count of
+// a copy (the copy folds its stage, the instance keeps its own staged).
+template <typename Op>
+void RunStagedTwin(const StageCase& c) {
+  using Agg = SlickDequeNonInv<Op>;
+  using Value = typename Op::value_type;
+  const std::size_t w = c.window;
+  std::vector<std::size_t> registered{c.min_range,
+                                      std::min(w, c.min_range + 7),
+                                      (c.min_range + w) / 2, w};
+  Agg reg(w, registered);
+  Agg twin(w);
+  util::SplitMix64 rng(0x57a6e + w * 31 + c.min_range);
+  const std::size_t steps = 3 * w + 200;
+  std::string snapshot;
+  std::vector<Value> batch;
+  std::vector<std::size_t> ranges_desc;
+  std::vector<typename Op::result_type> out;
+  for (std::size_t i = 0; i < steps; ++i) {
+    batch.clear();
+    std::size_t b = 1;
+    if (i % 53 == 17) b = 1 + i % 9;
+    if (i == 2 * steps / 3) b = w + 2;
+    for (std::size_t k = 0; k < b; ++k) {
+      batch.push_back(
+          StageLift<Op>(StageValue(c.payload, w, i + k, rng), i + k, rng));
+    }
+    if (b == 1) {
+      reg.slide(batch[0]);
+      twin.slide(batch[0]);
+    } else {
+      reg.BulkSlide(batch.data(), b);
+      twin.BulkSlide(batch.data(), b);
+    }
+    if (i == steps / 3) snapshot = NonInvBytes(twin);
+    if (i == steps / 2) {
+      std::istringstream reg_is(snapshot), twin_is(snapshot);
+      ASSERT_TRUE(reg.LoadState(reg_is));
+      ASSERT_TRUE(twin.LoadState(twin_is));
+    }
+    for (std::size_t r : registered) {
+      ASSERT_TRUE(SameBits(reg.query(r), twin.query(r)))
+          << "step " << i << ", registered range " << r;
+    }
+    ASSERT_TRUE(SameBits(reg.query(), twin.query())) << "step " << i;
+    ranges_desc = registered;
+    for (std::size_t r : {std::size_t{1}, std::size_t{2}, c.min_range - 1,
+                          1 + rng.NextBounded(w), 1 + rng.NextBounded(w)}) {
+      if (r >= 1 && r <= w) ranges_desc.push_back(r);
+    }
+    std::sort(ranges_desc.rbegin(), ranges_desc.rend());
+    out.clear();
+    reg.query_multi(ranges_desc, out);
+    ASSERT_EQ(out.size(), ranges_desc.size());
+    for (std::size_t k = 0; k < ranges_desc.size(); ++k) {
+      ASSERT_TRUE(SameBits(out[k], twin.query(ranges_desc[k])))
+          << "step " << i << ", query_multi range " << ranges_desc[k];
+    }
+    const Agg copy = reg;
+    ASSERT_EQ(NonInvBytes(copy), NonInvBytes(twin)) << "step " << i;
+    ASSERT_EQ(copy.node_count(), twin.node_count()) << "step " << i;
+  }
+}
+
+class NonInvStageSweep : public ::testing::TestWithParam<StageCase> {};
+
+TEST_P(NonInvStageSweep, RegisteredMatchesUnregistered) {
+  const StageCase& c = GetParam();
+  if (c.payload == Payload::kInt64) {
+    RunStagedTwin<ops::MaxInt>(c);
+    if (HasFatalFailure()) return;
+    RunStagedTwin<ops::MinInt>(c);
+  } else {
+    RunStagedTwin<ops::Max>(c);
+    if (HasFatalFailure()) return;
+    RunStagedTwin<ops::Min>(c);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, NonInvStageSweep, ::testing::ValuesIn(StageCases()),
+    [](const auto& tpi) {
+      std::string name = "w";
+      name += std::to_string(tpi.param.window);
+      name += "_minrange";
+      name += std::to_string(tpi.param.min_range);
+      name += "_";
+      name += PayloadName(tpi.param.payload);
+      return name;
+    });
+
+// A NaN breaks the monotone run the stage's answer rule relies on: after
+// [3, NaN], per-slide admission keeps 3 at the head when 5 arrives (nothing
+// absorbs NaN, so the prune stops there), while the stage's aggregate 5
+// absorbs 3. The NaN is admitted per slide, and so is every partial until
+// it expires.
+TEST(FixedWindowEdgeTest, SlickDequeNonInvNanHoldsStagingOff) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  SlickDequeNonInv<ops::Max> reg(200, {100, 200});
+  SlickDequeNonInv<ops::Max> twin(200);
+  for (double v : {3.0, nan, 5.0}) {
+    reg.slide(v);
+    twin.slide(v);
+  }
+  EXPECT_EQ(reg.query(), 3.0);
+  EXPECT_EQ(reg.query(100), 3.0);
+  ExpectSameAnswers(reg, twin, "after [3, NaN, 5]");
+  util::SplitMix64 rng(0x7a9);
+  for (std::size_t i = 0; i < 600; ++i) {
+    const double v = static_cast<double>(rng.NextBounded(50));
+    reg.slide(v);
+    twin.slide(v);
+    ASSERT_TRUE(SameBits(reg.query(100), twin.query(100))) << "slide " << i;
+    ASSERT_TRUE(SameBits(reg.query(), twin.query())) << "slide " << i;
+  }
+  ExpectSameAnswers(reg, twin, "after the NaN expired");
+}
+
+// The observers fold a half-full stage; the instance answers on, and its
+// bytes, node count and answers stay the twin's. Descending input keeps
+// every staged partial a node.
+class NonInvMidStageTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kWindow = 256;
+  void Slide(std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i, ++next_) {
+      const int64_t v = next_ % 7 == 3 ? int64_t{900} - next_ % 5
+                                       : int64_t{1'000'000} - next_;
+      reg_.slide(v);
+      twin_.slide(v);
+    }
+  }
+  SlickDequeNonInv<ops::MaxInt> reg_{kWindow, {100, 130, kWindow}};
+  SlickDequeNonInv<ops::MaxInt> twin_{kWindow};
+  int64_t next_ = 0;
+};
+
+TEST_F(NonInvMidStageTest, SaveState) {
+  Slide(300 + 40);
+  ExpectSameAnswers(reg_, twin_, "staged");
+  EXPECT_EQ(NonInvBytes(reg_), NonInvBytes(twin_));
+  ExpectSameAnswers(reg_, twin_, "after SaveState");
+  Slide(50);
+  ExpectSameAnswers(reg_, twin_, "staged again");
+  EXPECT_EQ(NonInvBytes(reg_), NonInvBytes(twin_));
+}
+
+TEST_F(NonInvMidStageTest, LoadState) {
+  Slide(200);
+  const std::string snapshot = NonInvBytes(twin_);
+  Slide(45);  // staged in reg_
+  std::istringstream reg_is(snapshot), twin_is(snapshot);
+  ASSERT_TRUE(reg_.LoadState(reg_is));
+  ASSERT_TRUE(twin_.LoadState(twin_is));
+  ExpectSameAnswers(reg_, twin_, "after LoadState");
+  for (int k = 0; k < 5; ++k) {
+    Slide(29);
+    ExpectSameAnswers(reg_, twin_, "sliding on");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(NonInvBytes(reg_), NonInvBytes(twin_));
+}
+
+TEST_F(NonInvMidStageTest, BulkSlide) {
+  std::vector<int64_t> batch;
+  for (std::size_t n : {std::size_t{10}, std::size_t{1}, kWindow + 5}) {
+    Slide(37);
+    batch.clear();
+    for (std::size_t i = 0; i < n; ++i) batch.push_back(5000 - next_++ % 13);
+    reg_.BulkSlide(batch.data(), batch.size());
+    twin_.BulkSlide(batch.data(), batch.size());
+    ExpectSameAnswers(reg_, twin_, "after BulkSlide");
+    if (HasFatalFailure()) return;
+    Slide(21);
+    ExpectSameAnswers(reg_, twin_, "sliding on");
+    if (HasFatalFailure()) return;
+  }
+  EXPECT_EQ(NonInvBytes(reg_), NonInvBytes(twin_));
+}
+
+TEST_F(NonInvMidStageTest, NodeCount) {
+  for (std::size_t n : {std::size_t{50}, std::size_t{63}, std::size_t{300}}) {
+    Slide(n);
+    ExpectSameAnswers(reg_, twin_, "staged");
+    ASSERT_EQ(reg_.node_count(), twin_.node_count()) << "after " << next_;
+    ExpectSameAnswers(reg_, twin_, "after node_count()");
+  }
+  EXPECT_EQ(NonInvBytes(reg_), NonInvBytes(twin_));
 }
 
 // --------------------------- PerQueryAdapter ------------------------------

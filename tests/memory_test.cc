@@ -149,6 +149,26 @@ TEST(MemoryShapeTest, SlickDequeNonInvFullRingIsExactlyTheWindow) {
   EXPECT_LE(agg.memory_bytes(), 2 * n * kValue + 512);
 }
 
+TEST(MemoryShapeTest, SlickDequeNonInvRegisteredFaceAddsStageAndIndex) {
+  // The registered face adds, beside the same full ring: a 64-slot stage
+  // (its smallest range is 100), and per registered range an answer cursor
+  // (range, seq, cache bound, cached value: 4 words) and 8-16 bytes of
+  // index. The unregistered face carries none of it inline.
+  const std::size_t n = 3000;
+  const std::vector<std::size_t> ranges = {100, 1000, 2000, n};
+  core::SlickDequeNonInv<ops::Max> reg(n, ranges);
+  core::SlickDequeNonInv<ops::Max> twin(n);
+  for (std::size_t i = 0; i < 2 * n; ++i) {
+    reg.slide(static_cast<double>(2 * n - i));
+    twin.slide(static_cast<double>(2 * n - i));
+  }
+  EXPECT_EQ(reg.node_count(), n);
+  EXPECT_LE(twin.memory_bytes(), 2 * n * kValue + 512);
+  const std::size_t added = reg.memory_bytes() - twin.memory_bytes();
+  EXPECT_GE(added, 64 * kValue + ranges.size() * (4 * kValue + 8));
+  EXPECT_LE(added, 64 * kValue + ranges.size() * (4 * kValue + 16));
+}
+
 TEST(MemoryShapeTest, SlickDequeNonInvBestCaseIsConstant) {
   // Ascending input: every arrival evicts the whole deque (§4.2 "best case
   // ... constant").
