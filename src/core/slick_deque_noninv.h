@@ -19,28 +19,6 @@
 
 namespace slick::core {
 
-/// The batch "staircase" of a total-order selective op (DESIGN.md §11),
-/// found right-to-left with one absorbs test per element: element k of
-/// src[0..m) survives the batch iff no later element absorbs it, which for
-/// an order-induced absorbs is one test against the aggregate of
-/// src[k+1..m). Fills `stair` with the survivors' indices, newest first
-/// (the newest element always survives), and returns the whole-batch
-/// aggregate. Requires m >= 1. SlickDeque (Non-Inv) admits its batches
-/// through it, on both faces, when the op has no survivor kernel.
-template <ops::TotalOrderSelectiveOp Op>
-typename Op::value_type BatchStaircase(const typename Op::value_type* src,
-                                       std::size_t m,
-                                       std::vector<std::size_t>& stair) {
-  stair.clear();
-  stair.push_back(m - 1);
-  typename Op::value_type suffix = src[m - 1];
-  for (std::size_t k = m - 1; k-- > 0;) {
-    if (!ops::Absorbs<Op>(suffix, src[k])) stair.push_back(k);
-    suffix = Op::combine(src[k], suffix);
-  }
-  return suffix;
-}
-
 /// SlickDeque (Non-Inv) — the paper's Algorithm 2: final aggregation for
 /// *non-invertible* (selective) operations. The window is represented by a
 /// deque of (t, val) nodes that stays monotone under ⊕ from head to tail:
@@ -196,12 +174,12 @@ class SlickDequeNonInv {
 
   /// Batch slide (DESIGN.md §11): expires every head node the n slides age
   /// out in one prefix pop, then admits the whole batch —
-  ///  * total-order ops (ops::TotalOrderSelectiveOp): the batch's surviving
-  ///    "staircase" is found right-to-left with one absorbs test per
-  ///    element against the running suffix aggregate, and the pre-existing
-  ///    tail is pruned once against the whole-batch aggregate (for an
-  ///    order-induced absorbs, some batch element dominates a node iff the
-  ///    batch aggregate does);
+  ///  * ops with a survivor kernel (Max/Min over double/int64): the
+  ///    batch's surviving "staircase" is found right-to-left in one pass
+  ///    of the survivor-mask kernel, and the pre-existing tail is pruned
+  ///    once against the whole-batch aggregate (for an order-induced
+  ///    absorbs, some batch element dominates a node iff the batch
+  ///    aggregate does);
   ///  * other selective ops: the exact per-element stack loop, with only
   ///    the expiry test hoisted out of the loop.
   /// Both leave the deque identical to n sequential slide() calls.
@@ -338,7 +316,6 @@ class SlickDequeNonInv {
 
   std::size_t memory_bytes() const {
     return sizeof(*this) + ring_.buffer_bytes() +
-           stair_.capacity() * sizeof(std::size_t) +
            mask_.capacity() * sizeof(uint64_t) +
            cursors_.capacity() * sizeof(Cursor) + index_.bytes() +
            stage_.capacity() * sizeof(value_type);
@@ -548,17 +525,8 @@ class SlickDequeNonInv {
           ring_.push_back(Node{start_t + k, src[k]});
         }
       }
-    } else if constexpr (ops::TotalOrderSelectiveOp<Op>) {
-      // Prune the existing tail once against the whole-batch aggregate —
-      // sequential processing pops exactly the tail nodes some batch
-      // element absorbs, and ages keep the survivors' relative order.
-      PruneTail(BatchStaircase<Op>(src, m, stair_));
-      for (std::size_t t = stair_.size(); t-- > 0;) {
-        const std::size_t k = stair_[t];
-        ring_.push_back(Node{start_t + k, src[k]});
-      }
     } else {
-      // Ad-hoc absorbs predicates get the exact per-element stack loop.
+      // Every other op gets the exact per-element stack loop.
       for (std::size_t k = 0; k < m; ++k) {
         PruneTail(src[k]);
         ring_.push_back(Node{start_t + k, src[k]});
@@ -753,7 +721,6 @@ class SlickDequeNonInv {
   mutable window::SeqRing<Node> ring_;
   uint64_t n_ = 0;      // slides so far, staged ones included
   uint64_t oldest_ = 0;  // FIFO face: the oldest live partial's index
-  std::vector<std::size_t> stair_;  // batch scratch: surviving indices
   mutable std::vector<uint64_t> mask_;  // batch scratch: survivor bitmask
   // Registered ranges, descending, with their answer cursors; mutable so
   // the const query surface can advance them.

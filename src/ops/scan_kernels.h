@@ -163,10 +163,10 @@ SLICK_REALTIME inline void PrefixMinScalar(const int64_t* v, int64_t* out,
 // ------------------------------------------------------------------
 // Scalar staircase survivor masks. Bit k is set iff v[k] strictly
 // dominates the aggregate of everything after it — !Absorbs(suffix, v[k])
-// for the order-induced absorbs of Max/Min. The double forms spell
-// core::BatchStaircase's own test and carry (!Absorbs(carry, v),
-// carry = v ⊕ carry), so a NaN survives and restarts the carry exactly as
-// the per-tuple pop loop treats it. One branch carries both: inside it v
+// for the order-induced absorbs of Max/Min. The double forms keep the
+// exact test and carry (!Absorbs(carry, v), carry = v ⊕ carry), so a NaN
+// survives and restarts the carry exactly as the per-tuple pop loop
+// treats it. One branch carries both: inside it v
 // is not below the carry, so !Absorbs reduces to v != carry, and the carry
 // chain stays a predicted branch instead of a maxsd latency per element.
 // Mask words must arrive zeroed; the newest element (k = n-1) gets the

@@ -216,8 +216,8 @@ SLICK_REALTIME inline void PrefixScan(const T* v, T* out, std::size_t n,
   }
 }
 
-// One scalar staircase step at index i: core::BatchStaircase's survivor
-// test and carry update (carry = v[i] ⊕ carry).
+// One scalar staircase step at index i: the survivor test against the
+// suffix carry and the carry update (carry = v[i] ⊕ carry).
 template <typename Op, typename T>
 SLICK_REALTIME inline void SurvivorStep(const T* v, std::size_t i, T& carry,
                                         uint64_t* mask) {

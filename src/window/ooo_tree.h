@@ -3,10 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <istream>
-#include <limits>
 #include <memory>
-#include <ostream>
 #include <utility>
 #include <vector>
 
@@ -14,14 +11,11 @@
 #include "ops/traits.h"
 #include "util/annotations.h"
 #include "util/check.h"
-#include "util/serde.h"
 
 namespace slick::window {
 
-/// A timestamped partial aggregate — the slot type event-time streams carry
-/// through rings and bulk spans. Default-constructible and (for POD value
-/// types) trivially copyable, so it satisfies the SpscRing element
-/// requirements.
+/// A timestamped partial aggregate: the element of the spans
+/// OooTree::BulkInsert takes.
 template <typename V>
 struct Timed {
   uint64_t t = 0;  ///< event time
@@ -60,27 +54,14 @@ struct Timed {
 ///     them into the right finger leaf-at-a-time, recomputing each leaf
 ///     with one ops::FoldValues pass (the ops/kernels.h SIMD fold);
 ///     out-of-order stragglers inside the span fall back to Insert.
-///   - Evict(t): exact removal anywhere, via the classic proactive
-///     (CLRS-style) descent — O(log n); intended for corrections, the hot
-///     eviction path is the watermark-driven bulk one.
 ///   - BulkEvict(w): removes every entry with t < w by chopping prefixes
 ///     off the left-finger leaf and repairing underflow locally —
 ///     O(k/B · log B + log n) for k evictions, amortized O(1) per evicted
 ///     entry while the watermark advances steadily.
 ///   - query(): full-window aggregate by walking the two spines, O(height).
-///   - RangeAggregate(lo, hi): aggregate of entries with lo <= t <= hi in
-///     time order (correct for non-commutative ops), O(log² n); this is
-///     what lets one tree back multiple time-range queries at different
-///     watermark cutoffs.
 ///
-/// Checkpointing: SaveState dumps the entries in time order; LoadState
-/// rebuilds through the in-order fast path, so the serialized form is a
-/// pure function of the *content* (not the arrival history) and supervised
-/// recovery replay converges to byte-identical checkpoints. Use through
-/// util::SaveStateFramed / LoadStateFramed for CRC framing.
-///
-/// Single-threaded, like every final aggregator in this repo; the parallel
-/// runtime gives each shard its own tree.
+/// Single-threaded, like every final aggregator in this repo. A standalone
+/// baseline: bench/exp6_ooo measures it, and no engine or runtime runs it.
 ///
 /// MinArity default: 16 measures strictly faster than 8 on this repo's
 /// ingest lanes — in-order bulk appends fold bigger leaf runs per split
@@ -99,11 +80,9 @@ class OooTree {
   using time_type = uint64_t;
   using timed_type = Timed<value_type>;
 
-  /// The size argument is a capacity hint accepted for constructor
-  /// compatibility with the count-based aggregators (ShardWorker
-  /// constructs `Agg(window)`); the tree is dynamically sized and bounded
-  /// by watermark eviction, not by a fixed window length.
-  explicit OooTree(std::size_t /*window_hint*/ = 0) { Clear(); }
+  /// The tree is dynamically sized and bounded by watermark eviction, not
+  /// by a fixed window length.
+  OooTree() : root_(std::make_unique<Node>()), lf_(root_.get()), rf_(lf_) {}
 
   // --- ingest ------------------------------------------------------------
 
@@ -183,15 +162,6 @@ class OooTree {
 
   // --- evict -------------------------------------------------------------
 
-  /// Removes the entry at exactly time t (all values merged into it).
-  /// Returns false if no such entry exists. O(log n) proactive descent.
-  bool Evict(time_type t) {
-    if (empty()) return false;
-    const bool found = Remove(root_.get(), t);
-    CollapseRoot();
-    return found;
-  }
-
   /// Removes every entry with t < watermark (the window's low cutoff);
   /// returns how many entries went. Leaf prefixes are chopped in one
   /// erase and the underflow repaired locally along the left spine.
@@ -221,25 +191,6 @@ class OooTree {
   /// Full-window aggregate (identity when empty), via the two spines.
   result_type query() const { return Op::lower(SubtreeAgg(root_.get())); }
 
-  /// Aggregate of all entries with lo <= t <= hi, combined in time order.
-  /// Returns false (and leaves *out alone) when the range holds no entry.
-  bool RangeAggregate(time_type lo, time_type hi, value_type* out) const {
-    if (empty() || lo > hi) return false;
-    bool have = false;
-    value_type acc = Op::identity();
-    RangeRec(root_.get(), lo, hi, &acc, &have);
-    if (have) *out = std::move(acc);
-    return have;
-  }
-
-  /// Lowered range aggregate; identity-based answer for an empty range,
-  /// matching the time engines' empty-window convention.
-  result_type RangeQuery(time_type lo, time_type hi) const {
-    value_type acc = Op::identity();
-    RangeAggregate(lo, hi, &acc);
-    return Op::lower(acc);
-  }
-
   bool empty() const { return size_ == 0; }
   std::size_t size() const { return size_; }  // distinct timestamps held
 
@@ -250,47 +201,6 @@ class OooTree {
   time_type newest() const {
     SLICK_DCHECK(!empty(), "newest() on empty OooTree");
     return rf_->times.back();
-  }
-
-  /// In-order visit of every (t, value) entry.
-  template <typename F>
-  void ForEachEntry(F&& f) const {
-    WalkEntries(root_.get(), f);
-  }
-
-  // --- checkpointing (util::Checkpointable) ------------------------------
-
-  static constexpr uint32_t kTag = util::MakeTag('O', 'O', 'T', '1');
-
-  void SaveState(std::ostream& os) const {
-    util::WriteTag(os, kTag, 1);
-    util::WritePod<uint64_t>(os, size_);
-    ForEachEntry([&](time_type t, const value_type& v) {
-      util::WritePod<uint64_t>(os, t);
-      util::WriteVal(os, v);
-    });
-  }
-
-  /// Transactional: the entries are rebuilt into a temporary tree, which
-  /// is committed by swap only once the whole frame validates, so a
-  /// rejected frame leaves this tree untouched.
-  bool LoadState(std::istream& is) {
-    if (!util::ExpectTag(is, kTag, 1)) return false;
-    uint64_t n = 0;
-    if (!util::ReadPod(is, &n)) return false;
-    OooTree fresh;
-    time_type prev = 0;
-    for (uint64_t i = 0; i < n; ++i) {
-      time_type t = 0;
-      value_type v{};
-      if (!util::ReadPod(is, &t) || !util::ReadVal(is, &v)) return false;
-      if (i > 0 && t <= prev) return false;  // corrupt: must be sorted
-      prev = t;
-      fresh.Insert(t, std::move(v));  // strictly ascending: O(1) appends
-    }
-    if (fresh.size_ != n) return false;
-    std::swap(*this, fresh);
-    return true;
   }
 
   std::size_t memory_bytes() const { return NodeBytes(root_.get()); }
@@ -313,7 +223,6 @@ class OooTree {
  private:
   static constexpr std::size_t kMin = MinArity;
   static constexpr std::size_t kMaxEntries = 2 * MinArity - 1;
-  static constexpr time_type kMaxTime = std::numeric_limits<time_type>::max();
 
   struct Node {
     Node* parent = nullptr;
@@ -517,29 +426,6 @@ class OooTree {
 
   // --- rebalance primitives ----------------------------------------------
 
-  /// Rotates the last entry of kids[idx-1] through the separator into the
-  /// front of kids[idx]. Never changes spine flags: the moved child was
-  /// its donor's rightmost and becomes a non-edge (or left edge of a
-  /// non-left-spine node) — interior either way.
-  void BorrowFromLeft(Node* p, std::size_t idx) {
-    Node* x = p->kids[idx].get();
-    Node* s = p->kids[idx - 1].get();
-    x->times.insert(x->times.begin(), p->times[idx - 1]);
-    x->vals.insert(x->vals.begin(), std::move(p->vals[idx - 1]));
-    p->times[idx - 1] = s->times.back();
-    p->vals[idx - 1] = std::move(s->vals.back());
-    s->times.pop_back();
-    s->vals.pop_back();
-    if (!s->leaf()) {
-      auto kid = std::move(s->kids.back());
-      s->kids.pop_back();
-      kid->parent = x;
-      x->kids.insert(x->kids.begin(), std::move(kid));
-    }
-    Recompute(s);
-    Recompute(x);
-  }
-
   void BorrowFromRight(Node* p, std::size_t idx) {
     Node* x = p->kids[idx].get();
     Node* s = p->kids[idx + 1].get();
@@ -559,10 +445,10 @@ class OooTree {
     Recompute(x);
   }
 
-  /// Merges kids[idx], separator idx, and kids[idx+1] into kids[idx];
-  /// returns the merged node. The right node's spine role (and the right
-  /// finger, if it was one) transfers to the survivor.
-  Node* MergeChildren(Node* p, std::size_t idx) {
+  /// Merges kids[idx], separator idx, and kids[idx+1] into kids[idx].
+  /// The right node's spine role (and the right finger, if it was one)
+  /// transfers to the survivor.
+  void MergeChildren(Node* p, std::size_t idx) {
     Node* l = p->kids[idx].get();
     Node* r = p->kids[idx + 1].get();
     l->times.push_back(p->times[idx]);
@@ -582,104 +468,6 @@ class OooTree {
     p->kids.erase(p->kids.begin() + static_cast<std::ptrdiff_t>(idx) + 1);
     Recycle(std::move(dead));
     Recompute(l);
-    return l;
-  }
-
-  /// Gives kids[*idx] at least kMin entries by borrowing or merging;
-  /// returns the node now holding its keys (*idx may shift left on merge).
-  Node* FixChild(Node* p, std::size_t* idx) {
-    Node* c = p->kids[*idx].get();
-    if (*idx > 0 && p->kids[*idx - 1]->times.size() >= kMin) {
-      BorrowFromLeft(p, *idx);
-      return c;
-    }
-    if (*idx + 1 < p->kids.size() &&
-        p->kids[*idx + 1]->times.size() >= kMin) {
-      BorrowFromRight(p, *idx);
-      return c;
-    }
-    if (*idx > 0) {
-      --*idx;
-      return MergeChildren(p, *idx);
-    }
-    return MergeChildren(p, *idx);
-  }
-
-  // --- exact removal (proactive descent) ----------------------------------
-
-  std::pair<time_type, value_type> RemoveMax(Node* y) {
-    if (y->leaf()) {
-      std::pair<time_type, value_type> e{y->times.back(),
-                                         std::move(y->vals.back())};
-      y->times.pop_back();
-      y->vals.pop_back();
-      --size_;
-      Recompute(y);
-      return e;
-    }
-    std::size_t idx = y->kids.size() - 1;
-    Node* c = y->kids[idx].get();
-    if (c->times.size() < kMin) c = FixChild(y, &idx);
-    auto e = RemoveMax(c);
-    Recompute(y);
-    return e;
-  }
-
-  std::pair<time_type, value_type> RemoveMin(Node* y) {
-    if (y->leaf()) {
-      std::pair<time_type, value_type> e{y->times.front(),
-                                         std::move(y->vals.front())};
-      y->times.erase(y->times.begin());
-      y->vals.erase(y->vals.begin());
-      --size_;
-      Recompute(y);
-      return e;
-    }
-    std::size_t idx = 0;
-    Node* c = y->kids[idx].get();
-    if (c->times.size() < kMin) c = FixChild(y, &idx);
-    auto e = RemoveMin(c);
-    Recompute(y);
-    return e;
-  }
-
-  /// CLRS-style removal: every child we descend into is topped up to
-  /// >= kMin entries first, so no underflow propagates back up; aggregates
-  /// are recomputed bottom-up as the recursion unwinds.
-  bool Remove(Node* y, time_type t) {
-    std::size_t i = LowerBound(y->times, t);
-    if (i < y->times.size() && y->times[i] == t) {
-      if (y->leaf()) {
-        y->times.erase(y->times.begin() + static_cast<std::ptrdiff_t>(i));
-        y->vals.erase(y->vals.begin() + static_cast<std::ptrdiff_t>(i));
-        --size_;
-        Recompute(y);
-        return true;
-      }
-      Node* l = y->kids[i].get();
-      Node* r = y->kids[i + 1].get();
-      if (l->times.size() >= kMin) {
-        auto e = RemoveMax(l);  // predecessor replaces the removed entry
-        y->times[i] = e.first;
-        y->vals[i] = std::move(e.second);
-      } else if (r->times.size() >= kMin) {
-        auto e = RemoveMin(r);
-        y->times[i] = e.first;
-        y->vals[i] = std::move(e.second);
-      } else {
-        Node* m = MergeChildren(y, i);  // t now lives inside the merge
-        Remove(m, t);
-      }
-      Recompute(y);
-      return true;
-    }
-    if (y->leaf()) return false;
-    Node* c = y->kids[i].get();
-    if (c->times.size() < kMin) c = FixChild(y, &i);
-    const bool found = Remove(c, t);
-    // Unconditional: even a miss may have restructured y via FixChild.
-    Recompute(y);
-    return found;
   }
 
   /// Drops an empty non-leaf root after merges collapsed its children.
@@ -697,18 +485,19 @@ class OooTree {
   }
 
   /// Rebalances after BulkEvict chopped a (possibly whole-leaf) prefix:
-  /// borrow one-at-a-time while a sibling can lend, merge otherwise, and
-  /// walk the deficit up the left spine.
+  /// borrow while the right sibling can lend, merge otherwise, and walk
+  /// the deficit up the left spine. The deficient node is the left finger
+  /// or one of its ancestors, so it is always its parent's first child.
   void RepairAfterPrefixErase(Node* leaf) {
     Recompute(leaf);
     Node* x = leaf;
     Node* top = leaf;
     while (x->parent && x->times.size() < kMin - 1) {
       Node* p = x->parent;
-      std::size_t idx = KidIndex(p, x);
-      Node* lsib = idx > 0 ? p->kids[idx - 1].get() : nullptr;
-      Node* rsib = idx + 1 < p->kids.size() ? p->kids[idx + 1].get() : nullptr;
-      if (x->leaf() && rsib && rsib->leaf()) {
+      SLICK_DCHECK(p->kids.front().get() == x,
+                   "OooTree: repair climbed off the left spine");
+      Node* rsib = p->kids[1].get();
+      if (x->leaf() && rsib->leaf()) {
         // Bulk leaf borrow: a chopped left-finger leaf is typically
         // kMin-2 entries short, and rotating them through the separator
         // one at a time costs two full leaf re-folds PER ENTRY. Move the
@@ -717,16 +506,16 @@ class OooTree {
         // once.
         const std::size_t need = (kMin - 1) - x->times.size();
         if (rsib->times.size() >= need + kMin - 1) {
-          x->times.push_back(p->times[idx]);
-          x->vals.push_back(std::move(p->vals[idx]));
+          x->times.push_back(p->times[0]);
+          x->vals.push_back(std::move(p->vals[0]));
           const auto take = static_cast<std::ptrdiff_t>(need - 1);
           x->times.insert(x->times.end(), rsib->times.begin(),
                           rsib->times.begin() + take);
           x->vals.insert(x->vals.end(),
                          std::make_move_iterator(rsib->vals.begin()),
                          std::make_move_iterator(rsib->vals.begin() + take));
-          p->times[idx] = rsib->times[need - 1];
-          p->vals[idx] = std::move(rsib->vals[need - 1]);
+          p->times[0] = rsib->times[need - 1];
+          p->vals[0] = std::move(rsib->vals[need - 1]);
           rsib->times.erase(rsib->times.begin(),
                             rsib->times.begin() + take + 1);
           rsib->vals.erase(rsib->vals.begin(),
@@ -737,18 +526,12 @@ class OooTree {
           continue;  // x now holds exactly kMin-1 entries: loop exits
         }
       }
-      if (lsib && lsib->times.size() >= kMin) {
-        BorrowFromLeft(p, idx);
+      if (rsib->times.size() >= kMin) {
+        BorrowFromRight(p, 0);
         top = p;
         continue;  // deficit may exceed one borrow: re-check x
       }
-      if (rsib && rsib->times.size() >= kMin) {
-        BorrowFromRight(p, idx);
-        top = p;
-        continue;
-      }
-      if (lsib) --idx;
-      MergeChildren(p, idx);  // merged node holds >= kMin entries
+      MergeChildren(p, 0);  // merged node holds >= kMin entries
       x = p;  // p lost an entry: the deficit moves up
       top = p;
     }
@@ -791,47 +574,7 @@ class OooTree {
     }
   }
 
-  // --- range query ---------------------------------------------------------
-
-  void RangeRec(const Node* y, time_type lo, time_type hi, value_type* acc,
-                bool* have) const {
-    auto add = [&](value_type x) {
-      *acc = *have ? Op::combine(std::move(*acc), std::move(x)) : std::move(x);
-      *have = true;
-    };
-    const std::size_t k = y->times.size();
-    for (std::size_t i = 0; i <= k; ++i) {
-      if (!y->leaf()) {
-        const Node* kid = y->kids[i].get();
-        // kid's keys lie strictly between separators i-1 and i.
-        const bool disjoint = (i > 0 && y->times[i - 1] >= hi) ||
-                              (i < k && y->times[i] <= lo);
-        if (!disjoint) {
-          const bool cov_lo =
-              lo == 0 || (i > 0 && y->times[i - 1] >= lo - 1);
-          const bool cov_hi =
-              hi == kMaxTime || (i < k && y->times[i] <= hi + 1);
-          if (cov_lo && cov_hi) {
-            add(SubtreeAgg(kid));
-          } else {
-            RangeRec(kid, lo, hi, acc, have);
-          }
-        }
-      }
-      if (i < k && y->times[i] >= lo && y->times[i] <= hi) add(y->vals[i]);
-    }
-  }
-
   // --- misc ---------------------------------------------------------------
-
-  template <typename F>
-  static void WalkEntries(const Node* y, F& f) {
-    const std::size_t k = y->times.size();
-    for (std::size_t i = 0; i <= k; ++i) {
-      if (!y->leaf()) WalkEntries(y->kids[i].get(), f);
-      if (i < k) f(y->times[i], y->vals[i]);
-    }
-  }
 
   static std::size_t NodeBytes(const Node* y) {
     std::size_t b = sizeof(Node) + y->times.capacity() * sizeof(time_type) +
@@ -875,12 +618,6 @@ class OooTree {
       }
     }
     return true;
-  }
-
-  void Clear() {
-    root_ = std::make_unique<Node>();
-    lf_ = rf_ = root_.get();
-    size_ = 0;
   }
 
   std::unique_ptr<Node> root_;

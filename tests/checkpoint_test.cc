@@ -26,7 +26,6 @@
 #include "window/flat_fat.h"
 #include "window/flat_fit.h"
 #include "window/naive.h"
-#include "window/ooo_tree.h"
 #include "window/two_stacks.h"
 
 namespace slick {
@@ -231,28 +230,6 @@ TEST(CheckpointTest, NaiveWindowBadFramesRejectedTargetUntouched) {
   ExpectRejectedUntouched(
       target, {pos_past_end.str(), whole.substr(0, whole.size() - 3)});
   EXPECT_EQ(target.query(), 13 + 14 + 15 + 16 + 17 + 18 + 19 + 20);
-}
-
-TEST(CheckpointTest, OooTreeBadFramesRejectedTargetUntouched) {
-  using Tree = window::OooTree<ops::SumInt>;
-  Tree target;
-  for (uint64_t t : {4u, 9u, 2u, 7u}) target.Insert(t, static_cast<int64_t>(t));
-  const uint32_t tag = util::MakeTag('O', 'O', 'T', '1');
-  // Keys out of order: the rebuild appends and requires ascending keys.
-  std::stringstream unsorted;
-  util::WriteTag(unsorted, tag, 1);
-  util::WritePod<uint64_t>(unsorted, 3);
-  for (uint64_t t : {5u, 3u, 8u}) {
-    util::WritePod<uint64_t>(unsorted, t);
-    util::WriteVal(unsorted, static_cast<int64_t>(t));
-  }
-  // A frame truncated right after its entry count.
-  std::stringstream truncated;
-  util::WriteTag(truncated, tag, 1);
-  util::WritePod<uint64_t>(truncated, 3);
-  ExpectRejectedUntouched(target, {unsorted.str(), truncated.str()});
-  EXPECT_TRUE(target.CheckInvariants());
-  EXPECT_EQ(target.query(), 4 + 9 + 2 + 7);
 }
 
 TEST(CheckpointTest, SlickDequeInvRestoreAdoptsNewRangeSet) {
@@ -626,27 +603,6 @@ TEST(CheckpointGoldenTest, Nai1Sum) {
       "0700000000000000030000000000000008000000000000000100000000000000"
       "0200000000000000",
       window::NaiveWindow<ops::SumInt>(3));
-}
-
-TEST(CheckpointGoldenTest, Oot1Sum) {
-  // Insert (t, v) (10, 9), (30, 4), (20, 7), (50, 3), (40, 8), (30, 1) —
-  // three out of order, the last merging into t = 30; BulkEvict(25);
-  // Insert (60, 6), (35, 5).
-  window::OooTree<ops::SumInt> agg;
-  agg.Insert(10, 9);
-  agg.Insert(30, 4);
-  agg.Insert(20, 7);
-  agg.Insert(50, 3);
-  agg.Insert(40, 8);
-  agg.Insert(30, 1);
-  agg.BulkEvict(25);
-  agg.Insert(60, 6);
-  agg.Insert(35, 5);
-  ExpectGoldenBytes(agg,
-      "4f4f54310100000005000000000000001e000000000000000500000000000000"
-      "2300000000000000050000000000000028000000000000000800000000000000"
-      "320000000000000003000000000000003c000000000000000600000000000000",
-      window::OooTree<ops::SumInt>());
 }
 
 // ---------------------------------------------------------------------------

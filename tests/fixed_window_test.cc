@@ -546,11 +546,11 @@ void RunScriptedTwins(std::size_t window, Shape shape) {
   RunScriptedTwin<Op>(w, true);
 }
 
-// One op per AppendBatch branch: the survivor-mask staircase (MaxInt, and
-// MinInt/Min for the other direction), the suffix-scan staircase (ArgMax:
-// total order, no mask kernel) and the per-element stack loop (CountingOp
-// forwards no kAbsorbsTotal). The mask ops take the branch-free tail
-// prune; ArgMax and CountingOp the exact loop.
+// Both AppendBatch branches and three op shapes: the survivor-mask
+// staircase (MaxInt, and MinInt/Min for the other direction), and the
+// per-element stack loop for a total order with no mask kernel (ArgMax)
+// and for an op that forwards no kAbsorbsTotal (CountingOp). The mask ops
+// take the branch-free tail prune; ArgMax and CountingOp the exact loop.
 TEST_P(WindowSweep, SlickDequeNonInvRegisteredMatchesUnregisteredMask) {
   RunRegisteredTwin<ops::MaxInt>(window(), shape());
   RunScriptedTwins<ops::MaxInt>(window(), shape());

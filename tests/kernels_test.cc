@@ -510,9 +510,9 @@ TEST(ScanKernelsTest, ScanAndSurvivorSpecialValuesBitIdenticalToScalar) {
 
 // NaN payloads through the survivor masks. Nothing absorbs a NaN and a NaN
 // absorbs nothing, so a NaN survives and restarts the suffix carry, as in
-// core::BatchStaircase and the per-tuple pop loop. The scalar level must
-// match the staircase reference, and every compiled level the scalar mask
-// and total, bit for bit.
+// the per-tuple pop loop. The scalar level must match the staircase
+// reference, and every compiled level the scalar mask and total, bit for
+// bit.
 template <typename Op, typename Kernel>
 void ExpectSurvivorsFollowAbsorbs(const std::string& what,
                                   const std::vector<double>& v,
