@@ -1,4 +1,4 @@
-// The one body of every wide kernel (DESIGN.md §16.1): the folds behind
+// The one body of every wide kernel (DESIGN.md §16.1): the add fold behind
 // ops/kernels.h and the suffix/prefix scans, survivor masks and
 // SubtractArrays behind ops/scan_kernels.h, each written once over
 // GCC/Clang vector extensions.
@@ -269,14 +269,6 @@ SLICK_REALTIME inline T Survivors(const T* v, std::size_t n, uint64_t* mask) {
 template <typename T>
 SLICK_REALTIME inline T FoldAdd(const T* SLICK_RESTRICT v, std::size_t n) {
   return Fold<LaneAdd>(v, n);
-}
-template <typename T>
-SLICK_REALTIME inline T FoldMax(const T* SLICK_RESTRICT v, std::size_t n) {
-  return Fold<LaneMax>(v, n);
-}
-template <typename T>
-SLICK_REALTIME inline T FoldMin(const T* SLICK_RESTRICT v, std::size_t n) {
-  return Fold<LaneMin>(v, n);
 }
 
 template <typename T>

@@ -51,10 +51,10 @@ inline const char* AdmissionName(Admission a) {
 /// positions ago classifies as kLate rather than kDuplicate (both are
 /// rejected, so downstream exactly-once emission is unaffected).
 ///
-/// For genuinely out-of-order event-time streams (arbitrary displacement,
-/// watermark-driven bulk eviction), see the native OoO aggregator,
-/// window::OooTree (DESIGN.md §13) — this buffer is the cheap answer
-/// only when displacement is small and bounded.
+/// It suits only small, bounded displacement. Genuinely out-of-order
+/// event-time streams (arbitrary displacement, watermark-driven bulk
+/// eviction) need an out-of-order aggregator such as FiBA, which this
+/// library does not ship (DESIGN.md §13 points to the literature).
 template <typename T>
 class ReorderBuffer {
  public:

@@ -16,7 +16,6 @@ struct alignas(kCacheLine) Counter {
 
   void Add(uint64_t n = 1) { v.fetch_add(n, std::memory_order_relaxed); }
   uint64_t Get() const { return v.load(std::memory_order_relaxed); }
-  void Reset() { v.store(0, std::memory_order_relaxed); }
   /// Rewind/overwrite — used by crash recovery to reset a counter to the
   /// restored checkpoint's value before the replay re-accumulates it. Only
   /// call while the counting thread is quiescent (joined).
@@ -46,7 +45,6 @@ struct alignas(kCacheLine) MaxGauge {
     }
   }
   uint64_t Get() const { return v.load(std::memory_order_relaxed); }
-  void Reset() { v.store(0, std::memory_order_relaxed); }
 };
 
 /// Per-shard registry of the parallel runtime's flow metrics. One instance

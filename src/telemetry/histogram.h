@@ -96,16 +96,6 @@ class LatencyHistogram {
                    std::memory_order_relaxed);
   }
 
-  /// Drops every recorded sample (not linearizable against concurrent
-  /// Record; quiesce first if exact conservation matters). relaxed stores:
-  /// counts are pure data, nothing is published through them.
-  void Reset() {
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      buckets_[i].store(0, std::memory_order_relaxed);
-    }
-    sum_.store(0, std::memory_order_relaxed);
-  }
-
   uint64_t TotalCount() const {
     // relaxed: statistical read — a racing Record() may or may not be
     // counted, which any live-telemetry reader already tolerates.

@@ -1,6 +1,6 @@
 // Vectorized kernels (DESIGN.md §11, §16): the dispatchers must agree with
 // a plain sequential combine loop — bit-identically for the integer and
-// selective (min/max) kernels, and within an accumulated-rounding ULP bound
+// selective (min/max) scans, and within an accumulated-rounding ULP bound
 // for floating-point sums, whose SIMD lanes reassociate the addition. Sizes
 // straddle kSimdThreshold and every vector width's remainder handling, and
 // each differential check runs once per compiled dispatch level (scalar
@@ -70,15 +70,6 @@ TEST(KernelsTest, FoldAddInt64MatchesLoopExactly) {
   }
 }
 
-TEST(KernelsTest, FoldMaxInt64MatchesLoopExactly) {
-  for (std::size_t n : kSizes) {
-    const std::vector<int64_t> v = RandomInts(n, 23 + n);
-    int64_t expect = MaxInt::identity();
-    for (int64_t x : v) expect = MaxInt::combine(expect, x);
-    EXPECT_EQ(kernels::FoldMax(v.data(), n), expect) << "n=" << n;
-  }
-}
-
 TEST(KernelsTest, FoldAddDoubleWithinReassociationBound) {
   for (std::size_t n : kSizes) {
     const std::vector<double> v = RandomDoubles(n, 29 + n);
@@ -92,30 +83,11 @@ TEST(KernelsTest, FoldAddDoubleWithinReassociationBound) {
   }
 }
 
-TEST(KernelsTest, FoldMaxMinDoubleBitIdentical) {
-  // Selective kernels never create new values: SIMD max/min must return
-  // exactly what the sequential loop returns.
-  for (std::size_t n : kSizes) {
-    const std::vector<double> v = RandomDoubles(n, 31 + n);
-    double emax = Max::identity(), emin = Min::identity();
-    for (double x : v) {
-      emax = Max::combine(emax, x);
-      emin = Min::combine(emin, x);
-    }
-    EXPECT_EQ(kernels::FoldMax(v.data(), n), emax) << "n=" << n;
-    EXPECT_EQ(kernels::FoldMin(v.data(), n), emin) << "n=" << n;
-  }
-}
-
 TEST(KernelsTest, FoldValuesUsesKernelForKernelOps) {
   const std::vector<int64_t> v = RandomInts(100, 37);
-  int64_t sum = 0, max = MaxInt::identity();
-  for (int64_t x : v) {
-    sum += x;
-    max = MaxInt::combine(max, x);
-  }
+  int64_t sum = 0;
+  for (int64_t x : v) sum += x;
   EXPECT_EQ(FoldValues<SumInt>(v.data(), v.size()), sum);
-  EXPECT_EQ(FoldValues<MaxInt>(v.data(), v.size()), max);
 }
 
 TEST(KernelsTest, FoldValuesGenericLoopPreservesOrder) {
@@ -128,32 +100,21 @@ TEST(KernelsTest, FoldValuesGenericLoopPreservesOrder) {
 
 TEST(KernelsTest, FoldDispatchersAgreeAcrossLevels) {
   // Every compiled fold variant against the sequential loop: exact for
-  // int64 and min/max, reassociation-bounded for the double sum.
+  // int64, reassociation-bounded for the double sum.
   for (std::size_t n : kSizes) {
     const std::vector<int64_t> iv = RandomInts(n, 41 + n);
     const std::vector<double> dv = RandomDoubles(n, 43 + n);
-    int64_t isum = 0, imax = MaxInt::identity(), imin = MinInt::identity();
-    double dsum = 0.0, dabs = 0.0, dmax = Max::identity(),
-           dmin = Min::identity();
-    for (int64_t x : iv) {
-      isum += x;
-      imax = MaxInt::combine(imax, x);
-      imin = MinInt::combine(imin, x);
-    }
+    int64_t isum = 0;
+    double dsum = 0.0, dabs = 0.0;
+    for (int64_t x : iv) isum += x;
     for (double x : dv) {
       dsum += x;
       dabs += std::abs(x);
-      dmax = Max::combine(dmax, x);
-      dmin = Min::combine(dmin, x);
     }
     ForEachCompiledLevel([&](kernels::SimdLevel level) {
       SCOPED_TRACE(std::string("level=") + kernels::SimdLevelName(level) +
                    " n=" + std::to_string(n));
       EXPECT_EQ(kernels::FoldAdd(iv.data(), n), isum);
-      EXPECT_EQ(kernels::FoldMax(iv.data(), n), imax);
-      EXPECT_EQ(kernels::FoldMin(iv.data(), n), imin);
-      EXPECT_EQ(kernels::FoldMax(dv.data(), n), dmax);
-      EXPECT_EQ(kernels::FoldMin(dv.data(), n), dmin);
       EXPECT_NEAR(kernels::FoldAdd(dv.data(), n), dsum, 1e-12 * dabs);
     });
   }
@@ -447,12 +408,6 @@ void ExpectFoldsBitIdentical(bool with_nan) {
       ExpectBitIdenticalToScalar("FoldAdd " + what, [&] {
         return std::vector<double>{kernels::FoldAdd(v.data(), n)};
       });
-      ExpectBitIdenticalToScalar("FoldMax " + what, [&] {
-        return std::vector<double>{kernels::FoldMax(v.data(), n)};
-      });
-      ExpectBitIdenticalToScalar("FoldMin " + what, [&] {
-        return std::vector<double>{kernels::FoldMin(v.data(), n)};
-      });
     }
   }
 }
@@ -577,16 +532,16 @@ static_assert(has_bulk_kernel<Sum>);
 static_assert(has_bulk_kernel<SumInt>);
 static_assert(has_bulk_kernel<SumOfSquares>);
 static_assert(has_bulk_kernel<Count>);
-static_assert(has_bulk_kernel<Max>);
-static_assert(has_bulk_kernel<MaxInt>);
-static_assert(has_bulk_kernel<Min>);
-static_assert(has_bulk_kernel<MinInt>);
+static_assert(!has_bulk_kernel<Max>);
+static_assert(!has_bulk_kernel<MaxInt>);
+static_assert(!has_bulk_kernel<Min>);
+static_assert(!has_bulk_kernel<MinInt>);
 static_assert(!has_bulk_kernel<Concat>);
 static_assert(!has_bulk_kernel<ArgMax>);
 static_assert(!has_bulk_kernel<AlphaMax>);
 
-// Scan kernels: registered for every fold-kernel op; everything else takes
-// the generic in-order recurrence.
+// Scan kernels: registered for every fold-kernel op and for Max/Min;
+// everything else takes the generic in-order recurrence.
 static_assert(has_scan_kernel<Sum>);
 static_assert(has_scan_kernel<SumInt>);
 static_assert(has_scan_kernel<SumOfSquares>);

@@ -327,7 +327,7 @@ TEST(TelemetryCountersTest, CounterAndGaugeBasics) {
   c.Add();
   c.Add(41);
   EXPECT_EQ(c.Get(), 42u);
-  c.Reset();
+  c.Set(0);
   EXPECT_EQ(c.Get(), 0u);
 
   MaxGauge m;

@@ -41,20 +41,19 @@ Baseline-ratio mode:
   baseline are reported but do not fail the gate.
 
 Cost-ratio mode:
-    python3 tools/bench_summary.py --check exp6_ooo.json \
-        --num-algo ooo-tree --den-algo slick-inv --max-cost-ratio 1.2 \
-        --where frac_ooo=0,op=sum
+    python3 tools/bench_summary.py --check exp5_batch.json \
+        --num-algo slick-noninv --den-algo slick-noninv-scalar \
+        --max-cost-ratio 1.05 --best-pair --where mode=single,op=max_int
 
   Pairs rows within ONE file by config-minus-algo and requires the
   --num-algo row's per-tuple cost (1 / tuples_per_sec) to stay within
-  --max-cost-ratio x the --den-algo row's. CI uses this to prove the
-  out-of-order tree's in-order ingest path costs at most 1.2x the
-  SlickDeque slide loop (DESIGN.md §13) — a paired same-run comparison,
-  robust to runner speed. --where restricts to rows whose config matches
-  every key=value given (e.g. only the frac_ooo=0 in-order lane).
-  --best-pair collapses each side to its best matched rate and compares
-  once — the SIMD-vs-scalar-twin gates use it so identical-code
-  small-batch pairs cannot flake the check.
+  --max-cost-ratio x the --den-algo row's — a paired same-run
+  comparison, robust to runner speed. --where restricts to rows whose
+  config matches every key=value given (e.g. only the single-aggregator
+  max_int lane). --best-pair collapses each side to its best matched
+  rate and compares once. CI uses this mode to prove each vectorized
+  kernel never loses to its scalar twin (DESIGN.md §16.4), with 5%
+  slack so identical-code small-batch pairs cannot flake the check.
 
 Stdlib only; no third-party dependencies.
 """
