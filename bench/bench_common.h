@@ -28,9 +28,9 @@ class Flags {
       if (std::strncmp(arg, "--", 2) != 0) continue;
       const char* eq = std::strchr(arg + 2, '=');
       if (eq == nullptr) {
-        kv_.emplace_back(std::string(arg + 2), "1");
+        kv_.push_back({std::string(arg + 2), "1"});
       } else {
-        kv_.emplace_back(std::string(arg + 2, eq), std::string(eq + 1));
+        kv_.push_back({std::string(arg + 2, eq), std::string(eq + 1)});
       }
     }
   }
@@ -50,15 +50,34 @@ class Flags {
     return v == nullptr ? def : *v;
   }
 
- private:
-  const std::string* Find(const char* name) const {
-    for (const auto& [k, v] : kv_) {
-      if (k == name) return &v;
+  /// Flag names passed but never read by a Get* call, in argv order: the
+  /// typos and retired flags a driver would otherwise silently ignore.
+  std::vector<std::string> Unread() const {
+    std::vector<std::string> names;
+    for (const Flag& f : kv_) {
+      if (!f.read) names.push_back(f.name);
     }
-    return nullptr;
+    return names;
   }
 
-  std::vector<std::pair<std::string, std::string>> kv_;
+ private:
+  struct Flag {
+    std::string name;
+    std::string value;
+    mutable bool read = false;
+  };
+
+  const std::string* Find(const char* name) const {
+    const std::string* found = nullptr;
+    for (const Flag& f : kv_) {
+      if (f.name != name) continue;
+      f.read = true;
+      if (found == nullptr) found = &f.value;
+    }
+    return found;
+  }
+
+  std::vector<Flag> kv_;
 };
 
 inline uint64_t NowNs() {

@@ -237,54 +237,19 @@ void IngestServer::Pump(Loop& loop, Connection& c) {
 }
 
 void IngestServer::HandleBatch(Loop& loop, Connection& c) {
-  const WireTuple* data = c.scratch.data();
   const std::size_t n = c.scratch.size();
   if (n == 0) return;  // an empty batch is a valid keep-alive
-  std::size_t accepted = 0;
-  switch (options_.backpressure) {
-    case runtime::Backpressure::kBlock:
-    case runtime::Backpressure::kBlockWithDeadline: {
-      accepted = loop.sink(data, n);
-      if (accepted < n) {
-        c.pending.assign(c.scratch.begin() +
-                             static_cast<std::ptrdiff_t>(accepted),
-                         c.scratch.end());
-        c.pending_off = 0;
-        c.pending_since_ns = util::MonotonicNanos();
-      }
-      break;
-    }
-    case runtime::Backpressure::kDropNewest: {
-      accepted = loop.sink(data, n);
-      // relaxed: single-writer telemetry tally (see Connection).
-      c.tuples_dropped.fetch_add(n - accepted, std::memory_order_relaxed);
-      break;
-    }
-    case runtime::Backpressure::kShedOldest: {
-      std::size_t i = 0;
-      while (i < n) {
-        const std::size_t got = loop.sink(data + i, n - i);
-        accepted += got;
-        i += got;
-        if (i < n && got == 0) {
-          ++i;  // shed the oldest unadmitted tuple, keep the freshest
-          // relaxed: single-writer telemetry tally (see Connection).
-          c.tuples_dropped.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      break;
-    }
-    case runtime::Backpressure::kError: {
-      accepted = loop.sink(data, n);
-      SLICK_CHECK(accepted == n,
-                  "ingest sink rejected tuples under Backpressure::kError "
-                  "(size the pipeline for the peak burst, or pick a "
-                  "shedding/blocking policy)");
-      break;
-    }
-  }
-  // relaxed: single-writer telemetry tally (see Connection).
+  const std::size_t accepted = loop.sink(c.scratch.data(), n);
+  // relaxed: single-writer telemetry tallies (see Connection).
   c.tuples_accepted.fetch_add(accepted, std::memory_order_relaxed);
+  if (accepted == n) return;
+  if (options_.backpressure == runtime::Backpressure::kBlock) {
+    c.pending.assign(c.scratch.begin() + static_cast<std::ptrdiff_t>(accepted),
+                     c.scratch.end());
+    c.pending_off = 0;
+  } else {
+    c.tuples_dropped.fetch_add(n - accepted, std::memory_order_relaxed);
+  }
 }
 
 bool IngestServer::TryDrainPending(Loop& loop, Connection& c) {
@@ -298,16 +263,6 @@ bool IngestServer::TryDrainPending(Loop& loop, Connection& c) {
     c.pending_off = 0;
     return true;
   }
-  if (options_.backpressure == runtime::Backpressure::kBlockWithDeadline &&
-      util::MonotonicNanos() - c.pending_since_ns >= options_.deadline_ns) {
-    // relaxed: single-writer telemetry tallies (see Connection).
-    c.deadline_expiries.fetch_add(1, std::memory_order_relaxed);
-    c.tuples_dropped.fetch_add(c.pending.size() - c.pending_off,
-                               std::memory_order_relaxed);
-    c.pending.clear();
-    c.pending_off = 0;
-    return true;
-  }
   return false;
 }
 
@@ -315,8 +270,8 @@ void IngestServer::RetryBlocked(Loop& loop) {
   for (auto& c : loop.conns) {
     if (c->fd < 0 || c->pending.empty()) continue;
     if (TryDrainPending(loop, *c)) {
-      // Drained (or deadline-shed): resume the fd and pump whatever frames
-      // were already buffered behind the blockage.
+      // Drained: resume the fd and pump whatever frames were already
+      // buffered behind the blockage.
       Pump(loop, *c);
     }
   }
@@ -412,13 +367,10 @@ telemetry::IngestSnapshot IngestServer::snapshot() const {
       cs.frame_errors = c->frame_errors.load(std::memory_order_relaxed);
       cs.tuples_accepted = c->tuples_accepted.load(std::memory_order_relaxed);
       cs.tuples_dropped = c->tuples_dropped.load(std::memory_order_relaxed);
-      cs.deadline_expiries =
-          c->deadline_expiries.load(std::memory_order_relaxed);
       s.frames += cs.frames;
       s.frame_errors += cs.frame_errors;
       s.tuples_accepted += cs.tuples_accepted;
       s.tuples_dropped += cs.tuples_dropped;
-      s.deadline_expiries += cs.deadline_expiries;
       if (cs.open) ++s.connections_open;
       s.connections.push_back(cs);
     }

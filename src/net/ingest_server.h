@@ -26,17 +26,12 @@ namespace slick::net {
 /// MpmcRing-backed engine, each loop wraps its own engine Producer handle,
 /// so N loops feed shard rings concurrently with no router hop.
 ///
-/// Backpressure (the same five policies as the engine's admission, applied
+/// Backpressure (the same two policies as the engine's admission, applied
 /// at the connection edge when the sink accepts only part of a batch):
 ///  - kBlock: the remainder parks in a per-connection pending buffer and
 ///    the connection's fd stops being read (TCP flow control pushes back on
 ///    the client) until the sink drains it. Lossless.
-///  - kBlockWithDeadline: as kBlock, but a pending buffer older than
-///    Options::deadline_ns is shed and counted as a deadline expiry.
-///  - kDropNewest: the unaccepted remainder is shed immediately.
-///  - kShedOldest: never stalls — sheds the oldest unadmitted tuple and
-///    keeps admitting, so the admitted stream is the freshest suffix.
-///  - kError: a partial accept aborts (for pipelines sized never to block).
+///  - kDropNewest: the unaccepted remainder is shed and counted immediately.
 ///
 /// Protocol errors (bad magic/version, oversize, CRC mismatch, malformed
 /// batch) are unrecoverable per connection — the stream has no resync
@@ -61,8 +56,6 @@ class IngestServer {
     uint16_t port = 0;        ///< 0 = ephemeral; port() returns the binding.
     std::size_t threads = 1;  ///< Event-loop threads (clamped to >= 1).
     runtime::Backpressure backpressure = runtime::Backpressure::kBlock;
-    /// kBlockWithDeadline: max age of a connection's pending buffer.
-    uint64_t deadline_ns = 5'000'000;
     /// Idle-connection timeout: a connection that has delivered no bytes
     /// for this long is closed and counted in snapshot().idle_closes
     /// (0 = disabled, the default). Granularity is the event-loop wake
@@ -113,13 +106,12 @@ class IngestServer {
     std::vector<WireTuple> scratch;   ///< last decoded batch
     std::vector<WireTuple> pending;   ///< sink-blocked remainder
     std::size_t pending_off = 0;      ///< delivered prefix of `pending`
-    uint64_t pending_since_ns = 0;    ///< when the buffer started waiting
     bool paused = false;              ///< EPOLLIN removed while blocked
     bool eof = false;                 ///< peer closed / read error seen
     uint64_t last_bytes_ns = 0;       ///< when the peer last delivered bytes
     // Telemetry counters: single-writer (the owning loop thread), read
     // concurrently by snapshot() with relaxed loads. Deliberately dense —
-    // per-connection cache-line padding would cost 7 lines per socket for
+    // per-connection cache-line padding would cost 5 lines per socket for
     // counters only the owning thread ever writes (no write-write
     // sharing to avoid). slick-lint: allow(atomic-alignas)
     std::atomic<bool> open{true};
@@ -131,8 +123,6 @@ class IngestServer {
     std::atomic<uint64_t> tuples_accepted{0};
     // slick-lint: allow(atomic-alignas)
     std::atomic<uint64_t> tuples_dropped{0};
-    // slick-lint: allow(atomic-alignas)
-    std::atomic<uint64_t> deadline_expiries{0};
   };
 
   struct Loop {

@@ -28,23 +28,12 @@ enum class Backpressure {
   kBlock,       ///< Park the router until the worker frees space (lossless).
   kDropNewest,  ///< Shed the incoming element and count it (load shedding;
                 ///< answers then cover only the admitted prefix per shard).
-  kBlockWithDeadline,  ///< Block up to Options::deadline_ns, then shed the
-                       ///< batch and count a deadline expiry (bounded-latency
-                       ///< ingest).
-  kShedOldest,  ///< Never block: shed the *oldest* unadmitted element to
-                ///< make progress, keeping the newest data (freshness over
-                ///< completeness).
-  kError,       ///< Treat ring-full as a configuration bug: SLICK_CHECK
-                ///< aborts (for pipelines sized to never be overrun).
 };
 
 inline const char* BackpressureName(Backpressure b) {
   switch (b) {
     case Backpressure::kBlock: return "block";
     case Backpressure::kDropNewest: return "drop-newest";
-    case Backpressure::kBlockWithDeadline: return "block-with-deadline";
-    case Backpressure::kShedOldest: return "shed-oldest";
-    case Backpressure::kError: return "error";
   }
   return "unknown";
 }
@@ -155,8 +144,6 @@ class ParallelShardedEngine {
     /// admission). Supervised engines keep worker-only drains and eager
     /// wakes: their restart protocol owns the consumer role.
     std::size_t checkpoint_interval = 0;
-    /// kBlockWithDeadline: how long a flush may wait on a full ring.
-    uint64_t deadline_ns = 5'000'000;
     /// Shm producer lease TTL (DESIGN.md §17): a lease whose holder pid is
     /// gone, or whose heartbeat is older than this, is fenced and its
     /// abandoned claim repaired by the supervisor-polled reaper. 0
@@ -327,9 +314,9 @@ class ParallelShardedEngine {
 
   /// Global window answer via the epoch snapshot described above. Exact at
   /// slide barriers (admitted count a multiple of the shard count) under
-  /// lossless policies; under shedding policies it aggregates each shard's
-  /// admitted suffix. Folds the shards' local answers directly (never
-  /// starting from ⊕-identity, whose sentinel would pollute selective ops).
+  /// kBlock; under kDropNewest it aggregates each shard's admitted suffix.
+  /// Folds the shards' local answers directly (never starting from
+  /// ⊕-identity, whose sentinel would pollute selective ops).
   result_type query() {
     SLICK_CHECK(ready(),
                 "query before the global window is warm "
@@ -387,11 +374,6 @@ class ParallelShardedEngine {
     workers_[i]->KillWorker(point, nth_batch);
   }
 
-  /// Lifecycle of shard `i`'s worker thread (supervisor view).
-  WorkerState worker_state(std::size_t i) const {
-    return workers_[i]->state();
-  }
-
   Stats stats() const {
     Stats s;
     for (std::size_t i = 0; i < workers_.size(); ++i) {
@@ -438,7 +420,6 @@ class ParallelShardedEngine {
       s.checkpoints = c.checkpoints.Get();
       s.checkpoint_failures = c.checkpoint_failures.Get();
       s.replayed = c.replayed.Get();
-      s.deadline_expiries = c.deadline_expiries.Get();
       s.stall_detections = c.stall_detections.Get();
       if constexpr (requires { workers_[i]->ring().lease_stats(); }) {
         const auto lease = workers_[i]->ring().lease_stats();
@@ -528,15 +509,16 @@ class ParallelShardedEngine {
   /// Admits `n` staged elements into shard `i`'s ring under the
   /// backpressure policy — the one admission function behind the router
   /// and every Producer handle — then, for a producer-runs handle, settles
-  /// the batch (ShardWorker::DrainOnProducer). Only the coordinator (the
-  /// engine's router) supervises between full-ring retries, and under
-  /// kBlock on a supervised engine it polls instead of parking, since a
-  /// parked router could never restart the dead worker it waits on
-  /// (DESIGN.md §12.4). A handle parked on a dead worker's ring waits for
-  /// the coordinator's next poll. Counter updates are relaxed atomics, so
-  /// any number of handles compose.
-  void Admit(std::size_t i, const value_type* data, std::size_t n,
-             bool coordinator) {
+  /// the batch (ShardWorker::DrainOnProducer). Under kBlock on a supervised
+  /// engine the coordinator (the engine's router) supervises between
+  /// full-ring retries instead of parking, since a parked router could
+  /// never restart the dead worker it waits on (DESIGN.md §12.4). A handle
+  /// parked on a dead worker's ring waits for the coordinator's next poll.
+  /// Counter updates are relaxed atomics, so any number of handles compose.
+  /// Out of line: it runs once per staged batch, and inlined into a
+  /// caller's per-tuple push loop it makes GCC spill that loop's counter.
+  [[gnu::noinline]] void Admit(std::size_t i, const value_type* data,
+                               std::size_t n, bool coordinator) {
     Ring<value_type>& ring = workers_[i]->ring();
     // Unsupervised publishes skip the wake below half a ring: the router's
     // own next query() drains its batches (caller-runs barrier), and a
@@ -546,10 +528,6 @@ class ParallelShardedEngine {
         Supervised() ? DataWake::kEager : DataWake::kCoalesced;
     const bool producer_runs = !coordinator && !Supervised() &&
                                Ring<value_type>::signal_free_publish();
-    const auto backoff = [&] {
-      if (coordinator) Supervise();
-      std::this_thread::yield();
-    };
     std::size_t accepted = 0;
     switch (options_.backpressure) {
       case Backpressure::kBlock:
@@ -557,7 +535,8 @@ class ParallelShardedEngine {
           for (;;) {
             accepted += ring.try_push_n(data + accepted, n - accepted, wake);
             if (accepted == n) break;
-            backoff();
+            Supervise();
+            std::this_thread::yield();
           }
         } else {
           accepted = ring.push_n(data, n, wake);  // futex-parked push
@@ -566,43 +545,6 @@ class ParallelShardedEngine {
         break;
       case Backpressure::kDropNewest:
         accepted = ring.try_push_n(data, n, wake);
-        break;
-      case Backpressure::kBlockWithDeadline: {
-        const uint64_t t0 = util::MonotonicNanos();
-        for (;;) {
-          accepted += ring.try_push_n(data + accepted, n - accepted, wake);
-          if (accepted == n ||
-              util::MonotonicNanos() - t0 >= options_.deadline_ns) {
-            break;
-          }
-          backoff();
-        }
-        if (accepted < n) workers_[i]->counters().deadline_expiries.Add(1);
-        break;
-      }
-      case Backpressure::kShedOldest: {
-        // Never park: when the ring is full, shed the *oldest* unadmitted
-        // element and keep going, so the admitted stream is always the
-        // freshest suffix. (The ring itself cannot evict — exactly-once
-        // spans — so shedding happens at the admission edge.)
-        std::size_t from = 0;
-        while (from + accepted < n) {
-          const std::size_t got = ring.try_push_n(
-              data + from + accepted, n - from - accepted, wake);
-          accepted += got;
-          if (got == 0) {
-            ++from;  // shed data[from-1], the oldest unadmitted element
-            backoff();
-          }
-        }
-        break;
-      }
-      case Backpressure::kError:
-        accepted = ring.try_push_n(data, n, wake);
-        SLICK_CHECK(accepted == n,
-                    "shard ring full under Backpressure::kError "
-                    "(size the ring for the peak burst, or pick a "
-                    "shedding/blocking policy)");
         break;
     }
     AccountAdmission(i, accepted, n - accepted);

@@ -76,7 +76,6 @@ struct ShardCounters {
   Counter checkpoints;          ///< validated checkpoints committed (worker)
   Counter checkpoint_failures;  ///< checkpoints discarded at write (worker)
   Counter replayed;             ///< tuples re-slid after a restore (recovery)
-  Counter deadline_expiries;    ///< kBlockWithDeadline timeouts (router)
   Counter stall_detections;     ///< heartbeat-stall transitions (supervisor)
 };
 

@@ -27,9 +27,10 @@ namespace slick::telemetry {
 ///
 /// Unlike the bench-side LatencyRecorder (which stores every sample and
 /// sorts at the end), memory is constant: kBucketCount buckets ≈ 30 KiB,
-/// regardless of how many samples are recorded. MergeFrom() folds another
-/// histogram in (associative + commutative on the underlying counts), which
-/// is how per-shard histograms become one engine-wide distribution.
+/// regardless of how many samples are recorded. Snapshot::Merge() folds
+/// another snapshot in (associative + commutative on the underlying
+/// counts), which is how per-shard histograms become one engine-wide
+/// distribution.
 class LatencyHistogram {
  public:
   static constexpr uint32_t kSubBucketBits = 6;
@@ -81,19 +82,6 @@ class LatencyHistogram {
   void Record(uint64_t v) {
     buckets_[BucketIndex(v)].fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(v, std::memory_order_relaxed);
-  }
-
-  /// Folds `other`'s counts into this histogram. Safe against concurrent
-  /// Record() on either side (counts are transferred with relaxed atomics;
-  /// a sample is never lost, though a racing snapshot may see it in
-  /// transit).
-  void MergeFrom(const LatencyHistogram& other) {
-    for (std::size_t i = 0; i < kBucketCount; ++i) {
-      const uint64_t c = other.buckets_[i].load(std::memory_order_relaxed);
-      if (c != 0) buckets_[i].fetch_add(c, std::memory_order_relaxed);
-    }
-    sum_.fetch_add(other.sum_.load(std::memory_order_relaxed),
-                   std::memory_order_relaxed);
   }
 
   uint64_t TotalCount() const {

@@ -70,7 +70,6 @@ std::string ToJson(const ShardSnapshot& s) {
   AppendU64(out, "checkpoints", s.checkpoints, true);
   AppendU64(out, "checkpoint_failures", s.checkpoint_failures, true);
   AppendU64(out, "replayed", s.replayed, true);
-  AppendU64(out, "deadline_expiries", s.deadline_expiries, true);
   AppendU64(out, "stall_detections", s.stall_detections, true);
   AppendU64(out, "heartbeat_age_ns", s.heartbeat_age_ns, true);
   AppendU64(out, "leases_reclaimed", s.leases_reclaimed, true);
@@ -87,8 +86,7 @@ std::string ToJson(const ConnectionSnapshot& c) {
   AppendU64(out, "frames", c.frames, true);
   AppendU64(out, "frame_errors", c.frame_errors, true);
   AppendU64(out, "tuples_accepted", c.tuples_accepted, true);
-  AppendU64(out, "tuples_dropped", c.tuples_dropped, true);
-  AppendU64(out, "deadline_expiries", c.deadline_expiries, false);
+  AppendU64(out, "tuples_dropped", c.tuples_dropped, false);
   out += "}";
   return out;
 }
@@ -103,7 +101,6 @@ std::string ToJson(const IngestSnapshot& s) {
   AppendU64(out, "frame_errors", s.frame_errors, true);
   AppendU64(out, "tuples_accepted", s.tuples_accepted, true);
   AppendU64(out, "tuples_dropped", s.tuples_dropped, true);
-  AppendU64(out, "deadline_expiries", s.deadline_expiries, true);
   AppendU64(out, "idle_closes", s.idle_closes, true);
   out += "\"connections\":[";
   for (std::size_t i = 0; i < s.connections.size(); ++i) {

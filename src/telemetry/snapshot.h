@@ -35,7 +35,6 @@ struct ShardSnapshot {
   uint64_t checkpoints = 0;          ///< validated checkpoints committed
   uint64_t checkpoint_failures = 0;  ///< checkpoints discarded at write
   uint64_t replayed = 0;             ///< tuples re-slid after restores
-  uint64_t deadline_expiries = 0;    ///< kBlockWithDeadline timeouts
   uint64_t stall_detections = 0;     ///< heartbeat-stall transitions
   uint64_t heartbeat_age_ns = 0;     ///< now - last worker loop iteration
   // Shm lease reaper view (DESIGN.md §17). Zero for in-process rings.
@@ -54,7 +53,6 @@ struct ConnectionSnapshot {
   uint64_t frame_errors = 0;       ///< typed FrameErrors (connection fatal)
   uint64_t tuples_accepted = 0;    ///< handed to the sink
   uint64_t tuples_dropped = 0;     ///< shed by the backpressure policy
-  uint64_t deadline_expiries = 0;  ///< kBlockWithDeadline timeouts
 };
 
 /// Point-in-time view of the TCP front door: totals plus per-connection
@@ -68,7 +66,6 @@ struct IngestSnapshot {
   uint64_t frame_errors = 0;
   uint64_t tuples_accepted = 0;
   uint64_t tuples_dropped = 0;
-  uint64_t deadline_expiries = 0;
   uint64_t idle_closes = 0;  ///< half-open connections closed by idle_ns
   LatencyHistogram::Snapshot ingest_latency_ns;
   std::vector<ConnectionSnapshot> connections;

@@ -4,8 +4,9 @@
 // IngestServer → Producer handles → MPMC shard rings → shard answers vs
 // a serial oracle), the connection-fatal handling of every adversarial
 // frame shape (bad magic, CRC corruption, truncation at EOF, oversize
-// declared payloads, byte-at-a-time splits), the per-connection
-// backpressure policies, and the telemetry JSON export.
+// declared payloads, byte-at-a-time splits), both per-connection
+// backpressure policies (lossless kBlock, counted kDropNewest), and the
+// telemetry JSON export.
 
 #include <algorithm>
 #include <atomic>
@@ -536,82 +537,6 @@ TEST(IngestServerTest, DropNewestShedsTheRefusedRemainder) {
   EXPECT_EQ(snap.tuples_dropped, 15u);
   EXPECT_EQ(snap.connections_closed_on_error, 0u);  // shedding is not an error
   server.Stop();
-}
-
-TEST(IngestServerTest, DeadlinePolicyShedsStalePendingAndCounts) {
-  // Sink refuses everything: under kBlockWithDeadline the pending buffer
-  // must be shed (and counted) once it ages past the deadline, keeping the
-  // connection alive rather than wedging it forever.
-  IngestServer server(
-      {.port = 0, .threads = 1,
-       .backpressure = runtime::Backpressure::kBlockWithDeadline,
-       .deadline_ns = 1'000'000},  // 1ms
-      [](std::size_t) -> IngestServer::TrySink {
-        return [](const WireTuple*, std::size_t) { return std::size_t{0}; };
-      });
-  ASSERT_TRUE(server.Start());
-
-  IngestClient client;
-  ASSERT_TRUE(client.Connect(kHost, server.port()));
-  std::vector<WireTuple> batch(16);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i] = {i, 1.0};
-  }
-  ASSERT_TRUE(client.SendBatch(batch.data(), batch.size()));
-
-  ASSERT_TRUE(WaitFor([&server] {
-    const telemetry::IngestSnapshot s = server.snapshot();
-    return s.deadline_expiries >= 1 && s.tuples_dropped == 16;
-  }));
-  EXPECT_EQ(server.snapshot().tuples_accepted, 0u);
-
-  // The connection survived the shed: a second batch flows through it and
-  // is shed the same way, never wedged.
-  ASSERT_TRUE(client.SendBatch(batch.data(), batch.size()));
-  ASSERT_TRUE(WaitFor([&server] {
-    return server.snapshot().tuples_dropped == 32;
-  }));
-  server.Stop();
-}
-
-TEST(IngestServerTest, ShedOldestKeepsTheFreshestSuffix) {
-  // The sink refuses its first call, then accepts everything: shed-oldest
-  // drops exactly the one oldest tuple and admits the rest, in order.
-  std::vector<WireTuple> sunk;
-  bool refused = false;
-  IngestServer server(
-      {.port = 0, .threads = 1,
-       .backpressure = runtime::Backpressure::kShedOldest},
-      [&sunk, &refused](std::size_t) -> IngestServer::TrySink {
-        return [&sunk, &refused](const WireTuple* t, std::size_t n) {
-          if (!refused) {
-            refused = true;
-            return std::size_t{0};
-          }
-          sunk.insert(sunk.end(), t, t + n);
-          return n;
-        };
-      });
-  ASSERT_TRUE(server.Start());
-
-  IngestClient client;
-  ASSERT_TRUE(client.Connect(kHost, server.port()));
-  std::vector<WireTuple> batch(8);
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    batch[i] = {i, static_cast<double>(i)};
-  }
-  ASSERT_TRUE(client.SendBatch(batch.data(), batch.size()));
-
-  ASSERT_TRUE(WaitFor([&server] {
-    const telemetry::IngestSnapshot s = server.snapshot();
-    return s.tuples_accepted + s.tuples_dropped == 8;
-  }));
-  const telemetry::IngestSnapshot snap = server.snapshot();
-  EXPECT_EQ(snap.tuples_dropped, 1u);
-  EXPECT_EQ(snap.tuples_accepted, 7u);
-  server.Stop();
-  ASSERT_EQ(sunk.size(), 7u);
-  for (std::size_t i = 0; i < 7; ++i) EXPECT_EQ(sunk[i].ts, i + 1);
 }
 
 // ---------------------------------------------------------------------

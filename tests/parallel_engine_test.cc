@@ -267,9 +267,7 @@ void SparseProducerRounds(Engine& eng, typename Engine::Producer& producer,
 
 TEST(ParallelEngineTest, ProducerRunsSparsePushesUnderEveryPolicy) {
   for (const runtime::Backpressure bp :
-       {runtime::Backpressure::kBlock, runtime::Backpressure::kDropNewest,
-        runtime::Backpressure::kBlockWithDeadline,
-        runtime::Backpressure::kShedOldest, runtime::Backpressure::kError}) {
+       {runtime::Backpressure::kBlock, runtime::Backpressure::kDropNewest}) {
     SCOPED_TRACE(runtime::BackpressureName(bp));
     MpmcSumEngine eng(16, 2,
                       {.ring_capacity = 1024, .batch = 8, .backpressure = bp});

@@ -3,10 +3,10 @@
 // checkpoint restore + ring replay — must produce answers *bit-identical*
 // to the fault-free run, with the telemetry conservation identity intact
 // (tuples_in == tuples_out + in_flight, admitted + dropped == pushed).
-// Also covers the stall detector, the backpressure policy matrix through
-// both admission edges and, under a -DSLICK_FAULT_INJECTION=ON build (the
-// CI chaos job), the seeded fault-schedule points in the ring and
-// checkpoint paths. Suite names contain "Recovery" or "Backpressure" so
+// Also covers the stall detector, the engine's construction contracts and,
+// under a -DSLICK_FAULT_INJECTION=ON build (the CI chaos job), the seeded
+// fault-schedule points in the ring and checkpoint paths through both
+// admission edges. Suite names contain "Recovery" or "Backpressure" so
 // the TSan and chaos CI legs' -R filters pick them up, and the randomized
 // trials live in a "DifferentialFuzz" suite so the nightly and chaos fuzz
 // legs scale them via SLICK_FUZZ_TRIALS.
@@ -494,12 +494,12 @@ TEST(RecoveryTest, ShmRingWorkerKillWithLeaseProducersRecovers) {
 }
 
 // ---------------------------------------------------------------------------
-// Backpressure policy matrix (DESIGN.md §12.4). A dead, unsupervised worker
-// makes its ring a black hole — the sharpest way to force each policy's
-// full-ring edge. Each policy runs through both admission edges: the
-// engine's own push() on SPSC rings (the router, which supervises between
-// retries) and a Producer handle on MPMC rings (which only yields). The
-// router case keeps the plain test name.
+// Admission edges and engine contracts (DESIGN.md §12.4). The fault
+// schedules below run through both admission edges: the engine's own
+// push() on SPSC rings (the router, which supervises between full-ring
+// retries) and a Producer handle on MPMC rings (which parks on a full
+// ring). The router case keeps the plain test name. The BackpressureTest
+// cases pin the constructor's contracts.
 // ---------------------------------------------------------------------------
 
 struct RouterEdge {
@@ -525,114 +525,6 @@ struct ProducerEdge {
     prod.flush();
   }
 };
-
-/// Kills shard 0's worker at its first batch and waits for the death,
-/// returning how many elements that took. The fatal batch goes through the
-/// engine's router: a producer handle drains a shard whose worker sleeps
-/// (DESIGN.md §12.6), and an injected kill fires only on the worker, so a
-/// handle alone could keep the worker alive. The router's publish that
-/// brings the ring to half full wakes the worker instead.
-template <typename Eng>
-uint64_t KillOnlyWorker(Eng& eng) {
-  eng.InjectWorkerKill(0, KillPoint::kBeforeSlide, 1);
-  const std::size_t half = eng.shard_ring(0).capacity() / 2;
-  for (std::size_t i = 0; i < half; ++i) eng.push(1);
-  eng.flush();
-  while (eng.worker_state(0) != runtime::WorkerState::kKilled) {
-    std::this_thread::yield();
-  }
-  return half;
-}
-
-template <typename Edge>
-void DeadlineExpiryShedsAndCounts() {
-  using Agg = core::SlickDequeInv<ops::SumInt>;
-  typename Edge::template Engine<Agg> eng(
-      4, 1,
-      {.ring_capacity = 8,
-       .batch = 2,
-       .backpressure = Backpressure::kBlockWithDeadline,
-       .deadline_ns = 200'000});
-  // Kill the only worker first: nothing drains, every flush after the
-  // ring fills must expire its deadline and shed.
-  const uint64_t prefill = KillOnlyWorker(eng);
-  Edge::Run(eng, [](auto& in) {
-    for (int64_t i = 0; i < 64; ++i) in.push(1);
-  });
-  const telemetry::RuntimeSnapshot snap = eng.snapshot();
-  EXPECT_GT(snap.shards[0].deadline_expiries, 0u);
-  EXPECT_GT(snap.total_dropped(), 0u);
-  // Every expiry sheds at least one element of its batch.
-  EXPECT_GE(snap.total_dropped(), snap.shards[0].deadline_expiries);
-  const auto stats = eng.stats();
-  EXPECT_EQ(stats.admitted + stats.dropped, prefill + 64u);
-  EXPECT_STREQ(snap.backpressure, "block-with-deadline");
-  eng.stop();
-}
-
-TEST(BackpressureTest, DeadlineExpiryShedsAndCounts) {
-  DeadlineExpiryShedsAndCounts<RouterEdge>();
-}
-
-TEST(BackpressureTest, DeadlineExpiryShedsAndCountsViaProducer) {
-  DeadlineExpiryShedsAndCounts<ProducerEdge>();
-}
-
-template <typename Edge>
-void ShedOldestNeverBlocksAndKeepsFreshest() {
-  using Agg = core::SlickDequeInv<ops::SumInt>;
-  typename Edge::template Engine<Agg> eng(
-      4, 1,
-      {.ring_capacity = 8,
-       .batch = 2,
-       .backpressure = Backpressure::kShedOldest});
-  const uint64_t prefill = KillOnlyWorker(eng);
-  // Returns without blocking despite the dead worker.
-  Edge::Run(eng, [](auto& in) {
-    for (int64_t i = 0; i < 200; ++i) in.push(i);
-  });
-  const auto stats = eng.stats();
-  EXPECT_EQ(stats.admitted + stats.dropped, prefill + 200u);
-  EXPECT_GT(stats.dropped, 0u);
-  EXPECT_LE(stats.admitted, 8u + 2u);  // bounded by ring + claimed batch
-  EXPECT_EQ(eng.snapshot().shards[0].deadline_expiries, 0u);
-  eng.stop();
-}
-
-TEST(BackpressureTest, ShedOldestNeverBlocksAndKeepsFreshest) {
-  ShedOldestNeverBlocksAndKeepsFreshest<RouterEdge>();
-}
-
-TEST(BackpressureTest, ShedOldestNeverBlocksAndKeepsFreshestViaProducer) {
-  ShedOldestNeverBlocksAndKeepsFreshest<ProducerEdge>();
-}
-
-template <typename Edge>
-void ErrorPolicyDiesOnFullRing() {
-  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  using Agg = core::SlickDequeInv<ops::SumInt>;
-  EXPECT_DEATH(
-      {
-        typename Edge::template Engine<Agg> eng(
-            4, 1,
-            {.ring_capacity = 4,
-             .batch = 1,
-             .backpressure = Backpressure::kError});
-        (void)KillOnlyWorker(eng);
-        Edge::Run(eng, [](auto& in) {
-          for (int64_t i = 0; i < 64; ++i) in.push(1);
-        });
-      },
-      "kError");
-}
-
-TEST(BackpressureTest, ErrorPolicyDiesOnFullRing) {
-  ErrorPolicyDiesOnFullRing<RouterEdge>();
-}
-
-TEST(BackpressureTest, ErrorPolicyDiesOnFullRingViaProducer) {
-  ErrorPolicyDiesOnFullRing<ProducerEdge>();
-}
 
 TEST(BackpressureTest, MultiShardNonCommutativeDies) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";

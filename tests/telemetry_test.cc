@@ -127,19 +127,6 @@ TEST(TelemetryHistogramTest, MergeIsAssociative) {
   }
 }
 
-TEST(TelemetryHistogramTest, AtomicMergeFromMatchesSnapshotMerge) {
-  util::SplitMix64 rng(0x31337);
-  LatencyHistogram a, b;
-  for (int i = 0; i < 1000; ++i) a.Record(rng.NextBounded(1 << 20));
-  for (int i = 0; i < 700; ++i) b.Record(rng.NextBounded(1 << 28));
-  Snapshot expect = a.TakeSnapshot();
-  expect.Merge(b.TakeSnapshot());
-  a.MergeFrom(b);
-  const Snapshot got = a.TakeSnapshot();
-  EXPECT_EQ(got.counts, expect.counts);
-  EXPECT_EQ(got.sum, expect.sum);
-}
-
 TEST(TelemetryHistogramTest, EmptySnapshotIsMergeIdentity) {
   util::SplitMix64 rng(0xE4417);
   const Snapshot a = RandomSnapshot(rng, 250);
@@ -272,12 +259,11 @@ TEST(TelemetryHistogramStressTest, ConcurrentRecordingConservesCount) {
 
 TEST(TelemetryHistogramStressTest, ConcurrentRecordAndMergeConserves) {
   // Recorders fill per-thread histograms while a collector repeatedly
-  // merges/snapshots the shared one — mirroring the runtime's per-shard
-  // histogram + coordinator snapshot topology.
+  // reads their totals, then merges their snapshots — mirroring the
+  // runtime's per-shard histogram + coordinator snapshot topology.
   constexpr int kShards = 4;
   constexpr uint64_t kPerShard = 40000;
   std::vector<LatencyHistogram> shard_hists(kShards);
-  LatencyHistogram merged;
   std::vector<std::thread> threads;
   threads.reserve(kShards);
   for (int t = 0; t < kShards; ++t) {
@@ -299,8 +285,9 @@ TEST(TelemetryHistogramStressTest, ConcurrentRecordAndMergeConserves) {
     last_total = total;
   }
   for (auto& th : threads) th.join();
-  for (const LatencyHistogram& h : shard_hists) merged.MergeFrom(h);
-  EXPECT_EQ(merged.TotalCount(), kShards * kPerShard);
+  Snapshot merged;
+  for (const LatencyHistogram& h : shard_hists) merged.Merge(h.TakeSnapshot());
+  EXPECT_EQ(merged.total(), kShards * kPerShard);
 }
 
 TEST(TelemetryCounterStressTest, ConcurrentCounterAddsConserve) {

@@ -13,15 +13,14 @@
 //        --tuples=T (default 500000) --ring=R (default 1024)
 //        --batch=B (default 64)      --epochs=E snapshots (default 8)
 //        --drop (use kDropNewest backpressure)  --seed=S
-//        --policy=P (block | drop-newest | block-with-deadline |
-//                    shed-oldest | error; overrides --drop)
 //        --checkpoint-interval=C (default 0; C > 0 runs supervised with
 //                                 periodic worker checkpoints)
-//        --deadline-us=D (block-with-deadline budget, default 5000)
 //        --shm=NAME (inspect a live shm ring segment instead of running
 //                    the demo: prints cursors, reaper telemetry and the
 //                    full lease table as one JSON object — read-only, so
 //                    safe against a serving ring; see RUNBOOK.md)
+// Any flag the run does not read is an error: the tool names it and exits
+// 2 before running.
 //
 // Supervised runs additionally assert the fault-tolerant conservation
 // identity: admitted == processed + in_flight at every epoch cut, and the
@@ -59,16 +58,15 @@ using Op = ops::ThreadCountingOp<ops::Sum>;
 using Agg = core::SlickDequeInv<Op>;
 using Engine = runtime::ParallelShardedEngine<Agg>;
 
-runtime::Backpressure ParsePolicy(const std::string& name) {
-  for (const auto policy :
-       {runtime::Backpressure::kBlock, runtime::Backpressure::kDropNewest,
-        runtime::Backpressure::kBlockWithDeadline,
-        runtime::Backpressure::kShedOldest, runtime::Backpressure::kError}) {
-    if (name == runtime::BackpressureName(policy)) return policy;
+/// True when every flag passed was read; otherwise names each unread one
+/// on stderr, so a typo never silently runs the defaults.
+bool AllFlagsRead(const bench::Flags& flags) {
+  const std::vector<std::string> unread = flags.Unread();
+  for (const std::string& name : unread) {
+    std::fprintf(stderr, "telemetry_dump: unknown or unused flag --%s\n",
+                 name.c_str());
   }
-  SLICK_CHECK(false, "unknown --policy (want block | drop-newest | "
-                     "block-with-deadline | shed-oldest | error)");
-  return runtime::Backpressure::kBlock;
+  return unread.empty();
 }
 
 const char* SpanStateName(uint64_t s) {
@@ -123,7 +121,7 @@ int DumpShmSegment(const std::string& name) {
 
 int Run(const bench::Flags& flags) {
   const std::string shm = flags.GetString("shm", "");
-  if (!shm.empty()) return DumpShmSegment(shm);
+  if (!shm.empty()) return AllFlagsRead(flags) ? DumpShmSegment(shm) : 2;
   const std::size_t window = flags.GetU64("window", 8192);
   const std::size_t shards = flags.GetU64("shards", 4);
   const uint64_t tuples = flags.GetU64("tuples", 500000);
@@ -134,17 +132,14 @@ int Run(const bench::Flags& flags) {
   opt.backpressure = flags.GetU64("drop", 0) != 0
                          ? runtime::Backpressure::kDropNewest
                          : runtime::Backpressure::kBlock;
-  const std::string policy = flags.GetString("policy", "");
-  if (!policy.empty()) opt.backpressure = ParsePolicy(policy);
   opt.checkpoint_interval = flags.GetU64("checkpoint-interval", 0);
-  opt.deadline_ns = flags.GetU64("deadline-us", 5000) * 1000;
   const bool supervised = opt.checkpoint_interval > 0;
+  const std::vector<double> data =
+      bench::BenchSeries(flags, 1 << 18, flags.GetU64("seed", 42));
+  if (!AllFlagsRead(flags)) return 2;
 
   SLICK_CHECK(window % shards == 0, "window must be a multiple of shards");
   Engine engine(window, shards, opt);
-
-  const std::vector<double> data =
-      bench::BenchSeries(flags, 1 << 18, flags.GetU64("seed", 42));
   std::size_t di = 0;
   const uint64_t per_epoch = tuples / (epochs == 0 ? 1 : epochs);
   uint64_t fed = 0;
